@@ -302,7 +302,7 @@ def cmd_export_summaries(args) -> int:
     for start in range(0, len(graphs), 256):
         chunk = graphs[start : start + 256]
         batch = batch_graphs(chunk)
-        tape = Tape()
+        tape = Tape(record=False)
         vec = (
             model_forward(tape, batch, model)
             if args.post_head

@@ -8,6 +8,7 @@ and `{name}_node_attributes.txt`. LF and CRLF line endings are both accepted.
 from __future__ import annotations
 
 import hashlib
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,12 +90,73 @@ def _parse_int(token: str, path: Path, line_no: int) -> int:
         ) from None
 
 
+def _load_int_table(path: Path, columns: int) -> np.ndarray | None:
+    """The file as an int64 table ``columns`` wide, read in one bulk call.
+
+    Returns None when the bulk reader rejects the file for any reason (a
+    missing file, a whitespace-only or malformed line, no data at all).
+    Callers then scan the file line by line, which accepts the same inputs
+    and reports the first bad one as ``file:line``.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(
+                path, delimiter=",", dtype=np.int64, comments=None, ndmin=2, encoding="utf-8"
+            )
+        except (OSError, ValueError, Warning):
+            return None
+    return table if table.shape[1] == columns else None
+
+
 def _read_int_column(path: Path) -> np.ndarray:
+    table = _load_int_table(path, 1)
+    if table is not None:
+        return table[:, 0]
     lines = _read_lines(path)
     values = [
         _parse_int(line, path, i) for i, line in enumerate(lines, start=1) if line.strip()
     ]
     return np.array(values, dtype=np.int64)
+
+
+def _edges_valid(pairs: np.ndarray, indicator: np.ndarray) -> bool:
+    """True if every 1-based pair is in range, no self-loop, and within one graph."""
+    if pairs.size == 0:
+        return True
+    if pairs.min() < 1 or pairs.max() > indicator.size:
+        return False
+    u, v = pairs[:, 0], pairs[:, 1]
+    return bool(np.all(u != v) and np.all(indicator[u - 1] == indicator[v - 1]))
+
+
+def _scan_edges(path: Path, indicator: np.ndarray) -> np.ndarray:
+    """Line-by-line parse of an edge file into checked 1-based (u, v) rows.
+
+    Raises :class:`DatasetFormatError` at the first bad line.
+    """
+    num_nodes = indicator.size
+    pairs = []
+    for line_no, line in enumerate(_read_lines(path), start=1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DatasetFormatError(path, line_no, f"expected 'u, v', got {line.strip()!r}")
+        u = _parse_int(parts[0], path, line_no)
+        v = _parse_int(parts[1], path, line_no)
+        if not (1 <= u <= num_nodes) or not (1 <= v <= num_nodes):
+            raise DatasetFormatError(
+                path, line_no, f"node index out of range 1..{num_nodes}: ({u}, {v})"
+            )
+        if u == v:
+            raise DatasetFormatError(path, line_no, f"self-loop on node {u}")
+        gu = int(indicator[u - 1])
+        gv = int(indicator[v - 1])
+        if gu != gv:
+            raise DatasetFormatError(path, line_no, f"edge ({u}, {v}) crosses graphs {gu} and {gv}")
+        pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def degree_feature_bound(graphs, max_degree: int | None = None) -> int:
@@ -158,34 +220,17 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
     classes = np.unique(raw_labels)
     labels = np.searchsorted(classes, raw_labels)
 
-    per_graph_edges: list[list[tuple[int, int]]] = [[] for _ in range(num_graphs)]
-    for line_no, line in enumerate(_read_lines(a_path), start=1):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DatasetFormatError(
-                a_path, line_no, f"expected 'u, v', got {line.strip()!r}"
-            )
-        u = _parse_int(parts[0], a_path, line_no)
-        v = _parse_int(parts[1], a_path, line_no)
-        if not (1 <= u <= num_nodes) or not (1 <= v <= num_nodes):
-            raise DatasetFormatError(
-                a_path, line_no, f"node index out of range 1..{num_nodes}: ({u}, {v})"
-            )
-        if u == v:
-            raise DatasetFormatError(a_path, line_no, f"self-loop on node {u}")
-        gu = int(indicator[u - 1]) - 1
-        gv = int(indicator[v - 1]) - 1
-        if gu != gv:
-            raise DatasetFormatError(
-                a_path, line_no, f"edge ({u}, {v}) crosses graphs {gu + 1} and {gv + 1}"
-            )
-        base = node_offsets[gu]
-        per_graph_edges[gu].append((u - 1 - base, v - 1 - base))
-
+    pairs = _load_int_table(a_path, 2)
+    if pairs is None or not _edges_valid(pairs, indicator):
+        pairs = _scan_edges(a_path, indicator)
+    # group the edges by graph (file order kept within a graph), 0-based per graph
+    graph_of_edge = indicator[pairs[:, 0] - 1] - 1
+    order = np.argsort(graph_of_edge, kind="stable")
+    local = pairs[order] - 1 - node_offsets[graph_of_edge[order]][:, None]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(graph_of_edge, minlength=num_graphs))])
     structures = [
-        from_edge_list(int(node_counts[i]), per_graph_edges[i]) for i in range(num_graphs)
+        from_edge_list(int(node_counts[i]), local[bounds[i] : bounds[i + 1]])
+        for i in range(num_graphs)
     ]
 
     attr_path = d / f"{name}_node_attributes.txt"

@@ -112,14 +112,18 @@ class Tape:
     of every activation, gradient and CSR buffer the pass allocates.
     ``probe`` (optional dict) collects stability margins ("relu_margin",
     "rowmax_gap", "score_boundary_gap", "score_min_gap") so callers can
-    reject inputs too close to a non-differentiable switch.
+    reject inputs too close to a non-differentiable switch. With
+    ``record=False`` the tape keeps no backward closures, so a forward-only
+    pass frees each activation once nothing downstream reads it; such a tape
+    cannot run :meth:`backward`.
     """
 
-    def __init__(self, tracker=None, probe: dict | None = None):
+    def __init__(self, tracker=None, probe: dict | None = None, record: bool = True):
         self._nodes: list = []
         self._consumed = False
         self.tracker = tracker
         self.probe = probe
+        self.record = record
 
     # ------------------------------------------------------------------
     # plumbing
@@ -133,7 +137,8 @@ class Tape:
         return Var(value, Slot())
 
     def _push(self, prim: str, out_slot: Slot, fn) -> None:
-        self._nodes.append((prim, out_slot, fn))
+        if self.record:
+            self._nodes.append((prim, out_slot, fn))
 
     def probe_min(self, key: str, value: float) -> None:
         if self.probe is not None:
@@ -150,6 +155,8 @@ class Tape:
 
     def backward(self, loss: Var) -> None:
         """Accumulate d(loss)/d(leaf) for every leaf reachable from ``loss``."""
+        if not self.record:
+            raise RuntimeError("tape was built with record=False; it has no backward pass")
         if self._consumed:
             raise RuntimeError("tape already consumed; build a new one per pass")
         self._consumed = True
@@ -550,20 +557,38 @@ def save_parameters(params, path) -> None:
 
 
 def load_parameters(path) -> list[tuple[str, np.ndarray]]:
-    """Read a parameter file written by :func:`save_parameters`."""
+    """Read a parameter file written by :func:`save_parameters`.
+
+    A file that ends early, or runs on past its last record, raises
+    ``ValueError`` naming the path and the byte offset.
+    """
     with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ValueError(f"{path}: not a parameter file (bad magic)")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported parameter file version {version}")
-        out = []
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-            n_values = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(fh.read(8 * n_values), dtype="<f8").reshape(shape)
-            out.append((name, data.astype(np.float64)))
-        return out
+        blob = fh.read()
+    pos = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal pos
+        if len(blob) - pos < size:
+            raise ValueError(
+                f"{path}: truncated at byte {pos}: {what} needs {size} bytes, "
+                f"{len(blob) - pos} left"
+            )
+        pos += size
+        return blob[pos - size : pos]
+
+    if take(len(_MAGIC), "magic") != _MAGIC:
+        raise ValueError(f"{path}: not a parameter file (bad magic)")
+    version, count = struct.unpack("<II", take(8, "header"))
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported parameter file version {version}")
+    out = []
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        name = take(name_len, "name").decode("utf-8")
+        (ndim,) = struct.unpack("<I", take(4, f"{name!r} rank"))
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"{name!r} shape"))
+        data = np.frombuffer(take(8 * math.prod(shape), f"{name!r} values"), dtype="<f8")
+        out.append((name, data.reshape(shape).astype(np.float64)))
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} unexpected bytes after byte {pos}")
+    return out

@@ -183,7 +183,7 @@ def predict_logits(model: HierarchicalModel, graphs, batch_size: int = 256) -> n
     out = []
     for start in range(0, len(graphs), batch_size):
         batch = batch_graphs(graphs[start : start + batch_size])
-        out.append(model_forward(Tape(), batch, model).value)
+        out.append(model_forward(Tape(record=False), batch, model).value)
     return np.concatenate(out, axis=0)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sparsepool.cli import main
+from sparsepool.engine import Parameter, save_parameters
 
 
 def toy_args(fixtures_dir, *extra):
@@ -155,6 +156,22 @@ class TestExportSummaries:
         assert len(rows) == 24
         ids = sorted(int(r.split(",")[0]) for r in rows)
         assert ids == list(range(24))
+
+    def test_truncated_model_exits_2(self, fixtures_dir, tmp_path, trained, capsys):
+        small = tmp_path / "small.params"
+        save_parameters([Parameter("w", np.ones((2, 2))), Parameter("b", np.zeros(2))], small)
+        blob = trained.read_bytes()
+        cuts = [small.read_bytes()[:size] for size in range(small.stat().st_size)]
+        cuts += [blob[:12], blob[: len(blob) // 2], blob[:-1]]
+        cut = tmp_path / "cut.params"
+        for data in cuts:
+            cut.write_bytes(data)
+            code = main(["export-summaries", *toy_args(fixtures_dir), "--model", str(cut),
+                         "--out", str(tmp_path / "x")])
+            err = capsys.readouterr().err
+            assert code == 2, len(data)
+            assert err.startswith(f"error: {cut}: truncated at byte ")
+            assert "Traceback" not in err
 
     def test_bad_fold_exits_2(self, fixtures_dir, tmp_path, trained, capsys):
         code = main(["export-summaries", *toy_args(fixtures_dir), "--model", str(trained),

@@ -1,11 +1,17 @@
 """TUDataset parsing, serialization round-trips, and fold generation."""
 from __future__ import annotations
 
+import contextlib
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph
+from sparsepool import datasets
 from sparsepool.datasets import (
     Dataset,
     DatasetFormatError,
@@ -159,6 +165,97 @@ class TestParse:
         (tmp_path / "X_graph_labels.txt").write_bytes(b"1\r\n")
         ds = parse_tu_dataset(tmp_path, "X")
         assert ds.graphs[0].graph.num_edges == 1
+
+
+# One bad line the line scan rejects; {n_plus_1} is one past the last node,
+# {last} the first node of the last graph (so "1, {last}" crosses graphs
+# whenever there are two or more).
+CORRUPT_LINES = {
+    "float": "1.0, 2",
+    "three_columns": "1,2,3",
+    "comment": "# 1, 2",
+    "hash": "#",
+    "out_of_range": "{n_plus_1}, 1",
+    "zero": "0, 1",
+    "huge": "99999999999999999999, 1",
+    "self_loop": "1, 1",
+    "cross_graph": "1, {last}",
+    "one_field": "1",
+    "empty_field": "1,",
+}
+
+
+@st.composite
+def edge_files(draw):
+    """(indicator text, edge file text, corruption) for a small random dataset.
+
+    Valid lines vary their separators, padding and line endings, and blank
+    lines are mixed in; a corruption replaces the file, or inserts one
+    bad line the scan rejects or one whitespace-only line it accepts.
+    """
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    starts = np.concatenate([[1], 1 + np.cumsum(sizes)])
+    lines = []
+    for start, n in zip(starts, sizes):
+        if n < 2:
+            continue
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]
+        )
+        pairs = draw(st.lists(pair, max_size=6))
+        for u, v in pairs:
+            sep = draw(st.sampled_from([",", ", ", " ,", ",\t", " , "]))
+            pad = draw(st.sampled_from(["", " ", "\t"]))
+            lines.append(f"{pad}{start + u}{sep}{start + v}{pad}")
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    corruption = draw(st.sampled_from([None, "whitespace_line", "empty_file", *CORRUPT_LINES]))
+    if corruption == "empty_file":
+        lines = []
+    elif corruption == "whitespace_line":
+        lines.insert(draw(st.integers(0, len(lines))), "   ")
+    elif corruption is not None:
+        bad = CORRUPT_LINES[corruption].format(n_plus_1=sum(sizes) + 1, last=starts[-2])
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    edges = "".join(line + newline for line in lines)
+    indicator = "".join(f"{g}\n" * n for g, n in enumerate(sizes, start=1))
+    return indicator, edges, corruption
+
+
+def parse_outcome(directory: Path, scan_only: bool):
+    """The parsed graphs' CSR arrays, or the error message."""
+    patch = (
+        mock.patch.object(datasets, "_load_int_table", return_value=None)
+        if scan_only
+        else contextlib.nullcontext()
+    )
+    with patch:
+        try:
+            ds = parse_tu_dataset(directory, "X")
+        except DatasetFormatError as exc:
+            return "error", str(exc)
+    return "ok", [(g.graph.row_offsets.tolist(), g.graph.col_indices.tolist()) for g in ds.graphs]
+
+
+class TestBulkEdgeParse:
+    @settings(max_examples=300)
+    @given(edge_files())
+    def test_bulk_parse_matches_line_scan(self, case):
+        indicator, edges, corruption = case
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            num_graphs = int(indicator.split()[-1])
+            (d / "X_graph_indicator.txt").write_text(indicator, encoding="utf-8")
+            (d / "X_graph_labels.txt").write_text("1\n" * num_graphs, encoding="utf-8")
+            (d / "X_A.txt").write_bytes(edges.encode("utf-8"))
+            bulk = parse_outcome(d, scan_only=False)
+            assert bulk == parse_outcome(d, scan_only=True)
+            if corruption in CORRUPT_LINES:
+                assert bulk[0] == "error" and "X_A.txt:" in bulk[1]
+            if corruption is None and edges.strip():
+                assert datasets._load_int_table(d / "X_A.txt", 2) is not None
 
 
 class TestRoundTrip:

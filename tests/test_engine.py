@@ -264,6 +264,17 @@ class TestTapeLifecycle:
         with pytest.raises(RuntimeError, match="consumed"):
             tape.backward(loss)
 
+    def test_forward_only_tape_has_no_backward(self):
+        def forward(tape):
+            v = tape.leaf(np.array([[0.5, -0.5]]), needs_grad=True)
+            return tape.softmax_xent(tape.relu(v), [0])
+
+        tape = Tape(record=False)
+        loss = forward(tape)
+        assert loss.value == forward(Tape()).value
+        with pytest.raises(RuntimeError, match="record=False"):
+            tape.backward(loss)
+
     def test_leaf_without_grad_gets_none(self):
         tape = Tape()
         v = tape.leaf(np.array([[1.0, 2.0]]))
@@ -359,6 +370,24 @@ class TestSerialization:
         for (_, value), p in zip(loaded, params):
             assert value.shape == p.value.shape
             assert np.array_equal(value, p.value)
+
+    def test_every_truncation_is_a_value_error(self, tmp_path):
+        params = [Parameter("w", glorot_init(2, 3, seed=0)), Parameter("b", np.zeros(3))]
+        path = tmp_path / "model.params"
+        save_parameters(params, path)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.params"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(ValueError, match=r"cut\.params: truncated at byte \d+"):
+                load_parameters(cut)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.params"
+        save_parameters([Parameter("w", np.ones(2))], path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="unexpected bytes"):
+            load_parameters(path)
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.params"

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import dense_spmm_oracle, random_graph
 from sparsepool.graphs import (
@@ -14,6 +14,7 @@ from sparsepool.graphs import (
     erdos_renyi,
     from_edge_list,
     induced_subgraph,
+    neighbor_sum,
     spmm_mean,
 )
 
@@ -62,6 +63,38 @@ class TestSparseGraph:
     def test_empty_graph(self):
         g = from_edge_list(0, [])
         assert g.num_nodes == 0 and g.num_edges == 0
+
+
+class TestNeighborSum:
+    @given(
+        n=st.integers(0, 12),
+        feats=st.integers(1, 4),
+        edge_prob=st.sampled_from([0.0, 0.2, 0.6]),
+        strided=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    @example(n=0, feats=3, edge_prob=0.4, strided=False, seed=0)
+    @example(n=5, feats=1, edge_prob=0.0, strided=False, seed=0)
+    @example(n=6, feats=2, edge_prob=0.4, strided=True, seed=1)
+    def test_matches_dense_oracle(self, n, feats, edge_prob, strided, seed):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, n, edge_prob)
+        if strided:
+            x = rng.standard_normal((n, 2 * feats))[:, ::2]
+            assert not x.flags.c_contiguous or n <= 1
+        else:
+            x = rng.standard_normal((n, feats))
+        out = neighbor_sum(g, x)
+        assert type(out) is np.ndarray
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.shape == (n, feats)
+        assert np.allclose(out, g.to_dense() @ x, rtol=0.0, atol=1e-12)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            neighbor_sum(triangle(), np.zeros((2, 1)))
+        with pytest.raises(ValueError):
+            neighbor_sum(triangle(), np.zeros(3))
 
 
 class TestSpmmMean:

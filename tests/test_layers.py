@@ -26,6 +26,7 @@ from sparsepool.layers import (
     readout,
     topk_pool,
 )
+from sparsepool.membench import MemoryTracker
 
 
 def var(tape, x):
@@ -235,6 +236,22 @@ class TestModelForward:
             [model_forward(Tape(), batch_graphs([g]), model).value for g in graphs]
         )
         assert np.array_equal(stacked, single)
+
+    def test_forward_only_tape_matches_and_holds_less(self):
+        rng = np.random.default_rng(0)
+        graphs = [
+            LabeledGraph(random_graph(rng, n, 0.2), rng.standard_normal((n, 8)), n % 2)
+            for n in (30, 45, 60)
+        ]
+        batch = batch_graphs(graphs)
+        model = build_model(8, 16, 2, pool_ratio=0.8, seed=0)
+        peaks, logits = [], []
+        for record in (True, False):
+            tracker = MemoryTracker()
+            logits.append(model_forward(Tape(tracker=tracker, record=record), batch, model).value)
+            peaks.append(tracker.peak)
+        assert np.array_equal(logits[0], logits[1])
+        assert peaks[1] < peaks[0]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_nesting_and_exact_pool_sizes(self, seed):
