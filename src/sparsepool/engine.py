@@ -108,6 +108,12 @@ def _acc(slot: Slot | None, g: np.ndarray, fresh: bool, tracker) -> None:
 class Tape:
     """Record of one forward pass, replayable in reverse for gradients.
 
+    Each primitive call appends one record, ``(output slot, backward
+    closure)``. Primitives that see a whole batch (``segment_readout`` and
+    the segmented ``matmul`` and ``vecdot``) take per-graph row counts, so
+    the number of records per pass does not depend on how many graphs a
+    batch holds.
+
     ``tracker`` (optional) must expose ``note(array, tag)`` and is informed
     of every activation, gradient and CSR buffer the pass allocates.
     ``probe`` (optional dict) collects stability margins ("relu_margin",
@@ -132,13 +138,13 @@ class Tape:
         if self.tracker is not None:
             self.tracker.note(arr, tag)
 
-    def _out(self, value: np.ndarray, prim: str) -> Var:
+    def _out(self, value: np.ndarray) -> Var:
         self.note(value, "acts")
         return Var(value, Slot())
 
-    def _push(self, prim: str, out_slot: Slot, fn) -> None:
+    def _push(self, out_slot: Slot, fn) -> None:
         if self.record:
-            self._nodes.append((prim, out_slot, fn))
+            self._nodes.append((out_slot, fn))
 
     def probe_min(self, key: str, value: float) -> None:
         if self.probe is not None:
@@ -167,7 +173,7 @@ class Tape:
         loss.slot.grad = np.ones_like(loss.value)
         nodes = self._nodes
         for i in range(len(nodes) - 1, -1, -1):
-            _, out_slot, fn = nodes[i]
+            out_slot, fn = nodes[i]
             g = out_slot.grad
             if g is not None:
                 fn(g)
@@ -189,7 +195,7 @@ class Tape:
         av, bv = a.value, b.value
         if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
             raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-        out = self._out(_segmented_matmul(av, bv, segments), "matmul")
+        out = self._out(_segmented_matmul(av, bv, segments))
         a_slot, b_slot, tr = a.slot, b.slot, self.tracker
         a_saved = av if b_slot is not None else None
         b_saved = bv if a_slot is not None else None
@@ -200,7 +206,7 @@ class Tape:
             if b_slot is not None:
                 _acc(b_slot, a_saved.T @ g, True, tr)
 
-        self._push("matmul", out.slot, bw)
+        self._push(out.slot, bw)
         return out
 
     def add(self, a: Var, b: Var) -> Var:
@@ -210,7 +216,7 @@ class Tape:
             av.ndim == 2 and bv.ndim == 2 and bv.shape == (1, av.shape[1])
         ):
             raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
-        out = self._out(av + bv, "add")
+        out = self._out(av + bv)
         a_slot, b_slot, tr = a.slot, b.slot, self.tracker
 
         def bw(g):
@@ -218,7 +224,7 @@ class Tape:
             if b_slot is not None:
                 _acc(b_slot, g.sum(axis=0, keepdims=True) if broadcast else g, broadcast, tr)
 
-        self._push("add", out.slot, bw)
+        self._push(out.slot, bw)
         return out
 
     def relu(self, a: Var) -> Var:
@@ -226,7 +232,7 @@ class Tape:
         if self.probe is not None and av.size:
             self.probe_min("relu_margin", float(np.min(np.abs(av))))
         h = np.maximum(av, 0.0)
-        out = self._out(h, "relu")
+        out = self._out(h)
         a_slot, tr = a.slot, self.tracker
         saved = h if a_slot is not None else None
 
@@ -234,12 +240,12 @@ class Tape:
             if a_slot is not None:
                 _acc(a_slot, g * (saved > 0.0), True, tr)
 
-        self._push("relu", out.slot, bw)
+        self._push(out.slot, bw)
         return out
 
     def tanh_elem(self, a: Var) -> Var:
         t = np.tanh(a.value)
-        out = self._out(t, "tanh")
+        out = self._out(t)
         a_slot, tr = a.slot, self.tracker
         saved = t if a_slot is not None else None
 
@@ -247,14 +253,14 @@ class Tape:
             if a_slot is not None:
                 _acc(a_slot, g * (1.0 - saved * saved), True, tr)
 
-        self._push("tanh", out.slot, bw)
+        self._push(out.slot, bw)
         return out
 
     def scale_rows(self, a: Var, v: Var) -> Var:
         av, vv = a.value, v.value
         if av.ndim != 2 or vv.shape != (av.shape[0],):
             raise ValueError(f"scale_rows shape mismatch: {av.shape} vs {vv.shape}")
-        out = self._out(av * vv[:, None], "scale_rows")
+        out = self._out(av * vv[:, None])
         a_slot, v_slot, tr = a.slot, v.slot, self.tracker
         a_saved = av if v_slot is not None else None
         v_saved = vv if a_slot is not None else None
@@ -265,85 +271,56 @@ class Tape:
             if v_slot is not None:
                 _acc(v_slot, (g * a_saved).sum(axis=1), True, tr)
 
-        self._push("scale_rows", out.slot, bw)
+        self._push(out.slot, bw)
         return out
 
-    def row_mean(self, a: Var) -> Var:
-        av = a.value
-        if av.ndim != 2 or av.shape[0] == 0:
-            raise ValueError("row_mean needs a non-empty 2-D input")
-        n = av.shape[0]
-        out = self._out(av.mean(axis=0, keepdims=True), "row_mean")
-        a_slot, tr = a.slot, self.tracker
+    def segment_readout(self, x: Var, counts) -> Var:
+        """Column-wise [mean || max] of each row segment, one row per segment.
+
+        ``counts`` splits the rows of ``x`` into consecutive non-empty
+        segments (the graphs of a batch); a single graph is one segment. The
+        max gradient goes to the first row attaining each column's maximum.
+        Segments are reduced slice by slice: ``np.maximum.reduceat`` along
+        axis 0 is several times slower than ``max(axis=0)`` on large inputs.
+        """
+        xv = x.value
+        counts = np.asarray(counts, dtype=np.int64)
+        if xv.ndim != 2 or counts.ndim != 1 or counts.size == 0:
+            raise ValueError("segment_readout needs a 2-D input and at least one segment")
+        if np.any(counts < 1) or counts.sum() != xv.shape[0]:
+            raise ValueError(
+                f"segment counts must be positive and sum to the {xv.shape[0]} input rows"
+            )
+        f = xv.shape[1]
+        value = np.empty((counts.size, 2 * f))
+        x_slot, tr = x.slot, self.tracker
+        wants_grad = self.record and x_slot is not None
+        first = np.empty((counts.size, f), dtype=np.int64) if wants_grad else None
+        start = 0
+        for i, n in enumerate(counts.tolist()):
+            blk = xv[start : start + n]
+            top = blk.max(axis=0)
+            value[i, :f] = blk.mean(axis=0)
+            value[i, f:] = top
+            if wants_grad:
+                first[i] = start + np.argmax(blk == top, axis=0)
+            if self.probe is not None and n > 1:
+                second = np.partition(blk, -2, axis=0)[-2]
+                # exact zero-zero ties come from ReLU clamping and are stable
+                live = ~((top == 0.0) & (second == 0.0))
+                if np.any(live):
+                    self.probe_min("rowmax_gap", float(np.min((top - second)[live])))
+            start += n
+        out = self._out(value)
+        cols = np.arange(f)
 
         def bw(g):
-            if a_slot is not None:
-                _acc(a_slot, np.repeat(g / n, n, axis=0), True, tr)
+            if x_slot is not None:
+                d = np.repeat(g[:, :f] / counts[:, None], counts, axis=0)
+                d[first, cols] += g[:, f:]
+                _acc(x_slot, d, True, tr)
 
-        self._push("row_mean", out.slot, bw)
-        return out
-
-    def row_max(self, a: Var) -> Var:
-        av = a.value
-        if av.ndim != 2 or av.shape[0] == 0:
-            raise ValueError("row_max needs a non-empty 2-D input")
-        argmax = np.argmax(av, axis=0)  # first index on ties
-        cols = np.arange(av.shape[1])
-        top = av[argmax, cols]
-        if self.probe is not None and av.shape[0] > 1:
-            second = np.partition(av, -2, axis=0)[-2]
-            # exact zero-zero ties come from ReLU clamping and are stable
-            live = ~((top == 0.0) & (second == 0.0))
-            if np.any(live):
-                self.probe_min("rowmax_gap", float(np.min((top - second)[live])))
-        out = self._out(top[None, :], "row_max")
-        a_slot, tr = a.slot, self.tracker
-        shape = av.shape
-
-        def bw(g):
-            if a_slot is not None:
-                z = np.zeros(shape)
-                z[argmax, cols] = g[0]
-                _acc(a_slot, z, True, tr)
-
-        self._push("row_max", out.slot, bw)
-        return out
-
-    def concat_cols(self, a: Var, b: Var) -> Var:
-        av, bv = a.value, b.value
-        if av.ndim != 2 or bv.ndim != 2 or av.shape[0] != bv.shape[0]:
-            raise ValueError(f"concat_cols shape mismatch: {av.shape} vs {bv.shape}")
-        out = self._out(np.concatenate([av, bv], axis=1), "concat_cols")
-        a_slot, b_slot, tr = a.slot, b.slot, self.tracker
-        split = av.shape[1]
-
-        def bw(g):
-            if a_slot is not None:
-                _acc(a_slot, g[:, :split].copy(), True, tr)
-            if b_slot is not None:
-                _acc(b_slot, g[:, split:].copy(), True, tr)
-
-        self._push("concat_cols", out.slot, bw)
-        return out
-
-    def concat_rows(self, vars: list[Var]) -> Var:
-        if not vars:
-            raise ValueError("concat_rows needs at least one input")
-        cols = vars[0].value.shape[1]
-        for v in vars:
-            if v.value.ndim != 2 or v.value.shape[1] != cols:
-                raise ValueError("concat_rows inputs must share their column count")
-        out = self._out(np.concatenate([v.value for v in vars], axis=0), "concat_rows")
-        slots = [v.slot for v in vars]
-        offsets = np.concatenate([[0], np.cumsum([v.value.shape[0] for v in vars])])
-        tr = self.tracker
-
-        def bw(g):
-            for slot, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
-                if slot is not None:
-                    _acc(slot, g[lo:hi].copy(), True, tr)
-
-        self._push("concat_rows", out.slot, bw)
+        self._push(out.slot, bw)
         return out
 
     def sum_tensors(self, vars: list[Var]) -> Var:
@@ -356,7 +333,7 @@ class Tape:
         total = vars[0].value.copy()
         for v in vars[1:]:
             total += v.value
-        out = self._out(total, "sum_tensors")
+        out = self._out(total)
         slots = [v.slot for v in vars]
         tr = self.tracker
 
@@ -364,7 +341,7 @@ class Tape:
             for slot in slots:
                 _acc(slot, g, False, tr)
 
-        self._push("sum_tensors", out.slot, bw)
+        self._push(out.slot, bw)
         return out
 
     def gather_rows(self, a: Var, idx) -> Var:
@@ -374,7 +351,7 @@ class Tape:
             raise ValueError("gather_rows needs a 2-D input and 1-D indices")
         if idx.size and (idx.min() < 0 or idx.max() >= av.shape[0]):
             raise ValueError("gather index out of range")
-        out = self._out(av[idx], "gather_rows")
+        out = self._out(av[idx])
         a_slot, tr = a.slot, self.tracker
         shape = av.shape
         distinct = bool(idx.size == 0 or np.all(np.diff(idx) > 0))
@@ -388,14 +365,14 @@ class Tape:
                     np.add.at(z, idx, g)
                 _acc(a_slot, z, True, tr)
 
-        self._push("gather_rows", out.slot, bw)
+        self._push(out.slot, bw)
         return out
 
     def vecdot(self, a: Var, p: Var, segments=None) -> Var:
         av, pv = a.value, p.value
         if av.ndim != 2 or pv.shape != (av.shape[1],):
             raise ValueError(f"vecdot shape mismatch: {av.shape} . {pv.shape}")
-        out = self._out(_segmented_matmul(av, pv, segments), "vecdot")
+        out = self._out(_segmented_matmul(av, pv, segments))
         a_slot, p_slot, tr = a.slot, p.slot, self.tracker
         a_saved = av if p_slot is not None else None
         p_saved = pv if a_slot is not None else None
@@ -406,7 +383,7 @@ class Tape:
             if p_slot is not None:
                 _acc(p_slot, g @ a_saved, True, tr)
 
-        self._push("vecdot", out.slot, bw)
+        self._push(out.slot, bw)
         return out
 
     def div_by_norm(self, y: Var, p: Var) -> Var:
@@ -415,7 +392,7 @@ class Tape:
         raw = float(np.linalg.norm(pv))
         guarded = raw < _NORM_GUARD
         norm = _NORM_GUARD if guarded else raw
-        out = self._out(yv / norm, "div_by_norm")
+        out = self._out(yv / norm)
         y_slot, p_slot, tr = y.slot, p.slot, self.tracker
         y_saved = yv if (p_slot is not None and not guarded) else None
         p_saved = pv if (p_slot is not None and not guarded) else None
@@ -427,7 +404,7 @@ class Tape:
                 coef = -float(np.vdot(g, y_saved)) / norm**3
                 _acc(p_slot, coef * p_saved, True, tr)
 
-        self._push("div_by_norm", out.slot, bw)
+        self._push(out.slot, bw)
         return out
 
     def softmax_xent(self, logits: Var, labels) -> Var:
@@ -448,7 +425,7 @@ class Tape:
         logp = shifted - logsumexp
         rows = np.arange(n)
         loss = float(-logp[rows, labels].mean())
-        out = self._out(np.array(loss), "softmax_xent")
+        out = self._out(np.array(loss))
         probs = np.exp(logp)
         l_slot, tr = logits.slot, self.tracker
         one_d = logits.value.ndim == 1
@@ -460,11 +437,11 @@ class Tape:
                 d *= float(g) / n
                 _acc(l_slot, d[0] if one_d else d, True, tr)
 
-        self._push("softmax_xent", out.slot, bw)
+        self._push(out.slot, bw)
         return out
 
     def spmm_mean(self, graph: _graphs.SparseGraph, x: Var) -> Var:
-        out = self._out(_graphs.spmm_mean(graph, x.value), "spmm_mean")
+        out = self._out(_graphs.spmm_mean(graph, x.value))
         x_slot, tr = x.slot, self.tracker
         inv_deg = 1.0 / (graph.degrees + 1) if x_slot is not None else None
 
@@ -473,7 +450,7 @@ class Tape:
                 scaled = g * inv_deg[:, None]
                 _acc(x_slot, _graphs.neighbor_sum(graph, scaled) + scaled, True, tr)
 
-        self._push("spmm_mean", out.slot, bw)
+        self._push(out.slot, bw)
         return out
 
 

@@ -116,13 +116,13 @@ class LabeledGraph:
 class GraphBatch:
     """Block-diagonal union of several graphs.
 
-    ``graph_of_node`` maps each merged node to its source graph;
-    ``node_counts`` gives the segment lengths in merged node order.
+    ``node_counts`` gives the segment lengths in merged node order: graph
+    ``i`` owns the next ``node_counts[i]`` rows of ``features``. Every
+    segment is non-empty.
     """
 
     graph: SparseGraph
     features: np.ndarray
-    graph_of_node: np.ndarray
     node_counts: np.ndarray
     labels: np.ndarray
 
@@ -256,12 +256,18 @@ def induced_subgraph(graph: SparseGraph, keep) -> SparseGraph:
 
 
 def batch_graphs(graphs) -> GraphBatch:
-    """Merge graphs into one block-diagonal graph with offset node indices."""
+    """Merge graphs into one block-diagonal graph with offset node indices.
+
+    Pooling keeps at least one node per graph, so a graph without nodes is
+    rejected here, naming its position.
+    """
     graphs = list(graphs)
     if not graphs:
         raise ValueError("cannot batch an empty list of graphs")
     feat_dim = graphs[0].features.shape[1]
-    for g in graphs:
+    for i, g in enumerate(graphs):
+        if g.graph.num_nodes == 0:
+            raise ValueError(f"graph {i} of the batch has no nodes")
         if g.features.shape[1] != feat_dim:
             raise ValueError(
                 f"feature dimensions differ: {g.features.shape[1]} vs {feat_dim}"
@@ -283,7 +289,6 @@ def batch_graphs(graphs) -> GraphBatch:
     return GraphBatch(
         graph=merged,
         features=np.concatenate([g.features for g in graphs], axis=0),
-        graph_of_node=np.repeat(np.arange(len(graphs)), counts),
         node_counts=counts,
         labels=np.array([g.label for g in graphs], dtype=np.int64),
     )

@@ -197,28 +197,28 @@ def mpconv_forward(
 
 
 def _select_topk(scores: np.ndarray, counts, ratio: float, probe: dict | None):
-    """Per-segment top-k indices (ties: lower index), re-sorted ascending."""
-    selected = []
-    new_counts = []
-    start = 0
-    for n in counts:
-        n = int(n)
-        seg = scores[start : start + n]
-        k = kept_count(n, ratio)
-        order = np.argsort(-seg, kind="stable")
-        selected.append(start + np.sort(order[:k]))
-        new_counts.append(k)
-        if probe is not None:
-            if 0 < k < n:
-                gap = float(seg[order[k - 1]] - seg[order[k]])
-                cur = probe.get("score_boundary_gap")
-                probe["score_boundary_gap"] = gap if cur is None else min(cur, gap)
-            if n > 1:
-                min_gap = float(np.min(np.diff(np.sort(seg))))
-                cur = probe.get("score_min_gap")
-                probe["score_min_gap"] = min_gap if cur is None else min(cur, min_gap)
-        start += n
-    return np.concatenate(selected), np.asarray(new_counts, dtype=np.int64)
+    """Per-segment top-k indices (ties: lower index), re-sorted ascending.
+
+    One stable lexsort orders every segment by descending score; a row is
+    kept when its rank inside its segment is below that segment's k.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    k = np.array([kept_count(n, ratio) for n in counts.tolist()], dtype=np.int64)
+    order = np.lexsort((-scores, np.repeat(np.arange(counts.size), counts)))
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(scores.size) - np.repeat(starts, counts)
+    selected = np.sort(order[rank < np.repeat(k, counts)])
+    if probe is not None:
+        ranked = scores[order]
+        gaps = ranked[:-1] - ranked[1:]  # non-negative inside a segment
+        boundary = gaps[(starts + k - 1)[k < counts]]  # last kept vs first dropped
+        within = gaps[rank[1:] > 0]
+        for key, vals in (("score_boundary_gap", boundary), ("score_min_gap", within)):
+            if vals.size:
+                gap = float(np.min(vals))
+                cur = probe.get(key)
+                probe[key] = gap if cur is None else min(cur, gap)
+    return selected, k
 
 
 def _topk_pool_segments(tape, graph, x, layer, counts):
@@ -254,27 +254,18 @@ def topk_pool(tape: Tape, graph: SparseGraph, x: Var, layer: TopKPoolLayer):
     return sub, pooled_x, idx
 
 
-def readout(tape: Tape, x: Var) -> Var:
-    """Column-wise [mean || max] over all node rows, as a 1 x 2F row."""
-    if x.value.shape[0] == 0:
-        raise ValueError("cannot read out an empty feature matrix")
-    return tape.concat_cols(tape.row_mean(x), tape.row_max(x))
+def readout(tape: Tape, x: Var, counts) -> Var:
+    """Column-wise [mean || max] of each graph's rows, as a num_graphs x 2F matrix.
+
+    ``counts`` holds the per-graph row counts of a batch, ``[num_nodes]``
+    for a single graph.
+    """
+    return tape.segment_readout(x, counts)
 
 
 def aggregate_summaries(tape: Tape, summaries) -> Var:
     """Elementwise sum of the per-block summaries."""
     return tape.sum_tensors(list(summaries))
-
-
-def _segment_readout(tape: Tape, x: Var, counts) -> Var:
-    rows = []
-    start = 0
-    for n in counts:
-        n = int(n)
-        seg = x if len(counts) == 1 else tape.gather_rows(x, np.arange(start, start + n))
-        rows.append(readout(tape, seg))
-        start += n
-    return rows[0] if len(rows) == 1 else tape.concat_rows(rows)
 
 
 def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -> Var:
@@ -291,10 +282,10 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
     for conv, pool in model.blocks:
         h = mpconv_forward(tape, graph, x, conv, counts)
         if model.readout_position == "pre_pool":
-            per_block.append(_segment_readout(tape, h, counts))
+            per_block.append(readout(tape, h, counts))
         graph, x, _, counts = _topk_pool_segments(tape, graph, h, pool, counts)
         if model.readout_position == "post_pool":
-            per_block.append(_segment_readout(tape, x, counts))
+            per_block.append(readout(tape, x, counts))
     return aggregate_summaries(tape, per_block)
 
 

@@ -43,15 +43,12 @@ class MemoryTracker:
     Registration adds a buffer's bytes to the current total; a weakref
     finalizer subtracts them when the array is collected, so under CPython's
     reference counting the running total tracks the live set exactly. The
-    peak snapshot keeps a per-tag breakdown. A float32-equivalent total
-    (8-byte elements counted at half size) is tracked alongside.
+    peak snapshot keeps a per-tag breakdown.
     """
 
     def __init__(self):
         self.current = 0
         self.peak = 0
-        self.current_f32 = 0
-        self.peak_f32 = 0
         self.total_allocated = 0
         self.max_buffer = 0
         self.max_buffer_tag = ""
@@ -60,31 +57,26 @@ class MemoryTracker:
 
     def note(self, arr: np.ndarray, tag: str) -> None:
         nbytes = int(arr.nbytes)
-        eq32 = nbytes // 2 if arr.dtype.itemsize == 8 else nbytes
-        self._add(tag, nbytes, eq32)
-        weakref.finalize(arr, self._release, tag, nbytes, eq32)
+        self._add(tag, nbytes)
+        weakref.finalize(arr, self._release, tag, nbytes)
 
     def account(self, tag: str, nbytes: int) -> None:
         """Register bytes without a backing allocation (never released)."""
-        self._add(tag, nbytes, nbytes // 2)
+        self._add(tag, nbytes)
 
-    def _add(self, tag: str, nbytes: int, eq32: int) -> None:
+    def _add(self, tag: str, nbytes: int) -> None:
         self.current += nbytes
-        self.current_f32 += eq32
         self.total_allocated += nbytes
         self._by_tag[tag] = self._by_tag.get(tag, 0) + nbytes
         if self.current > self.peak:
             self.peak = self.current
             self._peak_by_tag = dict(self._by_tag)
-        if self.current_f32 > self.peak_f32:
-            self.peak_f32 = self.current_f32
         if nbytes > self.max_buffer:
             self.max_buffer = nbytes
             self.max_buffer_tag = tag
 
-    def _release(self, tag: str, nbytes: int, eq32: int) -> None:
+    def _release(self, tag: str, nbytes: int) -> None:
         self.current -= nbytes
-        self.current_f32 -= eq32
         self._by_tag[tag] -= nbytes
 
     def peak_breakdown(self) -> list[tuple[str, int]]:
@@ -104,7 +96,6 @@ class MemoryReport:
     edge_count: int
     method: str
     peak_bytes: int
-    peak_bytes_f32: int
     breakdown: list[tuple[str, int]]
     feasible: bool
     budget_bytes: int | None
@@ -151,12 +142,9 @@ def measure_sparse(
         tracker.note(p.grad, "grads")
         tracker.note(p.adam_m, "optimizer")
         tracker.note(p.adam_v, "optimizer")
-    graph_of_node = np.zeros(n, dtype=np.int64)
-    tracker.note(graph_of_node, "batch_meta")
     batch = GraphBatch(
         graph=graph,
         features=features,
-        graph_of_node=graph_of_node,
         node_counts=np.array([n], dtype=np.int64),
         labels=np.zeros(1, dtype=np.int64),
     )
@@ -168,7 +156,6 @@ def measure_sparse(
         edge_count=graph.num_edges,
         method="sparse_topk",
         peak_bytes=tracker.peak,
-        peak_bytes_f32=tracker.peak_f32,
         breakdown=tracker.peak_breakdown(),
         feasible=budget_bytes is None or tracker.peak <= budget_bytes,
         budget_bytes=budget_bytes,
@@ -238,7 +225,6 @@ def measure_dense_assignment(
         edge_count=2 * n,
         method="dense_assignment",
         peak_bytes=tracker.peak,
-        peak_bytes_f32=tracker.peak_f32,
         breakdown=tracker.peak_breakdown(),
         feasible=feasible,
         budget_bytes=budget_bytes,

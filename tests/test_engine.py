@@ -108,37 +108,48 @@ class TestPrimitiveGradients:
             self.weights(3),
         )
 
-    def test_row_mean(self):
+    def test_segment_readout_single_segment(self):
         check_primitive(
-            lambda t, v: t.softmax_xent(t.row_mean(v), [1]), self.weights(4, 3)
+            lambda t, v: t.softmax_xent(t.segment_readout(v, [4]), [1]), self.weights(4, 3)
         )
 
-    def test_row_max(self):
-        x = np.array([[0.9, -0.2], [0.1, 0.7], [-0.5, 0.3]])
-        check_primitive(lambda t, v: t.softmax_xent(t.row_max(v), [0]), x)
+    def test_segment_readout_several_segments(self):
+        check_primitive(
+            lambda t, v: t.softmax_xent(t.segment_readout(v, [2, 1, 4]), [0, 3, 5]),
+            self.weights(7, 3),
+        )
 
-    def test_row_max_routes_to_first_argmax(self):
+    def test_segment_readout_routes_to_first_argmax(self):
         tape = Tape()
-        v = tape.leaf(np.array([[2.0], [2.0], [1.0]]), needs_grad=True)
-        s = tape.row_max(v)
-        logits = tape.concat_cols(s, tape.leaf(np.zeros((1, 1))))
-        tape.backward(tape.softmax_xent(logits, [0]))
+        v = tape.leaf(np.array([[2.0], [2.0], [1.0], [3.0], [3.0]]), needs_grad=True)
+        tape.backward(tape.softmax_xent(tape.segment_readout(v, [3, 2]), [0, 0]))
         grad = v.slot.grad.ravel()
-        assert grad[0] != 0.0 and grad[1] == 0.0 and grad[2] == 0.0
+        mean_part = grad[2]  # row 2 gets only the mean share of segment 0
+        assert grad[0] != mean_part and grad[1] == mean_part
+        assert grad[3] != grad[4]
 
-    def test_concat_cols(self):
-        b = self.weights(2, 2)
-        check_primitive(
-            lambda t, v: t.softmax_xent(t.concat_cols(v, t.leaf(b)), [1, 3]),
-            self.weights(2, 2),
-        )
+    def test_segment_readout_matches_dense_oracle(self):
+        counts = [3, 1, 5, 2]
+        x = self.rng.standard_normal((11, 4))
+        x[1, 2] = x[0, 2]  # a tie inside a segment
+        probe: dict = {}
+        tape = Tape(probe=probe)
+        out = tape.segment_readout(tape.leaf(x), counts).value
+        bounds = np.cumsum([0] + counts)
+        gaps = []
+        for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            assert np.array_equal(out[i, :4], np.mean(x[lo:hi], axis=0))
+            assert np.array_equal(out[i, 4:], np.max(x[lo:hi], axis=0))
+            if hi - lo > 1:
+                ranked = -np.sort(-x[lo:hi], axis=0)
+                gaps.append(np.min(ranked[0] - ranked[1]))
+        assert probe["rowmax_gap"] == min(gaps)
 
-    def test_concat_rows(self):
-        b = self.weights(1, 3)
-        check_primitive(
-            lambda t, v: t.softmax_xent(t.concat_rows([v, t.leaf(b)]), [0, 2, 1]),
-            self.weights(2, 3),
-        )
+    @pytest.mark.parametrize("counts", [[], [0, 3], [2, 0, 1], [2, 2], [1, 1, 2], [-1, 4]])
+    def test_segment_readout_rejects_counts_that_do_not_tile(self, counts):
+        tape = Tape()
+        with pytest.raises(ValueError, match="segment"):
+            tape.segment_readout(tape.leaf(np.ones((3, 2))), counts)
 
     def test_sum_tensors(self):
         b = self.weights(2, 3)
@@ -173,8 +184,8 @@ class TestPrimitiveGradients:
         p = self.weights(3)
         check_primitive(
             lambda t, v: t.softmax_xent(
-                t.concat_cols(t.row_mean(t.scale_rows(v, t.vecdot(v, t.leaf(p)))),
-                              t.row_mean(v)),
+                t.sum_tensors([t.segment_readout(t.scale_rows(v, t.vecdot(v, t.leaf(p))), [4]),
+                               t.segment_readout(v, [4])]),
                 [1],
             ),
             self.weights(4, 3),
@@ -186,7 +197,7 @@ class TestPrimitiveGradients:
         def build(t, p):
             scores = t.div_by_norm(t.vecdot(t.leaf(x), p), p)
             gated = t.scale_rows(t.leaf(x), t.tanh_elem(scores))
-            return t.softmax_xent(t.row_mean(gated), [2])
+            return t.softmax_xent(t.segment_readout(gated, [5]), [2])
 
         check_primitive(build, self.weights(3))
 
@@ -195,7 +206,8 @@ class TestPrimitiveGradients:
 
         def build(t, v):
             scores = t.div_by_norm(t.vecdot(v, t.leaf(p)), t.leaf(p))
-            return t.softmax_xent(t.row_mean(t.scale_rows(v, t.tanh_elem(scores))), [1])
+            gated = t.scale_rows(v, t.tanh_elem(scores))
+            return t.softmax_xent(t.segment_readout(gated, [3]), [1])
 
         check_primitive(build, self.weights(3, 4))
 
@@ -210,7 +222,7 @@ class TestPrimitiveGradients:
         g = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
         def build(t, v):
-            return t.softmax_xent(t.row_mean(t.spmm_mean(g, v)), [1])
+            return t.softmax_xent(t.segment_readout(t.spmm_mean(g, v), [4]), [1])
 
         check_primitive(build, self.weights(4, 3))
 

@@ -249,7 +249,7 @@ class TestBatchGraphs:
         batch = batch_graphs([one, one])
         assert batch.graph.num_nodes == 2
         assert batch.graph.num_edges == 0
-        assert np.array_equal(batch.graph_of_node, [0, 1])
+        assert np.array_equal(np.repeat(np.arange(2), batch.node_counts), [0, 1])
 
     def test_two_k2(self):
         k2 = LabeledGraph(from_edge_list(2, [(0, 1)]), np.zeros((2, 1)), 1)
@@ -284,10 +284,16 @@ class TestBatchGraphs:
         ]
         batch = batch_graphs(graphs)
         merged = batch.graph
+        graph_of_node = np.repeat(np.arange(len(graphs)), batch.node_counts)
         row_ids = np.repeat(np.arange(merged.num_nodes), merged.degrees)
-        assert np.array_equal(
-            batch.graph_of_node[row_ids], batch.graph_of_node[merged.col_indices]
-        )
+        assert np.array_equal(graph_of_node[row_ids], graph_of_node[merged.col_indices])
+
+    @pytest.mark.parametrize("order,position", [((0,), 0), ((0, 1), 0), ((1, 0), 1)])
+    def test_rejects_graph_without_nodes(self, order, position):
+        empty = LabeledGraph(from_edge_list(0, []), np.zeros((0, 2)), 0)
+        one = LabeledGraph(from_edge_list(1, []), np.ones((1, 2)), 1)
+        with pytest.raises(ValueError, match=f"graph {position} of the batch has no nodes"):
+            batch_graphs([(empty, one)[i] for i in order])
 
     @given(st.integers(0, 300))
     def test_spmm_distributes_over_batch(self, seed):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     dense_topk_oracle,
@@ -17,6 +18,7 @@ from sparsepool.layers import (
     HierarchicalModel,
     MPConvLayer,
     TopKPoolLayer,
+    _select_topk,
     aggregate_summaries,
     build_model,
     forward_summaries,
@@ -156,27 +158,67 @@ class TestTopKPool:
         assert np.any(layer.p_vec.grad != 0.0)  # gating keeps p differentiable
 
 
+def reference_topk(scores, counts, ratio):
+    """Per-segment stable argsort: kept indices, kept counts and probe margins."""
+    idx, kept, probe = [], [], {}
+    start = 0
+    for n in counts:
+        seg = scores[start : start + n]
+        k = kept_count(n, ratio)
+        order = np.argsort(-seg, kind="stable")
+        idx.extend(start + np.sort(order[:k]))
+        kept.append(k)
+        margins = {}
+        if k < n:
+            margins["score_boundary_gap"] = float(seg[order[k - 1]] - seg[order[k]])
+        if n > 1:
+            margins["score_min_gap"] = float(np.min(np.diff(np.sort(seg))))
+        for key, gap in margins.items():
+            probe[key] = min(probe.get(key, gap), gap)
+        start += n
+    return np.array(idx, dtype=np.int64), np.array(kept, dtype=np.int64), probe
+
+
+class TestSelectTopK:
+    @given(
+        counts=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+        decimals=st.integers(0, 3),
+        ratio=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_segment_reference(self, counts, decimals, ratio, seed):
+        # rounding to few decimals makes tied scores common
+        scores = np.round(np.random.default_rng(seed).standard_normal(sum(counts)), decimals)
+        probe: dict = {}
+        idx, kept = _select_topk(scores, np.array(counts), ratio, probe)
+        ref_idx, ref_kept, ref_probe = reference_topk(scores, counts, ratio)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(kept, ref_kept)
+        assert probe == ref_probe
+        assert np.array_equal(_select_topk(scores, counts, ratio, None)[0], ref_idx)
+
+
 class TestReadout:
     def test_hand_example(self):
         tape = Tape()
-        out = readout(tape, var(tape, [[1.0, 2.0], [3.0, 0.0]]))
+        out = readout(tape, var(tape, [[1.0, 2.0], [3.0, 0.0]]), [2])
         assert np.array_equal(out.value, [[2.0, 1.0, 3.0, 2.0]])
 
     def test_single_node(self):
         tape = Tape()
-        out = readout(tape, var(tape, [[1.5, -2.0]]))
+        out = readout(tape, var(tape, [[1.5, -2.0]]), [1])
         assert np.array_equal(out.value, [[1.5, -2.0, 1.5, -2.0]])
 
     def test_identical_rows(self):
         tape = Tape()
         row = np.array([0.5, 2.5, -1.0])
-        out = readout(tape, var(tape, np.tile(row, (4, 1))))
+        out = readout(tape, var(tape, np.tile(row, (4, 1))), [4])
         assert np.array_equal(out.value, np.concatenate([row, row])[None, :])
 
     def test_rejects_empty(self):
         tape = Tape()
         with pytest.raises(ValueError):
-            readout(tape, var(tape, np.zeros((0, 3))))
+            readout(tape, var(tape, np.zeros((0, 3))), [0])
 
 
 class TestAggregateSummaries:
@@ -252,6 +294,21 @@ class TestModelForward:
             peaks.append(tracker.peak)
         assert np.array_equal(logits[0], logits[1])
         assert peaks[1] < peaks[0]
+
+    @pytest.mark.parametrize("position", ["post_pool", "pre_pool"])
+    def test_tape_records_do_not_grow_with_batch_size(self, position):
+        rng = np.random.default_rng(6)
+        graphs = [
+            LabeledGraph(random_graph(rng, n), rng.standard_normal((n, 3)), 0)
+            for n in (5, 9, 2, 7, 11, 4, 6, 8)
+        ]
+        model = build_model(3, 4, 2, pool_ratio=0.6, seed=0, readout_position=position)
+        records = []
+        for size in (1, 2, 8):
+            tape = Tape()
+            model_forward(tape, batch_graphs(graphs[:size]), model)
+            records.append(len(tape._nodes))
+        assert records[0] == records[1] == records[2]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_nesting_and_exact_pool_sizes(self, seed):

@@ -46,15 +46,6 @@ class TestMemoryTracker:
         assert tracker.peak == 12000  # peak was before the release
         assert dict(tracker.peak_breakdown()) == {"a": 8000, "b": 4000}
 
-    def test_f32_equivalent_halves_doubles(self):
-        tracker = MemoryTracker()
-        a = np.zeros(100)
-        f = np.zeros(100, dtype=np.float32)
-        tracker.note(a, "a")
-        tracker.note(f, "f")
-        assert tracker.peak == 1200
-        assert tracker.peak_f32 == 800
-
 
 class TestDenseAssignment:
     def test_exact_analytic_footprint(self):
