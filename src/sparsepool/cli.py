@@ -9,14 +9,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .datasets import DatasetFormatError, file_checksum, parse_tu_dataset
-from .engine import Tape, load_parameters, save_parameters
-from .graphs import batch_graphs
+from .engine import load_parameters, save_parameters
 from .layers import build_model, forward_summaries, model_forward
 from .membench import scaling_sweep
 from .training import (
@@ -24,9 +24,11 @@ from .training import (
     NonFiniteLossError,
     TrainConfig,
     cross_validate,
+    default_config,
     evaluate,
     format_metrics,
     format_report,
+    forward_batches,
     make_folds,
     prepare_fold,
     train_one,
@@ -124,19 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> TrainConfig:
-    key = args.dataset.upper().replace("D&D", "DD")
-    defaults = DATASET_DEFAULTS.get(key, {})
-    hidden = args.hidden if args.hidden is not None else defaults.get("hidden_dim")
-    lr = args.lr if args.lr is not None else defaults.get("lr")
-    epochs = args.epochs if args.epochs is not None else defaults.get("epochs")
-    if hidden is None or lr is None or epochs is None:
-        raise ValueError(
-            f"unknown dataset {args.dataset!r}: pass --hidden, --lr and --epochs explicitly"
-        )
-    config = TrainConfig(
-        hidden_dim=hidden,
-        lr=lr,
-        epochs=epochs,
+    explicit = {"hidden_dim": args.hidden, "lr": args.lr, "epochs": args.epochs}
+    config = default_config(
+        args.dataset,
+        **{key: value for key, value in explicit.items() if value is not None},
         pool_ratio=args.ratio,
         num_blocks=args.blocks,
         batch_size=args.batch_size,
@@ -168,7 +161,7 @@ def _write_manifest(out_dir: Path, command: str, entries: dict) -> None:
 
 
 def _manifest_entries(args, config: TrainConfig) -> dict:
-    entries = {f"config.{k}": v for k, v in config.as_dict().items()}
+    entries = {f"config.{k}": v for k, v in asdict(config).items()}
     entries["dataset"] = args.dataset
     entries["data_dir"] = args.data_dir
     entries.update(_dataset_checksums(args.data_dir, args.dataset))
@@ -298,18 +291,8 @@ def cmd_export_summaries(args) -> int:
     )
     model.load_state(load_parameters(args.model))
 
-    rows = []
-    for start in range(0, len(graphs), 256):
-        chunk = graphs[start : start + 256]
-        batch = batch_graphs(chunk)
-        tape = Tape(record=False)
-        vec = (
-            model_forward(tape, batch, model)
-            if args.post_head
-            else forward_summaries(tape, batch, model)
-        )
-        rows.append(vec.value)
-    vectors = np.concatenate(rows, axis=0) if rows else np.zeros((0, 0))
+    forward = model_forward if args.post_head else forward_summaries
+    vectors = forward_batches(forward, model, graphs)
 
     out = _out_dir(args, f"runs/summaries_{args.dataset}")
     path = out / ("logits.csv" if args.post_head else "summaries.csv")

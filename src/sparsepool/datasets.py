@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import LabeledGraph, degree_onehot, from_edge_list
+from .graphs import LabeledGraph, SparseGraph, degree_onehot, from_edge_list
 
 __all__ = [
     "Dataset",
@@ -81,82 +81,107 @@ def _read_lines(path: Path) -> list[str]:
         return [line.rstrip("\r\n") for line in fh]
 
 
-def _parse_int(token: str, path: Path, line_no: int) -> int:
-    try:
-        return int(token.strip())
-    except ValueError:
-        raise DatasetFormatError(
-            path, line_no, f"expected an integer, got {token.strip()!r}"
-        ) from None
-
-
-def _load_int_table(path: Path, columns: int) -> np.ndarray | None:
-    """The file as an int64 table ``columns`` wide, read in one bulk call.
+def _load_table(path: Path, columns: int | None, dtype) -> np.ndarray | None:
+    """The file as a ``dtype`` table ``columns`` wide (None: any width), read in one call.
 
     Returns None when the bulk reader rejects the file for any reason (a
     missing file, a whitespace-only or malformed line, no data at all).
-    Callers then scan the file line by line, which accepts the same inputs
-    and reports the first bad one as ``file:line``.
+    :func:`_read_table` then scans the file line by line, which accepts the
+    same inputs and reports the first bad one as ``file:line``.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             table = np.loadtxt(
-                path, delimiter=",", dtype=np.int64, comments=None, ndmin=2, encoding="utf-8"
+                path, delimiter=",", dtype=dtype, comments=None, ndmin=2, encoding="utf-8"
             )
         except (OSError, ValueError, Warning):
             return None
-    return table if table.shape[1] == columns else None
+    return table if columns in (None, table.shape[1]) else None
 
 
-def _read_int_column(path: Path) -> np.ndarray:
-    table = _load_int_table(path, 1)
-    if table is not None:
-        return table[:, 0]
-    lines = _read_lines(path)
-    values = [
-        _parse_int(line, path, i) for i, line in enumerate(lines, start=1) if line.strip()
-    ]
-    return np.array(values, dtype=np.int64)
+def _read_table(path: Path, columns: int | None, dtype) -> np.ndarray:
+    """The non-blank lines of a file as a (rows, columns) ``dtype`` table.
 
-
-def _edges_valid(pairs: np.ndarray, indicator: np.ndarray) -> bool:
-    """True if every 1-based pair is in range, no self-loop, and within one graph."""
-    if pairs.size == 0:
-        return True
-    if pairs.min() < 1 or pairs.max() > indicator.size:
-        return False
-    u, v = pairs[:, 0], pairs[:, 1]
-    return bool(np.all(u != v) and np.all(indicator[u - 1] == indicator[v - 1]))
-
-
-def _scan_edges(path: Path, indicator: np.ndarray) -> np.ndarray:
-    """Line-by-line parse of an edge file into checked 1-based (u, v) rows.
-
-    Raises :class:`DatasetFormatError` at the first bad line.
+    ``columns=None`` takes the width of the first line. Only syntax is
+    checked here: the field count, and that every field parses as ``dtype``
+    (int64 overflow included). The first bad line raises
+    :class:`DatasetFormatError`.
     """
-    num_nodes = indicator.size
-    pairs = []
+    table = _load_table(path, columns, dtype)
+    if table is not None:
+        return table
+    integer = np.dtype(dtype).kind == "i"
+    parse, kind = (int, "an integer") if integer else (float, "a number")
+    limits = np.iinfo(dtype) if integer else None
+    rows = []
     for line_no, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DatasetFormatError(path, line_no, f"expected 'u, v', got {line.strip()!r}")
-        u = _parse_int(parts[0], path, line_no)
-        v = _parse_int(parts[1], path, line_no)
-        if not (1 <= u <= num_nodes) or not (1 <= v <= num_nodes):
+        fields = line.split(",")
+        columns = columns or len(fields)
+        if len(fields) != columns:
             raise DatasetFormatError(
-                path, line_no, f"node index out of range 1..{num_nodes}: ({u}, {v})"
+                path, line_no,
+                f"expected {columns} comma-separated values, got {len(fields)}: {line.strip()!r}",
             )
-        if u == v:
-            raise DatasetFormatError(path, line_no, f"self-loop on node {u}")
-        gu = int(indicator[u - 1])
-        gv = int(indicator[v - 1])
-        if gu != gv:
-            raise DatasetFormatError(path, line_no, f"edge ({u}, {v}) crosses graphs {gu} and {gv}")
-        pairs.append((u, v))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        row = []
+        for token in fields:
+            try:
+                value = parse(token.strip())
+            except ValueError:
+                raise DatasetFormatError(
+                    path, line_no, f"expected {kind}, got {token.strip()!r}"
+                ) from None
+            if integer and not limits.min <= value <= limits.max:
+                raise DatasetFormatError(path, line_no, f"{value} overflows {limits.dtype}")
+            row.append(value)
+        rows.append(row)
+    return np.array(rows, dtype=dtype).reshape(len(rows), columns or 0)
+
+
+def _line_of_row(path: Path, row: int) -> int:
+    """Physical line number of table row ``row``: blank lines are not rows.
+
+    A row past the end maps to the line after the last one.
+    """
+    lines = _read_lines(path)
+    rows = [i for i, line in enumerate(lines, start=1) if line.strip()]
+    return rows[row] if row < len(rows) else len(lines) + 1
+
+
+def _check_count(path: Path, table: np.ndarray, expected: int, what: str) -> None:
+    """Reject a table without ``expected`` rows, at the first missing or extra row."""
+    if len(table) != expected:
+        raise DatasetFormatError(
+            path,
+            _line_of_row(path, min(len(table), expected)),
+            f"expected {expected} {what}, got {len(table)}",
+        )
+
+
+def _check_edges(path: Path, pairs: np.ndarray, indicator: np.ndarray) -> None:
+    """Reject the first edge line that is out of range, a self-loop or across graphs.
+
+    When one line breaks several rules, the first in that order names it.
+    """
+    num_nodes = indicator.size
+    out_of_range = np.any((pairs < 1) | (pairs > num_nodes), axis=1)
+    self_loop = pairs[:, 0] == pairs[:, 1]
+    ends = indicator[np.clip(pairs, 1, num_nodes) - 1]
+    crossing = ends[:, 0] != ends[:, 1]
+    bad = out_of_range | self_loop | crossing
+    if not bad.any():
+        return
+    row = int(np.argmax(bad))
+    (u, v), (gu, gv) = pairs[row], ends[row]
+    if out_of_range[row]:
+        message = f"node index out of range 1..{num_nodes}: ({u}, {v})"
+    elif self_loop[row]:
+        message = f"self-loop on node {u}"
+    else:
+        message = f"edge ({u}, {v}) crosses graphs {gu} and {gv}"
+    raise DatasetFormatError(path, _line_of_row(path, row), message)
 
 
 def degree_feature_bound(graphs, max_degree: int | None = None) -> int:
@@ -196,42 +221,45 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
     ind_path = d / f"{name}_graph_indicator.txt"
     lab_path = d / f"{name}_graph_labels.txt"
 
-    indicator = _read_int_column(ind_path)
+    indicator = _read_table(ind_path, 1, np.int64)[:, 0]
     if indicator.size == 0:
         raise DatasetFormatError(ind_path, None, "dataset has no nodes")
     if indicator[0] != 1:
-        raise DatasetFormatError(ind_path, 1, "graph indicator must start at 1")
-    if np.any(np.diff(indicator) < 0):
-        bad = int(np.argmax(np.diff(indicator) < 0)) + 2
-        raise DatasetFormatError(ind_path, bad, "graph indicator must be non-decreasing")
-    num_graphs = int(indicator[-1])
-    node_counts = np.bincount(indicator - 1, minlength=num_graphs)
-    if np.any(node_counts == 0):
-        empty = int(np.argmax(node_counts == 0)) + 1
-        raise DatasetFormatError(ind_path, None, f"graph {empty} has no nodes")
-    num_nodes = indicator.size
-    node_offsets = np.concatenate([[0], np.cumsum(node_counts)])
-
-    raw_labels = _read_int_column(lab_path)
-    if raw_labels.size != num_graphs:
         raise DatasetFormatError(
-            lab_path, None, f"expected {num_graphs} graph labels, got {raw_labels.size}"
+            ind_path, _line_of_row(ind_path, 0), "graph indicator must start at 1"
         )
+    steps = np.diff(indicator)
+    if np.any(steps < 0):
+        bad = int(np.argmax(steps < 0)) + 1
+        raise DatasetFormatError(
+            ind_path, _line_of_row(ind_path, bad), "graph indicator must be non-decreasing"
+        )
+    if np.any(steps > 1):
+        empty = int(indicator[np.argmax(steps > 1)]) + 1
+        raise DatasetFormatError(ind_path, None, f"graph {empty} has no nodes")
+    num_graphs = int(indicator[-1])
+    num_nodes = indicator.size
+    starts = np.searchsorted(indicator, np.arange(1, num_graphs + 2)).tolist()
+    blocks = list(zip(starts[:-1], starts[1:]))  # node range of each graph
+
+    raw_labels = _read_table(lab_path, 1, np.int64)[:, 0]
+    _check_count(lab_path, raw_labels, num_graphs, "graph labels")
     classes = np.unique(raw_labels)
     labels = np.searchsorted(classes, raw_labels)
 
-    pairs = _load_int_table(a_path, 2)
-    if pairs is None or not _edges_valid(pairs, indicator):
-        pairs = _scan_edges(a_path, indicator)
-    # group the edges by graph (file order kept within a graph), 0-based per graph
-    graph_of_edge = indicator[pairs[:, 0] - 1] - 1
-    order = np.argsort(graph_of_edge, kind="stable")
-    local = pairs[order] - 1 - node_offsets[graph_of_edge[order]][:, None]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(graph_of_edge, minlength=num_graphs))])
+    pairs = _read_table(a_path, 2, np.int64)
+    _check_edges(a_path, pairs, indicator)
+    # one CSR over the whole dataset; graph i is the diagonal block of its node range
+    whole = from_edge_list(num_nodes, pairs - 1)
+    del pairs
+    offsets, cols = whole.row_offsets, whole.col_indices
     structures = [
-        from_edge_list(int(node_counts[i]), local[bounds[i] : bounds[i + 1]])
-        for i in range(num_graphs)
+        SparseGraph(
+            hi - lo, offsets[lo : hi + 1] - offsets[lo], cols[offsets[lo] : offsets[hi]] - lo
+        )
+        for lo, hi in blocks
     ]
+    del whole, offsets, cols
 
     attr_path = d / f"{name}_node_attributes.txt"
     nlab_path = d / f"{name}_node_labels.txt"
@@ -241,58 +269,30 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
 
     if attr_path.is_file():
         feature_kind = "node_attributes"
-        rows = []
-        width = None
-        for line_no, line in enumerate(_read_lines(attr_path), start=1):
-            if not line.strip():
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError:
-                raise DatasetFormatError(
-                    attr_path, line_no, f"expected comma-separated floats, got {line!r}"
-                ) from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DatasetFormatError(
-                    attr_path, line_no, f"expected {width} attributes, got {len(row)}"
-                )
-            if not all(np.isfinite(row)):
-                raise DatasetFormatError(attr_path, line_no, "non-finite attribute value")
-            rows.append(row)
-        if len(rows) != num_nodes:
+        all_feats = _read_table(attr_path, None, np.float64)
+        finite = np.isfinite(all_feats).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
             raise DatasetFormatError(
-                attr_path, None, f"expected {num_nodes} attribute rows, got {len(rows)}"
+                attr_path, _line_of_row(attr_path, row), "non-finite attribute value"
             )
-        all_feats = np.asarray(rows)
-        features = [
-            all_feats[node_offsets[i] : node_offsets[i + 1]] for i in range(num_graphs)
-        ]
+        _check_count(attr_path, all_feats, num_nodes, "attribute rows")
+        features = [all_feats[lo:hi] for lo, hi in blocks]
     elif nlab_path.is_file():
         feature_kind = "node_labels_onehot"
-        raw = _read_int_column(nlab_path)
-        if raw.size != num_nodes:
-            raise DatasetFormatError(
-                nlab_path, None, f"expected {num_nodes} node labels, got {raw.size}"
-            )
+        raw = _read_table(nlab_path, 1, np.int64)[:, 0]
+        _check_count(nlab_path, raw, num_nodes, "node labels")
         alphabet = np.unique(raw)
         onehot = np.zeros((num_nodes, alphabet.size))
         onehot[np.arange(num_nodes), np.searchsorted(alphabet, raw)] = 1.0
-        features = [
-            onehot[node_offsets[i] : node_offsets[i + 1]] for i in range(num_graphs)
-        ]
-        node_labels = [
-            raw[node_offsets[i] : node_offsets[i + 1]] for i in range(num_graphs)
-        ]
+        features = [onehot[lo:hi] for lo, hi in blocks]
+        node_labels = [raw[lo:hi] for lo, hi in blocks]
     else:
         feature_kind = "degree_onehot"
         degree_bound = degree_feature_bound(structures)
         features = [degree_onehot(g, degree_bound) for g in structures]
 
-    graphs = [
-        LabeledGraph(structures[i], features[i], int(labels[i])) for i in range(num_graphs)
-    ]
+    graphs = [LabeledGraph(g, f, int(y)) for g, f, y in zip(structures, features, labels)]
     return Dataset(
         name=name,
         graphs=graphs,
@@ -304,41 +304,39 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
     )
 
 
+def _write_ints(path: Path, fmt: str, table) -> None:
+    """Write one ``fmt`` line per row of an integer table, in one call."""
+    table = np.asarray(table, dtype=np.int64)
+    path.write_text((fmt * len(table)) % tuple(table.ravel().tolist()), encoding="utf-8")
+
+
 def write_tu_dataset(dataset: Dataset, directory, name: str | None = None) -> None:
     """Serialize a dataset back to TUDataset files (inverse of the parser)."""
     name = name or dataset.name
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
 
-    with open(d / f"{name}_A.txt", "w", encoding="utf-8") as fh:
-        base = 0
-        for lg in dataset.graphs:
-            g = lg.graph
-            row_ids = np.repeat(np.arange(g.num_nodes), g.degrees)
-            for u, v in zip(row_ids, g.col_indices):
-                fh.write(f"{base + u + 1}, {base + v + 1}\n")
-            base += g.num_nodes
-
-    with open(d / f"{name}_graph_indicator.txt", "w", encoding="utf-8") as fh:
-        for i, lg in enumerate(dataset.graphs, start=1):
-            fh.write(f"{i}\n" * lg.graph.num_nodes)
-
-    with open(d / f"{name}_graph_labels.txt", "w", encoding="utf-8") as fh:
-        for lg in dataset.graphs:
-            fh.write(f"{lg.label}\n")
+    structures = [lg.graph for lg in dataset.graphs]
+    sizes = np.array([g.num_nodes for g in structures], dtype=np.int64)
+    bases = np.cumsum(sizes) - sizes
+    none = [np.zeros(0, dtype=np.int64)]  # keeps concatenate defined for no graphs
+    degrees = np.concatenate(none + [g.degrees for g in structures])
+    src = np.repeat(np.arange(degrees.size), degrees)
+    dst = np.concatenate(none + [g.col_indices + b for g, b in zip(structures, bases)])
+    _write_ints(d / f"{name}_A.txt", "%d, %d\n", np.stack([src, dst], axis=1) + 1)
+    indicator = np.repeat(np.arange(1, sizes.size + 1), sizes)
+    _write_ints(d / f"{name}_graph_indicator.txt", "%d\n", indicator)
+    _write_ints(d / f"{name}_graph_labels.txt", "%d\n", [lg.label for lg in dataset.graphs])
 
     if dataset.feature_kind == "node_attributes":
-        with open(d / f"{name}_node_attributes.txt", "w", encoding="utf-8") as fh:
-            for lg in dataset.graphs:
-                for row in lg.features:
-                    fh.write(", ".join(repr(float(v)) for v in row) + "\n")
+        rows = [row for lg in dataset.graphs for row in lg.features.tolist()]
+        text = "".join(", ".join(map(repr, row)) + "\n" for row in rows)
+        (d / f"{name}_node_attributes.txt").write_text(text, encoding="utf-8")
     elif dataset.feature_kind == "node_labels_onehot":
         if dataset.node_labels is None:
             raise ValueError("dataset has one-hot label features but no raw node labels")
-        with open(d / f"{name}_node_labels.txt", "w", encoding="utf-8") as fh:
-            for lab in dataset.node_labels:
-                for v in lab:
-                    fh.write(f"{int(v)}\n")
+        labels = np.concatenate(none + list(dataset.node_labels))
+        _write_ints(d / f"{name}_node_labels.txt", "%d\n", labels)
 
 
 def plain_kfold(num_items: int, folds: int = 10, seed: int = 0) -> list[FoldSplit]:

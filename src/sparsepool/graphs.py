@@ -134,22 +134,19 @@ def from_edge_list(num_nodes: int, edges, symmetrize: bool = True) -> SparseGrap
     otherwise the input must already contain both directions.
     """
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if pairs.size:
-        if pairs.min() < 0 or pairs.max() >= num_nodes:
-            raise ValueError("edge endpoint out of range")
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            raise ValueError("self-loops are not allowed")
-        if symmetrize:
-            pairs = np.concatenate([pairs, pairs[:, ::-1]])
-        codes = np.unique(pairs[:, 0] * num_nodes + pairs[:, 1])
-        src = codes // num_nodes
-        dst = codes % num_nodes
-    else:
-        src = np.empty(0, dtype=np.int64)
-        dst = np.empty(0, dtype=np.int64)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
+        raise ValueError("edge endpoint out of range")
+    if np.any(pairs[:, 0] == pairs[:, 1]):
+        raise ValueError("self-loops are not allowed")
+    if symmetrize:
+        pairs = np.concatenate([pairs, pairs[:, ::-1]])
+    codes = np.sort(pairs[:, 0] * num_nodes + pairs[:, 1])
+    first = np.ones(codes.size, dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]  # keep one copy of each duplicate
+    codes = codes[first]
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_nodes), out=offsets[1:])
-    return SparseGraph(num_nodes, offsets, dst)
+    np.cumsum(np.bincount(codes // num_nodes, minlength=num_nodes), out=offsets[1:])
+    return SparseGraph(num_nodes, offsets, codes % num_nodes)
 
 
 def neighbor_sum(graph: SparseGraph, x: np.ndarray) -> np.ndarray:

@@ -57,14 +57,7 @@ class MemoryTracker:
 
     def note(self, arr: np.ndarray, tag: str) -> None:
         nbytes = int(arr.nbytes)
-        self._add(tag, nbytes)
         weakref.finalize(arr, self._release, tag, nbytes)
-
-    def account(self, tag: str, nbytes: int) -> None:
-        """Register bytes without a backing allocation (never released)."""
-        self._add(tag, nbytes)
-
-    def _add(self, tag: str, nbytes: int) -> None:
         self.current += nbytes
         self.total_allocated += nbytes
         self._by_tag[tag] = self._by_tag.get(tag, 0) + nbytes
@@ -200,40 +193,29 @@ def measure_dense_assignment(
 ) -> MemoryReport:
     """Footprint of a dense soft-assignment (cluster-pooling) baseline.
 
-    Buffers are actually allocated while they fit the budget (values are
-    dummies; only sizes matter); past the budget the report is marked
-    infeasible and the remaining buffers are accounted arithmetically.
+    Computed from the buffer plan alone, with no allocation: every buffer is
+    held at once, so the peak is the plan's sum, and the report is infeasible
+    when that sum exceeds the budget.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 < k <= 1.0:
         raise ValueError(f"assignment ratio must be in (0, 1], got {k}")
     plan = _dense_plan(n, k, feature_dim, levels)
-    tracker = MemoryTracker()
-    held = []
-    feasible = True
-    for tag, nbytes in plan:
-        if feasible and (budget_bytes is None or tracker.current + nbytes <= budget_bytes):
-            buf = np.zeros(nbytes // 8)
-            tracker.note(buf, tag)
-            held.append(buf)
-        else:
-            feasible = False
-            tracker.account(tag, nbytes)
-    report = MemoryReport(
+    total = sum(nbytes for _, nbytes in plan)
+    largest_tag, largest = max(plan, key=lambda entry: entry[1])  # first of equal sizes
+    return MemoryReport(
         graph_size=n,
         edge_count=2 * n,
         method="dense_assignment",
-        peak_bytes=tracker.peak,
-        breakdown=tracker.peak_breakdown(),
-        feasible=feasible,
+        peak_bytes=total,
+        breakdown=sorted(plan),
+        feasible=budget_bytes is None or total <= budget_bytes,
         budget_bytes=budget_bytes,
-        max_buffer_bytes=tracker.max_buffer,
-        max_buffer_tag=tracker.max_buffer_tag,
-        total_allocated_bytes=tracker.total_allocated,
+        max_buffer_bytes=largest,
+        max_buffer_tag=largest_tag,
+        total_allocated_bytes=total,
     )
-    del held
-    return report
 
 
 @dataclass

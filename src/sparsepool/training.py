@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "train_one",
     "evaluate",
     "predict_logits",
+    "forward_batches",
     "cross_validate",
     "make_folds",
     "prepare_fold",
@@ -77,32 +78,20 @@ class TrainConfig:
         if self.readout_position not in READOUT_POSITIONS:
             raise ValueError(f"readout_position must be one of {READOUT_POSITIONS}")
 
-    def as_dict(self) -> dict:
-        return {
-            "hidden_dim": self.hidden_dim,
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "pool_ratio": self.pool_ratio,
-            "num_blocks": self.num_blocks,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "folds": self.folds,
-            "stratified": self.stratified,
-            "readout_position": self.readout_position,
-            "max_degree": self.max_degree,
-        }
-
 
 def default_config(dataset_name: str, **overrides) -> TrainConfig:
-    """Benchmark defaults for a known dataset, with explicit overrides on top."""
+    """Benchmark defaults for a known dataset, with explicit overrides on top.
+
+    Any dataset name is accepted when the overrides give hidden_dim, lr and
+    epochs.
+    """
     key = _NAME_ALIASES.get(dataset_name.upper(), dataset_name.upper())
-    if key not in DATASET_DEFAULTS:
+    settings = {**DATASET_DEFAULTS.get(key, {}), **overrides}
+    if not {"hidden_dim", "lr", "epochs"} <= settings.keys():
         raise ValueError(
             f"no default configuration for dataset {dataset_name!r}; "
-            "pass hidden_dim, lr and epochs explicitly"
+            "pass hidden_dim, lr and epochs explicitly (--hidden, --lr and --epochs)"
         )
-    settings = dict(DATASET_DEFAULTS[key])
-    settings.update(overrides)
     return TrainConfig(**settings)
 
 
@@ -177,14 +166,24 @@ def train_one(graphs, num_classes: int, config: TrainConfig):
     return model, epoch_losses
 
 
+def forward_batches(forward, model: HierarchicalModel, graphs, batch_size: int = 256):
+    """``forward(tape, batch, model)`` over consecutive batches, rows stacked.
+
+    Each batch runs on a non-recording tape. No graphs give a 0 x 0 array.
+    """
+    graphs = list(graphs)
+    rows = [
+        forward(Tape(record=False), batch_graphs(graphs[start : start + batch_size]), model).value
+        for start in range(0, len(graphs), batch_size)
+    ]
+    return np.concatenate(rows, axis=0) if rows else np.zeros((0, 0))
+
+
 def predict_logits(model: HierarchicalModel, graphs, batch_size: int = 256) -> np.ndarray:
     """Logits for each graph, stacked (num_graphs x C)."""
-    graphs = list(graphs)
-    out = []
-    for start in range(0, len(graphs), batch_size):
-        batch = batch_graphs(graphs[start : start + batch_size])
-        out.append(model_forward(Tape(record=False), batch, model).value)
-    return np.concatenate(out, axis=0)
+    # model_forward is looked up here at call time, so a wrapper installed on
+    # this module's global sees every evaluation forward pass
+    return forward_batches(model_forward, model, graphs, batch_size)
 
 
 def evaluate(model: HierarchicalModel, graphs) -> float:
@@ -280,7 +279,7 @@ def format_report(result: RunResult) -> str:
     """Human-readable per-fold table with summary statistics and timing."""
     lines = [
         f"dataset: {result.resolved.get('dataset', '?')}",
-        f"config: {result.config.as_dict()}",
+        f"config: {asdict(result.config)}",
         f"resolved: {result.resolved}",
         "",
         "fold  accuracy  seconds",

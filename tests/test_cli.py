@@ -54,6 +54,17 @@ class TestTrain:
         assert code == 2
         assert "NOPE" in capsys.readouterr().err
 
+    def test_unknown_dataset_with_explicit_flags_trains(self, fixtures_dir, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        for suffix in ("_A.txt", "_graph_indicator.txt", "_graph_labels.txt"):
+            shutil.copy(fixtures_dir / "TOY24" / f"TOY24{suffix}", data / f"NOPE{suffix}")
+        code = main(["train", "--dataset", "NOPE", "--data-dir", str(data),
+                     "--hidden", "4", "--lr", "0.01", "--epochs", "1",
+                     "--out", str(tmp_path / "run")])
+        assert code == 0
+        assert "config.hidden_dim = 4" in (tmp_path / "run" / "manifest.txt").read_text()
+
     def test_numeric_blowup_exits_3(self, fixtures_dir, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["train", "--dataset", "TOY24",

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph
 from sparsepool import datasets
+from sparsepool.cli import main
 from sparsepool.datasets import (
     Dataset,
     DatasetFormatError,
@@ -166,6 +167,91 @@ class TestParse:
         ds = parse_tu_dataset(tmp_path, "X")
         assert ds.graphs[0].graph.num_edges == 1
 
+    @pytest.mark.parametrize(
+        "indicator, labels, error",
+        [
+            ("1\n\n2\n1\n", "1\n2\n", r"X_graph_indicator.txt:4: .*non-decreasing"),
+            ("\n2\n2\n", "1\n2\n", r"X_graph_indicator.txt:2: .*start at 1"),
+            ("1\n99999999999999999999\n", "1\n", r"X_graph_indicator.txt:2: .*overflows"),
+            # a jump in graph ids must not size an array by the largest id
+            ("1\n1000000000000\n", "1\n2\n", r"X_graph_indicator.txt: graph 2 has no nodes"),
+            ("1\n2\n", "1\n\n", r"X_graph_labels.txt:3: expected 2 graph labels, got 1"),
+        ],
+    )
+    def test_indicator_and_label_errors_report_physical_line(
+        self, tmp_path, indicator, labels, error
+    ):
+        write_corpus(
+            tmp_path, "X", {"A": "", "graph_indicator": indicator, "graph_labels": labels}
+        )
+        with pytest.raises(DatasetFormatError, match=error):
+            parse_tu_dataset(tmp_path, "X")
+
+    def test_bulk_read_edge_error_counts_blank_lines(self, tmp_path):
+        write_corpus(
+            tmp_path,
+            "X",
+            {
+                "A": "1, 2\n\n\n2, 1\n\n2, 3\n",
+                "graph_indicator": "1\n1\n2\n",
+                "graph_labels": "1\n2\n",
+            },
+        )
+        assert datasets._load_table(tmp_path / "X_A.txt", 2, np.int64) is not None
+        with pytest.raises(DatasetFormatError, match=r"X_A.txt:6: .*crosses graphs 1 and 2"):
+            parse_tu_dataset(tmp_path, "X")
+
+    def test_edge_rules_apply_in_order_on_one_line(self, tmp_path):
+        write_corpus(
+            tmp_path,
+            "X",
+            {"A": "1, 2\n5, 5\n", "graph_indicator": "1\n1\n", "graph_labels": "1\n"},
+        )
+        with pytest.raises(DatasetFormatError, match=r"X_A.txt:2: node index out of range"):
+            parse_tu_dataset(tmp_path, "X")
+
+
+# One bad attribute line (or file) and the physical line it is reported at,
+# in a two-node, two-column dataset whose second line is blank.
+BAD_ATTRIBUTES = {
+    "not_a_number": ("0.5, 1.0\n\n0.25, abc\n", 3),
+    "ragged_row": ("0.5, 1.0\n\n0.25\n", 3),
+    "nan": ("0.5, 1.0\n\nnan, 0.0\n", 3),
+    "inf": ("-inf, 1.0\n\n0.5, 0.0\n", 1),
+    "overflowing_float": ("0.5, 1e999\n\n0.5, 0.0\n", 1),
+    "extra_row": ("0.5, 1.0\n\n0.25, 2.0\n1.0, 1.0\n", 4),
+    "missing_row": ("0.5, 1.0\n\n", 3),
+}
+
+
+def attribute_corpus(directory, attributes: str) -> None:
+    write_corpus(
+        directory,
+        "X",
+        {
+            "A": "1, 2\n",
+            "graph_indicator": "1\n1\n",
+            "graph_labels": "1\n",
+            "node_attributes": attributes,
+        },
+    )
+
+
+class TestAttributeErrors:
+    @pytest.mark.parametrize("case", sorted(BAD_ATTRIBUTES))
+    def test_reports_physical_line_and_cli_exits_2(self, tmp_path, capsys, case):
+        text, line = BAD_ATTRIBUTES[case]
+        attribute_corpus(tmp_path, text)
+        with pytest.raises(DatasetFormatError, match=rf"X_node_attributes.txt:{line}: "):
+            parse_tu_dataset(tmp_path, "X")
+        code = main(["train", "--dataset", "X", "--data-dir", str(tmp_path),
+                     "--hidden", "4", "--lr", "0.01", "--epochs", "1",
+                     "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"X_node_attributes.txt:{line}: " in err
+        assert "Traceback" not in err
+
 
 # One bad line the line scan rejects; {n_plus_1} is one past the last node,
 # {last} the first node of the last graph (so "1, {last}" crosses graphs
@@ -227,7 +313,7 @@ def edge_files(draw):
 def parse_outcome(directory: Path, scan_only: bool):
     """The parsed graphs' CSR arrays, or the error message."""
     patch = (
-        mock.patch.object(datasets, "_load_int_table", return_value=None)
+        mock.patch.object(datasets, "_load_table", return_value=None)
         if scan_only
         else contextlib.nullcontext()
     )
@@ -236,7 +322,63 @@ def parse_outcome(directory: Path, scan_only: bool):
             ds = parse_tu_dataset(directory, "X")
         except DatasetFormatError as exc:
             return "error", str(exc)
-    return "ok", [(g.graph.row_offsets.tolist(), g.graph.col_indices.tolist()) for g in ds.graphs]
+    return "ok", [
+        (g.graph.row_offsets.tolist(), g.graph.col_indices.tolist(), g.features.tobytes())
+        for g in ds.graphs
+    ]
+
+
+# One bad attribute line the line scan or the finiteness rule rejects; {row}
+# is a well-formed row of the file's width, {rest} its fields after the first.
+CORRUPT_ATTRIBUTES = {
+    "word": "abc{rest}",
+    "hash": "# {row}",
+    "empty_field": "{row},",
+    "ragged": "{row}, 1.0",
+    "nan": "nan{rest}",
+    "inf": "-inf{rest}",
+    "extra_row": "{row}",
+}
+NUMBER_FORMATS = (repr, "{:.3g}".format, "{:e}".format, "{:+.1f}".format)
+
+
+@st.composite
+def attribute_files(draw):
+    """(node count, attribute file text, corruption) for one small graph.
+
+    Numbers vary their notation, padding and line endings, and blank lines
+    are mixed in; a corruption drops a row, empties the file, or inserts one
+    bad row (or one whitespace-only line the scan accepts).
+    """
+    num_nodes = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 3))
+    number = st.tuples(st.floats(-1e6, 1e6), st.sampled_from(NUMBER_FORMATS)).map(
+        lambda case: case[1](case[0])
+    )
+    pad = st.sampled_from(["", " ", "\t"])
+    sep = st.sampled_from([",", ", ", " ,"])
+    lines = []
+    for _ in range(num_nodes):
+        fields = [draw(pad) + draw(number) + draw(pad) for _ in range(width)]
+        lines.append(draw(sep).join(fields))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    corruption = draw(
+        st.sampled_from([None, "whitespace_line", "empty_file", "missing_row", *CORRUPT_ATTRIBUTES])
+    )
+    if corruption == "empty_file":
+        lines = []
+    elif corruption == "missing_row":
+        lines.remove(next(line for line in lines if line))
+    elif corruption == "whitespace_line":
+        lines.insert(draw(st.integers(0, len(lines))), "   ")
+    elif corruption is not None:
+        bad = CORRUPT_ATTRIBUTES[corruption].format(
+            row=", ".join(["0.5"] * width), rest=", 0.5" * (width - 1)
+        )
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return num_nodes, "".join(line + newline for line in lines), corruption
 
 
 class TestBulkEdgeParse:
@@ -255,7 +397,28 @@ class TestBulkEdgeParse:
             if corruption in CORRUPT_LINES:
                 assert bulk[0] == "error" and "X_A.txt:" in bulk[1]
             if corruption is None and edges.strip():
-                assert datasets._load_int_table(d / "X_A.txt", 2) is not None
+                assert datasets._load_table(d / "X_A.txt", 2, np.int64) is not None
+
+
+    @settings(max_examples=300)
+    @given(attribute_files())
+    def test_bulk_attribute_parse_matches_line_scan(self, case):
+        num_nodes, attributes, corruption = case
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "X_graph_indicator.txt").write_text("1\n" * num_nodes, encoding="utf-8")
+            (d / "X_graph_labels.txt").write_text("1\n", encoding="utf-8")
+            (d / "X_A.txt").write_text("", encoding="utf-8")
+            (d / "X_node_attributes.txt").write_bytes(attributes.encode("utf-8"))
+            bulk = parse_outcome(d, scan_only=False)
+            assert bulk == parse_outcome(d, scan_only=True)
+            if corruption in (*CORRUPT_ATTRIBUTES, "empty_file", "missing_row"):
+                assert bulk[0] == "error" and "X_node_attributes.txt:" in bulk[1]
+            else:
+                assert bulk[0] == "ok"
+            if corruption is None:
+                table = datasets._load_table(d / "X_node_attributes.txt", None, np.float64)
+                assert table is not None
 
 
 class TestRoundTrip:
@@ -298,6 +461,33 @@ class TestRoundTrip:
         ds = Dataset("LAB", graphs, 2, "node_labels_onehot", node_labels, alphabet)
         write_tu_dataset(ds, tmp_path / "lab")
         self.assert_same(ds, parse_tu_dataset(tmp_path / "lab", "LAB"))
+
+    def test_files_match_a_line_by_line_writer(self, tmp_path):
+        rng = np.random.default_rng(2)
+        graphs, node_labels = [], []
+        for i in range(5):
+            g = random_graph(rng, int(rng.integers(1, 7)))
+            graphs.append(LabeledGraph(g, rng.standard_normal((g.num_nodes, 2)), 3 * i))
+            node_labels.append(rng.integers(0, 4, size=g.num_nodes))
+        expected = {"A": "", "graph_indicator": "", "graph_labels": "",
+                    "node_attributes": "", "node_labels": ""}
+        base = 0
+        for i, lg in enumerate(graphs, start=1):
+            rows = np.repeat(np.arange(lg.graph.num_nodes), lg.graph.degrees)
+            for u, v in zip(rows, lg.graph.col_indices):
+                expected["A"] += f"{base + u + 1}, {base + v + 1}\n"
+            expected["graph_indicator"] += f"{i}\n" * lg.graph.num_nodes
+            expected["graph_labels"] += f"{lg.label}\n"
+            for row in lg.features:
+                expected["node_attributes"] += ", ".join(repr(float(x)) for x in row) + "\n"
+            expected["node_labels"] += "".join(f"{int(x)}\n" for x in node_labels[i - 1])
+            base += lg.graph.num_nodes
+        write_tu_dataset(Dataset("W", graphs, 2, "node_attributes"), tmp_path / "attr")
+        labelled = Dataset("W", graphs, 2, "node_labels_onehot", node_labels)
+        write_tu_dataset(labelled, tmp_path / "lab")
+        for suffix, text in expected.items():
+            where = "lab" if suffix == "node_labels" else "attr"
+            assert (tmp_path / where / f"W_{suffix}.txt").read_text() == text
 
     def test_toy_corpus_is_canonical(self, fixtures_dir, tmp_path):
         ds = parse_tu_dataset(fixtures_dir / "TOY24", "TOY24")

@@ -56,6 +56,18 @@ class TestSparseGraph:
         g = from_edge_list(2, [(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1
 
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    def test_from_edge_list_matches_unique_reference(self, symmetrize):
+        rng = np.random.default_rng(4)
+        pairs = rng.integers(0, 30, size=(400, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        if not symmetrize:
+            pairs = np.concatenate([pairs, pairs[:, ::-1]])
+        g = from_edge_list(30, pairs, symmetrize=symmetrize)
+        codes = np.unique(np.concatenate([pairs, pairs[:, ::-1]]) @ [30, 1])
+        assert np.array_equal(g.col_indices, codes % 30)
+        assert np.array_equal(g.row_offsets, np.searchsorted(codes // 30, np.arange(31)))
+
     def test_from_edge_list_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             from_edge_list(2, [(0, 0)])

@@ -74,6 +74,13 @@ class TestDenseAssignment:
         assert unlimited.feasible and not capped.feasible
         assert capped.peak_bytes == unlimited.peak_bytes
 
+    def test_huge_size_is_computed_without_allocating(self):
+        # the level-1 assignment alone is 2 TB here
+        report = measure_dense_assignment(10**6)
+        assert report.peak_bytes == report.total_allocated_bytes == dense_expected_bytes(10**6)
+        assert report.max_buffer_tag == "level1/assignment"
+        assert report.max_buffer_bytes == 10**6 * 250_000 * 8
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             measure_dense_assignment(0)

@@ -10,7 +10,8 @@ from conftest import make_cycle_star_task
 from sparsepool.datasets import Dataset, parse_tu_dataset, stratified_kfold
 from sparsepool.engine import Tape
 from sparsepool.graphs import batch_graphs
-from sparsepool.layers import build_model, model_forward
+from sparsepool import training
+from sparsepool.layers import build_model, forward_summaries, model_forward
 from sparsepool.training import (
     DATASET_DEFAULTS,
     NonFiniteLossError,
@@ -19,6 +20,8 @@ from sparsepool.training import (
     default_config,
     evaluate,
     format_metrics,
+    forward_batches,
+    predict_logits,
     prepare_fold,
     train_one,
 )
@@ -45,6 +48,19 @@ class TestDefaults:
     def test_unknown_dataset_rejected(self):
         with pytest.raises(ValueError, match="no default configuration"):
             default_config("MYSTERY")
+
+    def test_unknown_dataset_with_explicit_settings(self):
+        cfg = default_config("FOO", hidden_dim=8, lr=0.1, epochs=1)
+        assert (cfg.hidden_dim, cfg.lr, cfg.epochs) == (8, 0.1, 1)
+        assert cfg.pool_ratio == 0.8 and cfg.num_blocks == 3
+
+    def test_unknown_dataset_with_partial_settings_rejected(self):
+        with pytest.raises(ValueError, match="no default configuration for dataset 'FOO'"):
+            default_config("FOO", hidden_dim=8, lr=0.1)
+
+    def test_overrides_apply_over_known_defaults(self):
+        cfg = default_config("PROTEINS", epochs=3, seed=5)
+        assert (cfg.hidden_dim, cfg.lr, cfg.epochs, cfg.seed) == (64, 0.005, 3, 5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -143,6 +159,29 @@ class TestEvaluate:
         model = build_model(3, 8, 2, seed=0)
         with pytest.raises(ValueError):
             evaluate(model, [])
+
+    def test_forward_looked_up_at_call_time(self, monkeypatch):
+        # a wrapper on training.model_forward must see every evaluation pass
+        task = make_cycle_star_task(reps=3)
+        model = build_model(task[0].features.shape[1], 8, 2, seed=0)
+        seen = []
+        original = training.model_forward
+
+        def counting(tape, batch, m):
+            seen.append(batch.labels.size)
+            return original(tape, batch, m)
+
+        monkeypatch.setattr(training, "model_forward", counting)
+        logits = predict_logits(model, task, batch_size=4)
+        assert seen == [4, 2]
+        assert logits.shape == (len(task), 2)
+
+    def test_forward_batches_match_one_batch(self):
+        task = make_cycle_star_task(reps=3)
+        model = build_model(task[0].features.shape[1], 8, 2, seed=0)
+        whole = forward_summaries(Tape(record=False), batch_graphs(task), model).value
+        assert np.array_equal(forward_batches(forward_summaries, model, task, batch_size=4), whole)
+        assert forward_batches(forward_summaries, model, []).shape == (0, 0)
 
 
 class TestCrossValidate:
