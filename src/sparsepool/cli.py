@@ -42,6 +42,24 @@ _DATA_FILES = ("_A.txt", "_graph_indicator.txt", "_graph_labels.txt",
                "_node_labels.txt", "_node_attributes.txt")
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse type: ``convert`` the text, then reject a value failing ``ok``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse says "invalid float value" on a bad token
+    return parse
+
+
+_LR = _checked(float, lambda v: np.isfinite(v) and v >= 0, "a finite number >= 0")
+_SEED = _checked(int, lambda v: v >= 0, ">= 0")
+_JOBS = _checked(int, lambda v: v >= 1, ">= 1")
+
+
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", required=True, help="dataset name (directory prefix)")
     p.add_argument("--data-dir", default="data", help="directory holding the dataset files")
@@ -50,10 +68,10 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", type=int, default=None, help="hidden width (default: per-dataset)")
     p.add_argument("--ratio", type=float, default=0.8, help="pool ratio k")
-    p.add_argument("--lr", type=float, default=None, help="learning rate (default: per-dataset)")
+    p.add_argument("--lr", type=_LR, default=None, help="learning rate (default: per-dataset)")
     p.add_argument("--epochs", type=int, default=None, help="epochs (default: per-dataset)")
     p.add_argument("--batch-size", type=int, default=64, help="mini-batch size")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    p.add_argument("--seed", type=_SEED, default=0, help="base RNG seed")
     p.add_argument("--blocks", type=int, default=3, help="number of conv-pool blocks")
     p.add_argument(
         "--readout-position",
@@ -97,7 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("cv", help="10-fold cross-validation")
     _add_dataset_args(p_cv)
     _add_config_args(p_cv)
-    p_cv.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
+    p_cv.add_argument(
+        "--jobs", type=_JOBS, default=1,
+        help="parallel fold workers (at most one per fold)",
+    )
     p_cv.add_argument("--out", default=None, help="output directory")
     p_cv.add_argument(
         "--show-defaults", action="store_true", help="print per-dataset defaults and exit"
@@ -107,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mem = sub.add_parser("bench-mem", help="memory-scaling benchmark")
     p_mem.add_argument("--sizes", default="2000,4000,8000,16000", help="comma-separated node counts")
     p_mem.add_argument("--budget", default=None, help="memory budget, e.g. 1GiB or 536870912")
-    p_mem.add_argument("--seed", type=int, default=0)
+    p_mem.add_argument("--seed", type=_SEED, default=0)
     p_mem.add_argument("--out", default=None, help="output directory")
     p_mem.set_defaults(fn=cmd_bench_mem)
 

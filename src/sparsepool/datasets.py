@@ -203,8 +203,9 @@ def degree_feature_bound(graphs, max_degree: int | None = None) -> int:
 
 def with_degree_features(graphs, bound: int) -> list[LabeledGraph]:
     """Rebuild labeled graphs with one-hot degree features at the given cap."""
+    # degree_onehot gives a fresh 0/1 float64 array per graph: nothing to check
     return [
-        LabeledGraph(g.graph, degree_onehot(g.graph, bound), g.label) for g in graphs
+        LabeledGraph._trusted(g.graph, degree_onehot(g.graph, bound), g.label) for g in graphs
     ]
 
 
@@ -249,12 +250,13 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
 
     pairs = _read_table(a_path, 2, np.int64)
     _check_edges(a_path, pairs, indicator)
-    # one CSR over the whole dataset; graph i is the diagonal block of its node range
+    # one CSR over the whole dataset; graph i is the diagonal block of its node
+    # range, and no edge crosses graphs, so every block is a valid CSR itself
     whole = from_edge_list(num_nodes, pairs - 1)
     del pairs
     offsets, cols = whole.row_offsets, whole.col_indices
     structures = [
-        SparseGraph(
+        SparseGraph._trusted(
             hi - lo, offsets[lo : hi + 1] - offsets[lo], cols[offsets[lo] : offsets[hi]] - lo
         )
         for lo, hi in blocks
@@ -292,7 +294,11 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
         degree_bound = degree_feature_bound(structures)
         features = [degree_onehot(g, degree_bound) for g in structures]
 
-    graphs = [LabeledGraph(g, f, int(y)) for g, f, y in zip(structures, features, labels)]
+    # every feature table above is float64, C-contiguous, finite and num_nodes
+    # rows long, so its row blocks need no per-graph check
+    graphs = [
+        LabeledGraph._trusted(g, f, int(y)) for g, f, y in zip(structures, features, labels)
+    ]
     return Dataset(
         name=name,
         graphs=graphs,

@@ -3,6 +3,15 @@
 Graphs are simple, undirected and unweighted, stored in CSR form with every
 edge recorded in both directions. Node features are plain float64 arrays of
 shape (num_nodes, num_features); no wrapper type is used.
+
+Validation happens where a graph enters. The public ``SparseGraph(...)`` and
+``LabeledGraph(...)`` constructors check every invariant, and
+``from_edge_list`` checks its edges' range and self-loops. Graphs derived
+from valid ones are valid by construction and are built with the private
+``_trusted`` constructors, which skip the checks: the symmetric closure in
+``from_edge_list``, pooled subgraphs (``induced_subgraph``) and merged
+batches (``batch_graphs``). The dataset parser checks whole files once and
+then slices each graph out the same way.
 """
 from __future__ import annotations
 
@@ -74,6 +83,17 @@ class SparseGraph:
         )
         _validate_csr(self.num_nodes, self.row_offsets, self.col_indices)
 
+    @classmethod
+    def _trusted(cls, num_nodes: int, row_offsets: np.ndarray, col_indices: np.ndarray):
+        """A graph from C-contiguous int64 CSR arrays that are valid by construction.
+
+        No conversion and no :func:`_validate_csr`: the caller guarantees
+        every invariant the public constructor checks.
+        """
+        graph = object.__new__(cls)
+        vars(graph).update(num_nodes=num_nodes, row_offsets=row_offsets, col_indices=col_indices)
+        return graph
+
     @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
@@ -111,6 +131,14 @@ class LabeledGraph:
             raise ValueError("features must be finite")
         object.__setattr__(self, "features", feats)
 
+    @classmethod
+    def _trusted(cls, graph: SparseGraph, features: np.ndarray, label: int):
+        """A labeled graph whose features are known to be a finite, C-contiguous
+        float64 (graph.num_nodes, F) array; nothing is converted or checked."""
+        labeled = object.__new__(cls)
+        vars(labeled).update(graph=graph, features=features, label=label)
+        return labeled
+
 
 @dataclass(frozen=True, eq=False)
 class GraphBatch:
@@ -131,8 +159,11 @@ def from_edge_list(num_nodes: int, edges, symmetrize: bool = True) -> SparseGrap
     """Build a canonical CSR graph from (u, v) pairs.
 
     Duplicate edges are collapsed. With ``symmetrize`` each pair is mirrored;
-    otherwise the input must already contain both directions.
+    otherwise the input must already contain both directions, and the result
+    goes through the validating constructor.
     """
+    if num_nodes < 0:
+        raise ValueError("num_nodes must be non-negative")
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
         raise ValueError("edge endpoint out of range")
@@ -146,7 +177,10 @@ def from_edge_list(num_nodes: int, edges, symmetrize: bool = True) -> SparseGrap
     codes = codes[first]
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(codes // num_nodes, minlength=num_nodes), out=offsets[1:])
-    return SparseGraph(num_nodes, offsets, codes % num_nodes)
+    if not symmetrize:
+        return SparseGraph(num_nodes, offsets, codes % num_nodes)
+    # in range, loop-free, mirrored and deduplicated: sorted codes are a valid CSR
+    return SparseGraph._trusted(num_nodes, offsets, codes % num_nodes)
 
 
 def neighbor_sum(graph: SparseGraph, x: np.ndarray) -> np.ndarray:
@@ -249,7 +283,9 @@ def induced_subgraph(graph: SparseGraph, keep) -> SparseGraph:
     new_dst = remap[graph.col_indices[sel]]
     offsets = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(np.bincount(new_src, minlength=keep.size), out=offsets[1:])
-    return SparseGraph(keep.size, offsets, new_dst)
+    # keep is sorted and distinct, so remap preserves row order, column
+    # order and symmetry, and maps no edge onto a self-loop
+    return SparseGraph._trusted(keep.size, offsets, new_dst)
 
 
 def batch_graphs(graphs) -> GraphBatch:
@@ -261,30 +297,25 @@ def batch_graphs(graphs) -> GraphBatch:
     graphs = list(graphs)
     if not graphs:
         raise ValueError("cannot batch an empty list of graphs")
-    feat_dim = graphs[0].features.shape[1]
-    for i, g in enumerate(graphs):
-        if g.graph.num_nodes == 0:
-            raise ValueError(f"graph {i} of the batch has no nodes")
-        if g.features.shape[1] != feat_dim:
-            raise ValueError(
-                f"feature dimensions differ: {g.features.shape[1]} vs {feat_dim}"
-            )
     counts = np.array([g.graph.num_nodes for g in graphs], dtype=np.int64)
-    node_offsets = np.concatenate([[0], np.cumsum(counts)])
-    merged_offsets = [np.zeros(1, dtype=np.int64)]
-    merged_cols = []
-    edge_base = 0
-    for g, base in zip(graphs, node_offsets):
-        merged_offsets.append(g.graph.row_offsets[1:] + edge_base)
-        merged_cols.append(g.graph.col_indices + base)
-        edge_base += g.graph.col_indices.size
-    merged = SparseGraph(
-        int(node_offsets[-1]),
-        np.concatenate(merged_offsets),
-        np.concatenate(merged_cols) if merged_cols else np.empty(0, dtype=np.int64),
-    )
+    dims = np.array([g.features.shape[1] for g in graphs], dtype=np.int64)
+    bad = (counts == 0) | (dims != dims[0])
+    if bad.any():
+        i = int(np.argmax(bad))
+        if counts[i] == 0:
+            raise ValueError(f"graph {i} of the batch has no nodes")
+        raise ValueError(f"feature dimensions differ: {dims[i]} vs {dims[0]}")
+    structures = [g.graph for g in graphs]
+    edge_counts = np.array([g.col_indices.size for g in structures], dtype=np.int64)
+    # shift every block's columns by its first node, every block's offsets
+    # by its first edge; valid blocks on disjoint node ranges stay valid
+    cols = np.concatenate([g.col_indices for g in structures])
+    cols += np.repeat(np.cumsum(counts) - counts, edge_counts)
+    offsets = np.zeros(int(counts.sum()) + 1, dtype=np.int64)
+    np.concatenate([g.row_offsets[1:] for g in structures], out=offsets[1:])
+    offsets[1:] += np.repeat(np.cumsum(edge_counts) - edge_counts, counts)
     return GraphBatch(
-        graph=merged,
+        graph=SparseGraph._trusted(offsets.size - 1, offsets, cols),
         features=np.concatenate([g.features for g in graphs], axis=0),
         node_counts=counts,
         labels=np.array([g.label for g in graphs], dtype=np.int64),

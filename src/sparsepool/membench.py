@@ -253,8 +253,8 @@ def scaling_sweep(
 ) -> SweepResult:
     """Measure both methods at each size and fit log-log scaling slopes."""
     sizes = [int(s) for s in sizes]
-    if not sizes:
-        raise ValueError("sizes must be non-empty")
+    if len(sizes) < 2:
+        raise ValueError(f"a slope fit needs at least two sizes, got {len(sizes)}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
     sparse = [measure_sparse(n, budget_bytes=budget_bytes, seed=seed) for n in sizes]

@@ -1,6 +1,7 @@
 """Training loop, evaluation, and the 10-fold cross-validation driver."""
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -71,8 +72,10 @@ class TrainConfig:
             raise ValueError(f"pool_ratio must be in (0, 1], got {self.pool_ratio}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be a finite number >= 0, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.hidden_dim < 1 or self.num_blocks < 1 or self.batch_size < 1:
             raise ValueError("hidden_dim, num_blocks and batch_size must be >= 1")
         if self.readout_position not in READOUT_POSITIONS:
@@ -237,14 +240,17 @@ def cross_validate(dataset: Dataset, config: TrainConfig, jobs: int = 1) -> RunR
 
     Fold f trains with seed ``config.seed + f`` and never sees its own test
     graphs. Folds are independent, so ``jobs > 1`` runs them in parallel
-    without changing any result.
+    (at most one worker per fold) without changing any result.
     """
     config.validate()
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     wall_start = time.perf_counter()
     splits = make_folds(dataset, config)
     work = [(dataset, split, config) for split in splits]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_fold, work))
     else:
         outcomes = [_run_fold(w) for w in work]

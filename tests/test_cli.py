@@ -65,6 +65,21 @@ class TestTrain:
         assert code == 0
         assert "config.hidden_dim = 4" in (tmp_path / "run" / "manifest.txt").read_text()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "-0.5"])
+    def test_non_finite_lr_exits_2(self, fixtures_dir, tmp_path, capsys, lr):
+        out = tmp_path / "run"
+        code = main(["train", *toy_args(fixtures_dir), f"--lr={lr}", "--epochs", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "error: argument --lr: must be a finite number >= 0" in capsys.readouterr().err
+        assert not (out / "model.params").exists()
+
+    def test_negative_seed_exits_2(self, fixtures_dir, tmp_path, capsys):
+        code = main(["train", *toy_args(fixtures_dir), "--seed", "-1",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "error: argument --seed: must be >= 0" in capsys.readouterr().err
+
     def test_numeric_blowup_exits_3(self, fixtures_dir, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["train", "--dataset", "TOY24",
@@ -76,6 +91,12 @@ class TestTrain:
 
 
 class TestCV:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, fixtures_dir, tmp_path, capsys, jobs):
+        code = main(["cv", *toy_args(fixtures_dir), "--jobs", jobs, "--out", str(tmp_path)])
+        assert code == 2
+        assert "error: argument --jobs: must be >= 1" in capsys.readouterr().err
+
     def test_show_defaults_lists_benchmark_table(self, capsys):
         assert main(["cv", "--dataset", "PROTEINS", "--show-defaults"]) == 0
         out = capsys.readouterr().out
@@ -129,6 +150,16 @@ class TestBenchMem:
 
     def test_bad_sizes_exit_2(self, capsys):
         assert main(["bench-mem", "--sizes", "2000,1000"]) == 2
+
+    def test_single_size_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "mem"
+        assert main(["bench-mem", "--sizes", "50", "--out", str(out)]) == 2
+        assert "a slope fit needs at least two sizes" in capsys.readouterr().err
+        assert not (out / "membench.csv").exists()
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["bench-mem", "--sizes", "50,100", "--seed", "-1"]) == 2
+        assert "error: argument --seed: must be >= 0" in capsys.readouterr().err
 
 
 class TestExportSummaries:

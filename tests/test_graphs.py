@@ -9,6 +9,7 @@ from conftest import dense_spmm_oracle, random_graph
 from sparsepool.graphs import (
     LabeledGraph,
     SparseGraph,
+    _validate_csr,
     batch_graphs,
     degree_onehot,
     erdos_renyi,
@@ -71,6 +72,10 @@ class TestSparseGraph:
     def test_from_edge_list_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             from_edge_list(2, [(0, 0)])
+
+    def test_from_edge_list_rejects_negative_node_count(self):
+        with pytest.raises(ValueError, match="num_nodes must be non-negative"):
+            from_edge_list(-1, [])
 
     def test_empty_graph(self):
         g = from_edge_list(0, [])
@@ -216,7 +221,8 @@ class TestErdosRenyi:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 40))
         m = int(rng.integers(0, n * (n - 1) // 2 + 1))
-        g = erdos_renyi(n, m, seed=seed)  # constructor validates CSR invariants
+        g = erdos_renyi(n, m, seed=seed)  # built through the trusted constructor
+        _validate_csr(g.num_nodes, g.row_offsets, g.col_indices)
         assert g.num_edges == m
 
 

@@ -156,3 +156,7 @@ class TestSweep:
             scaling_sweep([])
         with pytest.raises(ValueError):
             scaling_sweep([2000, 1000])
+
+    def test_rejects_a_single_size(self):
+        with pytest.raises(ValueError, match="a slope fit needs at least two sizes"):
+            scaling_sweep([50])

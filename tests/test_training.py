@@ -70,6 +70,15 @@ class TestDefaults:
         with pytest.raises(ValueError):
             quick_config(readout_position="middle").validate()
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -0.1])
+    def test_rejects_non_finite_or_negative_lr(self, lr):
+        with pytest.raises(ValueError, match="lr must be a finite number >= 0"):
+            quick_config(lr=lr).validate()
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            quick_config(seed=-1).validate()
+
 
 class TestTrainOne:
     def test_separable_task_reaches_high_accuracy(self):
@@ -211,6 +220,36 @@ class TestCrossValidate:
         seq = cross_validate(ds, quick_config(folds=3), jobs=1)
         par = cross_validate(ds, quick_config(folds=3), jobs=2)
         assert seq.fold_accuracies == par.fold_accuracies
+
+    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (64, 3)])
+    def test_worker_count_is_capped_at_fold_count(self, fixtures_dir, monkeypatch, jobs, workers):
+        started = []
+
+        class SerialPool:
+            """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
+        ds = self.dataset(fixtures_dir)
+        result = cross_validate(ds, quick_config(folds=3), jobs=jobs)
+        assert started == [workers]
+        assert result.fold_accuracies == cross_validate(ds, quick_config(folds=3)).fold_accuracies
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_rejects_jobs_below_one(self, fixtures_dir, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            cross_validate(self.dataset(fixtures_dir), quick_config(folds=3), jobs=jobs)
 
     def test_folds_never_leak_test_graphs(self, fixtures_dir):
         ds = self.dataset(fixtures_dir)
