@@ -7,6 +7,7 @@ resolved setting, the seeds, and dataset file checksums.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -58,6 +59,41 @@ def _checked(convert, ok, rule: str):
 _LR = _checked(float, lambda v: np.isfinite(v) and v >= 0, "a finite number >= 0")
 _SEED = _checked(int, lambda v: v >= 0, ">= 0")
 _JOBS = _checked(int, lambda v: v >= 1, ">= 1")
+
+_BYTE_UNITS = {"KB": 10**3, "MB": 10**6, "GB": 10**9,
+               "KIB": 2**10, "MIB": 2**20, "GIB": 2**30, "B": 1}
+
+
+def _budget(text: str) -> int:
+    """An argparse type: a finite byte count >= 0, e.g. ``1GiB`` or ``536870912``."""
+    number, scale = text.strip().upper().replace(" ", ""), 1
+    for unit in sorted(_BYTE_UNITS, key=len, reverse=True):
+        if number.endswith(unit):
+            number, scale = number[: -len(unit)], _BYTE_UNITS[unit]
+            break
+    try:
+        value = float(number) * scale
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite byte count >= 0 with an optional unit "
+            f"(B, KB, MB, GB, KiB, MiB, GiB), got {text!r}"
+        )
+    return int(value)
+
+
+def _sizes(text: str) -> list[int]:
+    """An argparse type: comma-separated node counts, each >= 1."""
+    try:
+        sizes = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers >= 1, got {text!r}"
+        )
+    return sizes
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -126,8 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.set_defaults(fn=cmd_cv)
 
     p_mem = sub.add_parser("bench-mem", help="memory-scaling benchmark")
-    p_mem.add_argument("--sizes", default="2000,4000,8000,16000", help="comma-separated node counts")
-    p_mem.add_argument("--budget", default=None, help="memory budget, e.g. 1GiB or 536870912")
+    p_mem.add_argument(
+        "--sizes", type=_sizes, default="2000,4000,8000,16000", help="comma-separated node counts"
+    )
+    p_mem.add_argument(
+        "--budget", type=_budget, default=None, help="memory budget, e.g. 1GiB or 536870912"
+    )
     p_mem.add_argument("--seed", type=_SEED, default=0)
     p_mem.add_argument("--out", default=None, help="output directory")
     p_mem.set_defaults(fn=cmd_bench_mem)
@@ -245,30 +285,16 @@ def cmd_cv(args) -> int:
     return EXIT_OK
 
 
-def _parse_budget(text: str | None) -> int | None:
-    if text is None:
-        return None
-    units = {"KB": 10**3, "MB": 10**6, "GB": 10**9,
-             "KIB": 2**10, "MIB": 2**20, "GIB": 2**30, "B": 1}
-    cleaned = text.strip().upper().replace(" ", "")
-    for unit in sorted(units, key=len, reverse=True):
-        if cleaned.endswith(unit):
-            return int(float(cleaned[: -len(unit)]) * units[unit])
-    return int(float(cleaned))
-
-
 def cmd_bench_mem(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    budget = _parse_budget(args.budget)
-    result = scaling_sweep(sizes, budget_bytes=budget, seed=args.seed)
+    result = scaling_sweep(args.sizes, budget_bytes=args.budget, seed=args.seed)
     out = _out_dir(args, "runs/membench")
     (out / "membench.csv").write_text(result.to_csv(), encoding="utf-8")
     _write_manifest(
         out,
         "bench-mem",
         {
-            "sizes": args.sizes,
-            "budget_bytes": budget,
+            "sizes": ",".join(map(str, args.sizes)),
+            "budget_bytes": args.budget,
             "seed": args.seed,
             "slope_sparse": result.slope_sparse,
             "slope_dense": result.slope_dense,

@@ -85,7 +85,7 @@ def _segmented_matmul(av: np.ndarray, bv: np.ndarray, segments) -> np.ndarray:
     shape = (av.shape[0],) if bv.ndim == 1 else (av.shape[0], bv.shape[1])
     value = np.empty(shape)
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        value[start:stop] = av[start:stop] @ bv
+        np.matmul(av[start:stop], bv, out=value[start:stop])
     return value
 
 
@@ -101,6 +101,22 @@ def _acc(slot: Slot | None, g: np.ndarray, fresh: bool, tracker) -> None:
         slot.grad = g if fresh else g.copy()
         if tracker is not None:
             tracker.note(slot.grad, "grads")
+    else:
+        slot.grad += g
+
+
+def _hand_over(slot: Slot | None, g: np.ndarray) -> None:
+    """Accumulate a rule's incoming gradient ``g`` into ``slot``, adopting it
+    when the slot is empty.
+
+    ``g`` was noted when it was created and the tape drops it once the rule
+    returns, so it is neither copied nor noted again. The rule must read
+    ``g`` for nothing else after this call.
+    """
+    if slot is None:
+        return
+    if slot.grad is None:
+        slot.grad = g
     else:
         slot.grad += g
 
@@ -122,6 +138,12 @@ class Tape:
     ``record=False`` the tape keeps no backward closures, so a forward-only
     pass frees each activation once nothing downstream reads it; such a tape
     cannot run :meth:`backward`.
+
+    A backward rule owns its incoming gradient: :meth:`backward` drops it
+    as soon as the rule returns, so the rule may overwrite it in place or
+    hand it to one input's slot instead of copying it. It must then read it
+    for nothing else, and an input that needs its own copy is served first.
+    A record whose output has no gradient slot is not kept.
     """
 
     def __init__(self, tracker=None, probe: dict | None = None, record: bool = True):
@@ -138,12 +160,12 @@ class Tape:
         if self.tracker is not None:
             self.tracker.note(arr, tag)
 
-    def _out(self, value: np.ndarray) -> Var:
+    def _out(self, value: np.ndarray, needs_grad: bool = True) -> Var:
         self.note(value, "acts")
-        return Var(value, Slot())
+        return Var(value, Slot() if needs_grad else None)
 
-    def _push(self, out_slot: Slot, fn) -> None:
-        if self.record:
+    def _push(self, out_slot: Slot | None, fn) -> None:
+        if self.record and out_slot is not None:
             self._nodes.append((out_slot, fn))
 
     def probe_min(self, key: str, value: float) -> None:
@@ -220,9 +242,9 @@ class Tape:
         a_slot, b_slot, tr = a.slot, b.slot, self.tracker
 
         def bw(g):
-            _acc(a_slot, g, False, tr)
             if b_slot is not None:
                 _acc(b_slot, g.sum(axis=0, keepdims=True) if broadcast else g, broadcast, tr)
+            _hand_over(a_slot, g)
 
         self._push(out.slot, bw)
         return out
@@ -233,12 +255,13 @@ class Tape:
             self.probe_min("relu_margin", float(np.min(np.abs(av))))
         h = np.maximum(av, 0.0)
         out = self._out(h)
-        a_slot, tr = a.slot, self.tracker
+        a_slot = a.slot
         saved = h if a_slot is not None else None
 
         def bw(g):
             if a_slot is not None:
-                _acc(a_slot, g * (saved > 0.0), True, tr)
+                np.multiply(g, saved > 0.0, out=g)
+                _hand_over(a_slot, g)
 
         self._push(out.slot, bw)
         return out
@@ -252,24 +275,6 @@ class Tape:
         def bw(g):
             if a_slot is not None:
                 _acc(a_slot, g * (1.0 - saved * saved), True, tr)
-
-        self._push(out.slot, bw)
-        return out
-
-    def scale_rows(self, a: Var, v: Var) -> Var:
-        av, vv = a.value, v.value
-        if av.ndim != 2 or vv.shape != (av.shape[0],):
-            raise ValueError(f"scale_rows shape mismatch: {av.shape} vs {vv.shape}")
-        out = self._out(av * vv[:, None])
-        a_slot, v_slot, tr = a.slot, v.slot, self.tracker
-        a_saved = av if v_slot is not None else None
-        v_saved = vv if a_slot is not None else None
-
-        def bw(g):
-            if a_slot is not None:
-                _acc(a_slot, g * v_saved[:, None], True, tr)
-            if v_slot is not None:
-                _acc(v_slot, (g * a_saved).sum(axis=1), True, tr)
 
         self._push(out.slot, bw)
         return out
@@ -338,32 +343,51 @@ class Tape:
         tr = self.tracker
 
         def bw(g):
-            for slot in slots:
+            for slot in slots[:-1]:
                 _acc(slot, g, False, tr)
+            _hand_over(slots[-1], g)
 
         self._push(out.slot, bw)
         return out
 
-    def gather_rows(self, a: Var, idx) -> Var:
-        av = a.value
+    def gate_rows(self, x: Var, gate: Var, idx) -> Var:
+        """Rows ``idx`` of ``x``, each scaled by its gate: ``x[idx] * gate[idx, None]``.
+
+        ``idx`` must be strictly increasing. Only the kept rows are ever
+        materialised; the record saves ``x`` and ``gate``, which their
+        producers hold anyway, and backward scatters into the kept rows.
+        """
+        xv, gv = x.value, gate.value
         idx = np.asarray(idx, dtype=np.int64)
-        if av.ndim != 2 or idx.ndim != 1:
-            raise ValueError("gather_rows needs a 2-D input and 1-D indices")
-        if idx.size and (idx.min() < 0 or idx.max() >= av.shape[0]):
-            raise ValueError("gather index out of range")
-        out = self._out(av[idx])
-        a_slot, tr = a.slot, self.tracker
-        shape = av.shape
-        distinct = bool(idx.size == 0 or np.all(np.diff(idx) > 0))
+        if xv.ndim != 2 or gv.shape != (xv.shape[0],) or idx.ndim != 1:
+            raise ValueError(
+                f"gate_rows needs a 2-D input, one gate per row and 1-D indices, "
+                f"got {xv.shape}, {gv.shape}, {idx.shape}"
+            )
+        if idx.size and (idx[0] < 0 or idx[-1] >= xv.shape[0] or np.any(np.diff(idx) <= 0)):
+            raise ValueError(
+                f"gate_rows indices must be strictly increasing in [0, {xv.shape[0]})"
+            )
+        value = xv[idx]
+        value *= gv[idx, None]
+        out = self._out(value)
+        x_slot, g_slot, tr = x.slot, gate.slot, self.tracker
+        x_saved = xv if g_slot is not None else None
+        g_saved = gv if x_slot is not None else None
+        shape = xv.shape
 
         def bw(g):
-            if a_slot is not None:
-                z = np.zeros(shape)
-                if distinct:
-                    z[idx] = g
-                else:
-                    np.add.at(z, idx, g)
-                _acc(a_slot, z, True, tr)
+            if g_slot is not None:
+                rows = x_saved[idx]
+                rows *= g
+                d_gate = np.zeros(shape[0])
+                d_gate[idx] = rows.sum(axis=1)
+                _acc(g_slot, d_gate, True, tr)
+            if x_slot is not None:
+                g *= g_saved[idx, None]
+                d_x = np.zeros(shape)
+                d_x[idx] = g
+                _acc(x_slot, d_x, True, tr)
 
         self._push(out.slot, bw)
         return out
@@ -441,14 +465,17 @@ class Tape:
         return out
 
     def spmm_mean(self, graph: _graphs.SparseGraph, x: Var) -> Var:
-        out = self._out(_graphs.spmm_mean(graph, x.value))
+        """Mean over each node and its neighbours; the output needs a gradient
+        only when ``x`` does."""
         x_slot, tr = x.slot, self.tracker
+        out = self._out(_graphs.spmm_mean(graph, x.value), x_slot is not None)
         inv_deg = 1.0 / (graph.degrees + 1) if x_slot is not None else None
 
         def bw(g):
-            if x_slot is not None:
-                scaled = g * inv_deg[:, None]
-                _acc(x_slot, _graphs.neighbor_sum(graph, scaled) + scaled, True, tr)
+            g *= inv_deg[:, None]
+            d = _graphs.neighbor_sum(graph, g)
+            d += g
+            _acc(x_slot, d, True, tr)
 
         self._push(out.slot, bw)
         return out

@@ -206,8 +206,10 @@ def spmm_mean(graph: SparseGraph, x: np.ndarray) -> np.ndarray:
     Row i of the result is the mean of feature rows over {i} and i's
     neighbors. Runs in O(|E|*F + N*F); no dense adjacency is formed.
     """
-    summed = neighbor_sum(graph, x) + x
-    return summed / (graph.degrees + 1)[:, None]
+    summed = neighbor_sum(graph, x)
+    summed += x
+    summed /= (graph.degrees + 1)[:, None]
+    return summed
 
 
 def degree_onehot(graph: SparseGraph, max_degree: int) -> np.ndarray:
@@ -218,6 +220,21 @@ def degree_onehot(graph: SparseGraph, max_degree: int) -> np.ndarray:
     out = np.zeros((graph.num_nodes, max_degree + 1))
     out[np.arange(graph.num_nodes), cols] = 1.0
     return out
+
+
+def _distinct_draws(rng: np.random.Generator, max_m: int, m: int) -> np.ndarray:
+    """The first ``m`` distinct values of uniform draws from [0, max_m).
+
+    Draws come in rounds of twice the shortfall plus 8; each round adds its
+    new values in order of first occurrence until ``m`` are held.
+    """
+    chosen = np.empty(0, dtype=np.int64)
+    while chosen.size < m:
+        draw = rng.integers(0, max_m, size=2 * (m - chosen.size) + 8)
+        values, first = np.unique(draw, return_index=True)
+        fresh = np.sort(first[~np.isin(values, chosen, assume_unique=True)])
+        chosen = np.concatenate([chosen, draw[fresh[: m - chosen.size]]])
+    return chosen
 
 
 def erdos_renyi(n: int, m: int, seed: int) -> SparseGraph:
@@ -238,14 +255,7 @@ def erdos_renyi(n: int, m: int, seed: int) -> SparseGraph:
         pick = rng.choice(max_m, size=m, replace=False)
         pairs = np.stack([iu[pick], ju[pick]], axis=1)
         return from_edge_list(n, pairs)
-    chosen: set[int] = set()
-    while len(chosen) < m:
-        draw = rng.integers(0, max_m, size=2 * (m - len(chosen)) + 8)
-        for code in draw:
-            chosen.add(int(code))
-            if len(chosen) == m:
-                break
-    codes = np.sort(np.fromiter(chosen, dtype=np.int64, count=m))
+    codes = np.sort(_distinct_draws(rng, max_m, m))
     # Decode linear upper-triangle index: row i starts at i*(2n - i - 1)/2
     # and holds n - i - 1 entries. The float sqrt can land one row off at
     # boundaries, so correct in both directions.

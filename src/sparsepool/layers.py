@@ -180,20 +180,25 @@ def mpconv_forward(
 ) -> Var:
     """ReLU(mean_aggregate(X) @ theta + X @ theta_skip).
 
-    ``segments`` (per-graph node counts of a block-diagonal batch) keeps the
-    products bit-identical with per-graph runs.
+    The aggregation is linear, so it runs on the narrower side of theta.
+    With ``in_dim >= out_dim`` the block computes mean_aggregate(X @ theta)
+    and its records save only X, which the skip product saves anyway. With
+    ``in_dim < out_dim`` it computes mean_aggregate(X) @ theta, aggregating
+    fewer columns, and also saves mean_aggregate(X) for the gradient of
+    theta. Either way the ReLU output is saved. ``segments`` (per-graph node
+    counts of a block-diagonal batch) keeps the products bit-identical with
+    per-graph runs.
     """
     if x.value.shape[1] != layer.in_dim:
         raise ValueError(
             f"feature dim {x.value.shape[1]} does not match layer input dim {layer.in_dim}"
         )
-    agg = tape.spmm_mean(graph, x)
-    return tape.relu(
-        tape.add(
-            tape.matmul(agg, tape.param(layer.theta), segments),
-            tape.matmul(x, tape.param(layer.theta_skip), segments),
-        )
-    )
+    theta = tape.param(layer.theta)
+    if layer.in_dim >= layer.out_dim:
+        conv = tape.spmm_mean(graph, tape.matmul(x, theta, segments))
+    else:
+        conv = tape.matmul(tape.spmm_mean(graph, x), theta, segments)
+    return tape.relu(tape.add(conv, tape.matmul(x, tape.param(layer.theta_skip), segments)))
 
 
 def _select_topk(scores: np.ndarray, counts, ratio: float, probe: dict | None):
@@ -230,9 +235,8 @@ def _topk_pool_segments(tape, graph, x, layer, counts):
     raw = tape.vecdot(x, tape.param(layer.p_vec), counts)
     scores = tape.div_by_norm(raw, tape.param(layer.p_vec))
     gate = tape.tanh_elem(scores)
-    gated = tape.scale_rows(x, gate)
     idx, new_counts = _select_topk(scores.value, counts, layer.ratio, tape.probe)
-    pooled_x = tape.gather_rows(gated, idx)
+    pooled_x = tape.gate_rows(x, gate, idx)
     sub = induced_subgraph(graph, idx)
     tape.note(sub.row_offsets, "graph/csr")
     tape.note(sub.col_indices, "graph/csr")
@@ -244,7 +248,9 @@ def topk_pool(tape: Tape, graph: SparseGraph, x: Var, layer: TopKPoolLayer):
 
     Scores are X p / ||p||; kept rows are gated by tanh(score) so the
     projection vector receives gradient. Gradient flows into retained rows
-    of X only.
+    of X only. Only the kept rows are gated, so no full-size gated copy of X
+    is made. The records save X, which the ReLU that produced it saves
+    anyway, and the raw and tanh scores (N-vectors); X' is not saved.
     """
     if graph.num_nodes == 0:
         raise ValueError("cannot pool an empty graph")

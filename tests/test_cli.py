@@ -1,12 +1,14 @@
 """End-to-end command-line tests on the fixture corpora."""
 from __future__ import annotations
 
+import argparse
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from sparsepool.cli import main
+from sparsepool.cli import _budget, _sizes, main
 from sparsepool.engine import Parameter, save_parameters
 
 
@@ -160,6 +162,60 @@ class TestBenchMem:
     def test_negative_seed_exits_2(self, capsys):
         assert main(["bench-mem", "--sizes", "50,100", "--seed", "-1"]) == 2
         assert "error: argument --seed: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["inf", "1e400GiB", "-5", "nan", "lots", "GiB", ""])
+    def test_bad_budget_exits_2(self, budget, tmp_path, capsys):
+        out = tmp_path / "mem"
+        argv = ["bench-mem", "--sizes", "50,100", "--budget", budget, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: argument --budget: must be a finite byte count >= 0" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("sizes", ["50,abc", "0,100", "50,-5", ",", "1.5,3"])
+    def test_bad_size_token_exits_2(self, sizes, tmp_path, capsys):
+        out = tmp_path / "mem"
+        assert main(["bench-mem", "--sizes", sizes, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: argument --sizes: must be comma-separated integers >= 1" in err
+        assert "Traceback" not in err and not out.exists()
+
+
+_UNIT_SCALES = {"": 1, "B": 1, "kb": 10**3, "MB": 10**6, "GB": 10**9,
+                "KiB": 2**10, "mib": 2**20, "GiB": 2**30}
+
+
+class TestBenchMemFlagTypes:
+    """The --budget and --sizes parsers, called directly: no sweep runs."""
+
+    @given(st.one_of(
+        st.text(max_size=16),
+        st.from_regex(r"\s*[-+]?[0-9.eE]{0,6}(inf|nan)?\s*([kKmMgG][iI]?)?[bB]?", fullmatch=True),
+    ))
+    def test_budget_is_a_byte_count_or_a_usage_error(self, text):
+        try:
+            value = _budget(text)
+        except argparse.ArgumentTypeError as exc:
+            assert "must be a finite byte count >= 0" in str(exc)
+            return
+        assert isinstance(value, int) and value >= 0
+
+    @given(st.integers(0, 2**20), st.sampled_from(sorted(_UNIT_SCALES)))
+    def test_budget_round_trips_units(self, count, unit):
+        assert _budget(f"{count}{unit}") == count * _UNIT_SCALES[unit]
+
+    @given(st.one_of(st.text(max_size=16), st.from_regex(r"[-+0-9, ]{0,12}", fullmatch=True)))
+    def test_sizes_are_positive_counts_or_a_usage_error(self, text):
+        try:
+            sizes = _sizes(text)
+        except argparse.ArgumentTypeError as exc:
+            assert "must be comma-separated integers >= 1" in str(exc)
+            return
+        assert sizes and all(isinstance(n, int) and n >= 1 for n in sizes)
+
+    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=6))
+    def test_sizes_round_trip(self, sizes):
+        assert _sizes(", ".join(map(str, sizes))) == sizes
 
 
 class TestExportSummaries:

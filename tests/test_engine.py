@@ -96,15 +96,16 @@ class TestPrimitiveGradients:
             lambda t, v: t.softmax_xent(t.tanh_elem(v), [2]), self.weights(1, 4)
         )
 
-    def test_scale_rows_both_inputs(self):
+    def test_gate_rows_both_inputs(self):
         gate = self.weights(3)
+        every_row = np.arange(3)
         check_primitive(
-            lambda t, v: t.softmax_xent(t.scale_rows(v, t.leaf(gate)), [1, 0, 1]),
+            lambda t, v: t.softmax_xent(t.gate_rows(v, t.leaf(gate), every_row), [1, 0, 1]),
             self.weights(3, 2),
         )
         feats = self.weights(3, 2)
         check_primitive(
-            lambda t, v: t.softmax_xent(t.scale_rows(t.leaf(feats), v), [1, 0, 1]),
+            lambda t, v: t.softmax_xent(t.gate_rows(t.leaf(feats), v, every_row), [1, 0, 1]),
             self.weights(3),
         )
 
@@ -158,34 +159,66 @@ class TestPrimitiveGradients:
             self.weights(2, 3),
         )
 
-    def test_gather_rows_scatter(self):
+    def test_gate_rows_scatter(self):
+        gate = self.weights(4)
         check_primitive(
-            lambda t, v: t.softmax_xent(t.gather_rows(v, np.array([2, 0])), [1, 0]),
-            self.weights(3, 2),
+            lambda t, v: t.softmax_xent(t.gate_rows(v, t.leaf(gate), [0, 2]), [1, 0]),
+            self.weights(4, 2),
+        )
+        feats = self.weights(4, 2)
+        check_primitive(
+            lambda t, v: t.softmax_xent(t.gate_rows(t.leaf(feats), v, [1, 3]), [1, 0]),
+            self.weights(4),
         )
 
-    def test_gather_rows_duplicate_indices_accumulate(self):
-        check_primitive(
-            lambda t, v: t.softmax_xent(t.gather_rows(v, np.array([1, 1, 0])), [1, 0, 1]),
-            self.weights(3, 2),
-        )
-
-    def test_gather_rows_backward_scatters_to_sources(self):
+    def test_gate_rows_backward_scatters_to_kept_rows(self):
         tape = Tape()
         v = tape.leaf(np.array([[0.3, 0.4], [0.5, -0.2], [0.7, 0.1]]), needs_grad=True)
-        out = tape.gather_rows(v, np.array([2, 0]))
-        loss = tape.softmax_xent(out, [1, 0])
-        tape.backward(loss)
-        grad = v.slot.grad
-        assert np.all(grad[1] == 0.0)  # unselected row gets zeros
-        assert np.any(grad[0] != 0.0) and np.any(grad[2] != 0.0)
+        gate = tape.leaf(np.array([0.9, -0.6, 0.4]), needs_grad=True)
+        out = tape.gate_rows(v, gate, np.array([0, 2]))
+        tape.backward(tape.softmax_xent(out, [1, 0]))
+        assert np.all(v.slot.grad[1] == 0.0) and gate.slot.grad[1] == 0.0  # dropped row
+        assert np.any(v.slot.grad[0] != 0.0) and np.any(v.slot.grad[2] != 0.0)
+        assert gate.slot.grad[0] != 0.0 and gate.slot.grad[2] != 0.0
+
+    def test_gate_rows_matches_dense_oracle(self):
+        x = self.rng.standard_normal((6, 3))
+        gate = np.tanh(self.rng.standard_normal(6))
+        idx = np.array([1, 2, 4])
+        labels = [2, 0, 1]
+        tape = Tape()
+        xv = tape.leaf(x, needs_grad=True)
+        gv = tape.leaf(gate, needs_grad=True)
+        out = tape.gate_rows(xv, gv, idx)
+        assert np.array_equal(out.value, (x * gate[:, None])[idx])
+        tape.backward(tape.softmax_xent(out, labels))
+        # dense oracle: out = S diag(gate) X with the 0/1 row selector S
+        select = np.eye(6)[idx]
+        logits = select @ np.diag(gate) @ x
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        upstream = (probs - np.eye(3)[labels]) / len(labels)
+        back = select.T @ upstream
+        assert np.allclose(xv.slot.grad, np.diag(gate) @ back, rtol=0.0, atol=1e-14)
+        assert np.allclose(gv.slot.grad, (back * x).sum(axis=1), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "idx", [[2, 0], [1, 1], [0, 1, 1], [0, 3], [-1, 0], [3]],
+        ids=["unsorted", "duplicate", "trailing_duplicate", "past_end", "negative", "only_past_end"],
+    )
+    def test_gate_rows_rejects_bad_indices(self, idx):
+        tape = Tape()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            tape.gate_rows(tape.leaf(np.ones((3, 2))), tape.leaf(np.ones(3)), idx)
 
     def test_vecdot(self):
         p = self.weights(3)
         check_primitive(
             lambda t, v: t.softmax_xent(
-                t.sum_tensors([t.segment_readout(t.scale_rows(v, t.vecdot(v, t.leaf(p))), [4]),
-                               t.segment_readout(v, [4])]),
+                t.sum_tensors([
+                    t.segment_readout(t.gate_rows(v, t.vecdot(v, t.leaf(p)), np.arange(4)), [4]),
+                    t.segment_readout(v, [4]),
+                ]),
                 [1],
             ),
             self.weights(4, 3),
@@ -196,7 +229,7 @@ class TestPrimitiveGradients:
 
         def build(t, p):
             scores = t.div_by_norm(t.vecdot(t.leaf(x), p), p)
-            gated = t.scale_rows(t.leaf(x), t.tanh_elem(scores))
+            gated = t.gate_rows(t.leaf(x), t.tanh_elem(scores), np.arange(5))
             return t.softmax_xent(t.segment_readout(gated, [5]), [2])
 
         check_primitive(build, self.weights(3))
@@ -206,7 +239,7 @@ class TestPrimitiveGradients:
 
         def build(t, v):
             scores = t.div_by_norm(t.vecdot(v, t.leaf(p)), t.leaf(p))
-            gated = t.scale_rows(v, t.tanh_elem(scores))
+            gated = t.gate_rows(v, t.tanh_elem(scores), np.arange(3))
             return t.softmax_xent(t.segment_readout(gated, [3]), [1])
 
         check_primitive(build, self.weights(3, 4))
@@ -250,7 +283,7 @@ class TestPrimitiveGradients:
         with pytest.raises(ValueError):
             tape.add(a, tape.leaf(np.zeros((3, 3))))
         with pytest.raises(ValueError):
-            tape.scale_rows(a, tape.leaf(np.zeros(4)))
+            tape.gate_rows(a, tape.leaf(np.zeros(4)), [0])
         with pytest.raises(ValueError):
             tape.vecdot(a, tape.leaf(np.zeros(4)))
 
@@ -259,6 +292,52 @@ class TestPrimitiveGradients:
             return t.softmax_xent(t.add(t.add(v, v), v), [1])
 
         check_primitive(build, self.weights(1, 3))
+
+
+class TestGradientHandOver:
+    """Backward rules overwrite or adopt their incoming gradient; an input
+    that is also read elsewhere must still get the exact sum. ``add(v, v)``
+    is covered by ``test_multiple_consumers_accumulate``."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(5)
+        self.x = rng.uniform(0.2, 1.0, size=(4, 3)) * rng.choice([-1, 1], size=(4, 3))
+        self.w = rng.uniform(-1.0, 1.0, size=(3, 3))
+        self.graph = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+
+    def test_sum_tensors_of_one_input_twice_and_another(self):
+        def build(t, v):
+            return t.softmax_xent(t.sum_tensors([v, v, t.matmul(v, t.leaf(self.w))]), [1, 0, 2, 1])
+
+        check_primitive(build, self.x)
+
+    def test_relu_output_consumed_twice(self):
+        def build(t, v):
+            h = t.relu(v)
+            return t.softmax_xent(t.add(t.matmul(h, t.leaf(self.w)), t.add(h, h)), [1, 0, 2, 1])
+
+        check_primitive(build, self.x)
+
+    def test_spmm_mean_input_also_read_by_the_skip_product(self):
+        def build(t, v):
+            agg = t.matmul(t.spmm_mean(self.graph, v), t.leaf(self.w))
+            return t.softmax_xent(t.add(agg, t.matmul(v, t.leaf(self.w.T))), [1, 0, 2, 1])
+
+        check_primitive(build, self.x)
+
+    def test_spmm_mean_output_added_to_its_own_input(self):
+        def build(t, v):
+            return t.softmax_xent(t.relu(t.add(t.spmm_mean(self.graph, v), v)), [1, 0, 2, 1])
+
+        check_primitive(build, self.x)
+
+    def test_spmm_mean_of_a_constant_input_has_no_gradient_slot(self):
+        tape = Tape()
+        agg = tape.spmm_mean(self.graph, tape.leaf(self.x))
+        assert agg.slot is None
+        theta = tape.leaf(self.w, needs_grad=True)
+        tape.backward(tape.softmax_xent(tape.matmul(agg, theta), [1, 0, 2, 1]))
+        assert theta.slot.grad.shape == self.w.shape
 
 
 class TestTapeLifecycle:

@@ -1,14 +1,18 @@
 """Graph container and structural-operation tests."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import dense_spmm_oracle, random_graph
+from sparsepool import graphs
 from sparsepool.graphs import (
     LabeledGraph,
     SparseGraph,
+    _distinct_draws,
     _validate_csr,
     batch_graphs,
     degree_onehot,
@@ -189,7 +193,45 @@ class TestDegreeOnehot:
             degree_onehot(path3(), 0)
 
 
+def reference_draws(rng, max_m, m):
+    """The draw loop erdos_renyi used before it was vectorised, kept as the
+    reference: codes enter a set one by one until m are held. Returns the
+    sorted codes and the number of draw rounds."""
+    chosen: set[int] = set()
+    rounds = 0
+    while len(chosen) < m:
+        rounds += 1
+        draw = rng.integers(0, max_m, size=2 * (m - len(chosen)) + 8)
+        for code in draw:
+            chosen.add(int(code))
+            if len(chosen) == m:
+                break
+    return np.sort(np.fromiter(chosen, dtype=np.int64, count=m)), rounds
+
+
 class TestErdosRenyi:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_distinct_draws_match_the_reference_loop(self, seed):
+        most_rounds = 0
+        for max_m in range(1, 40):
+            for m in range(max_m + 1):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected, rounds = reference_draws(theirs, max_m, m)
+                assert np.array_equal(np.sort(_distinct_draws(ours, max_m, m)), expected)
+                assert ours.bit_generator.state == theirs.bit_generator.state  # same RNG calls
+                most_rounds = max(most_rounds, rounds)
+        assert most_rounds > 1
+
+    @given(st.integers(2, 400), st.integers(0, 80_000), st.integers(0, 2**32 - 1))
+    @example(2000, 4000, 0)  # bench-mem's smallest graph
+    def test_graph_matches_the_reference_loop(self, n, m, seed):
+        m %= n * (n - 1) // 2 + 1
+        ours = erdos_renyi(n, m, seed)
+        with mock.patch.object(graphs, "_distinct_draws", lambda *a: reference_draws(*a)[0]):
+            theirs = erdos_renyi(n, m, seed)
+        assert np.array_equal(ours.row_offsets, theirs.row_offsets)
+        assert np.array_equal(ours.col_indices, theirs.col_indices)
+
     def test_exact_edge_count(self):
         g = erdos_renyi(1000, 2000, seed=7)
         assert g.num_edges == 2000

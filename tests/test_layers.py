@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    dense_spmm_oracle,
     dense_topk_oracle,
     model_loss_fn,
     permute_graph,
@@ -79,6 +80,69 @@ class TestMPConv:
         layer = MPConvLayer(Parameter("t", np.zeros((3, 2))), Parameter("s", np.zeros((3, 2))))
         with pytest.raises(ValueError):
             mpconv_forward(tape, from_edge_list(1, []), var(tape, [[1.0]]), layer)
+
+    # (in_dim, out_dim, widths of the N-row activations a block keeps): with
+    # in_dim >= out_dim the aggregation runs after theta and only the ReLU
+    # output is kept; otherwise mean_aggregate(X) is kept for theta's gradient
+    ORDERS = [(2, 5, [5, 2]), (5, 3, [3]), (4, 4, [4])]
+
+    @staticmethod
+    def conv_case(f_in, f_out):
+        rng = np.random.default_rng(10 * f_in + f_out)
+        graph = random_graph(rng, 6)
+        x = rng.standard_normal((6, f_in))
+        layer = MPConvLayer(
+            Parameter("t", rng.standard_normal((f_in, f_out))),
+            Parameter("s", rng.standard_normal((f_in, f_out))),
+        )
+        return graph, x, layer, rng.integers(f_out, size=6)
+
+    @pytest.mark.parametrize("f_in,f_out,kept", ORDERS)
+    def test_both_orders_match_the_dense_oracle(self, f_in, f_out, kept):
+        graph, x, layer, _ = self.conv_case(f_in, f_out)
+        tape = Tape()
+        out = mpconv_forward(tape, graph, tape.leaf(x), layer)
+        aggregated = dense_spmm_oracle(graph.to_dense(), x)
+        expected = np.maximum(aggregated @ layer.theta.value + x @ layer.theta_skip.value, 0.0)
+        assert np.allclose(out.value, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("f_in,f_out,kept", ORDERS)
+    def test_both_orders_match_finite_differences(self, f_in, f_out, kept):
+        graph, x, layer, labels = self.conv_case(f_in, f_out)
+        probe: dict = {}
+        mpconv_forward(Tape(probe=probe), graph, Tape().leaf(x), layer)
+        assert probe["relu_margin"] > 1e-3  # finite differences cannot cross a kink
+
+        def loss_and_grads(x_value, needs_grad):
+            tape = Tape()
+            xv = tape.leaf(x_value, needs_grad=needs_grad)
+            loss = tape.softmax_xent(mpconv_forward(tape, graph, xv, layer), labels)
+            tape.backward(loss)
+            theta_grad = layer.theta.grad.copy()
+            for p in (layer.theta, layer.theta_skip):
+                p.grad[...] = 0.0
+            return float(loss.value), (xv.slot.grad if needs_grad else None), theta_grad
+
+        def wrt_x(v):
+            value, grad, _ = loss_and_grads(v, True)
+            return value, grad
+
+        def wrt_theta(t):
+            layer.theta.value[...] = t
+            value, _, grad = loss_and_grads(x, False)  # X without a gradient slot
+            return value, grad
+
+        assert finite_diff_check(wrt_x, x.copy()) < 1e-6
+        assert finite_diff_check(wrt_theta, layer.theta.value.copy()) < 1e-6
+
+    @pytest.mark.parametrize("f_in,f_out,kept", ORDERS)
+    def test_records_keep_only_what_backward_reads(self, f_in, f_out, kept):
+        graph, x, layer, _ = self.conv_case(f_in, f_out)
+        tracker = MemoryTracker()
+        tape = Tape(tracker=tracker)
+        out = mpconv_forward(tape, graph, tape.leaf(x, needs_grad=True), layer)
+        assert out.value.shape == (6, f_out)
+        assert tracker.current == 6 * 8 * sum(kept)
 
 
 class TestTopKPool:

@@ -120,6 +120,13 @@ class TestSparse:
         report = measure_sparse(4000)
         assert report.peak_bytes < 0.6 * report.total_allocated_bytes
 
+    def test_activations_at_the_peak_stay_within_six_panels(self):
+        # backward reads each block's input and ReLU output; nothing else of
+        # N x 128 size may be live at the peak
+        n = 4000
+        acts = dict(measure_sparse(n).breakdown)["acts"]
+        assert acts <= 6 * (n * 128 * 8)
+
     def test_breakdown_sums_to_peak(self):
         for report in (measure_sparse(1500), measure_dense_assignment(1500)):
             assert sum(b for _, b in report.breakdown) >= report.peak_bytes
