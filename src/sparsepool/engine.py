@@ -79,11 +79,19 @@ class Parameter:
 def _segmented_matmul(av: np.ndarray, bv: np.ndarray, segments) -> np.ndarray:
     if segments is None:
         return av @ bv
-    bounds = np.concatenate([[0], np.cumsum(np.asarray(segments, dtype=np.int64))])
-    if bounds[-1] != av.shape[0]:
-        raise ValueError(f"segments sum to {bounds[-1]}, expected {av.shape[0]} rows")
+    counts = np.asarray(segments, dtype=np.int64)
+    rows = int(counts.sum())
+    if rows != av.shape[0]:
+        raise ValueError(f"segments sum to {rows}, expected {av.shape[0]} rows")
     shape = (av.shape[0],) if bv.ndim == 1 else (av.shape[0], bv.shape[1])
     value = np.empty(shape)
+    if counts.size and np.all(counts == counts[0]):
+        # equal segments (head rows, a single graph): one stacked product
+        # runs the same gufunc core on each block as the loop below
+        blocks = (counts.size, int(counts[0]))
+        np.matmul(av.reshape(blocks + av.shape[1:]), bv, out=value.reshape(blocks + shape[1:]))
+        return value
+    bounds = np.concatenate([[0], np.cumsum(counts)])
     for start, stop in zip(bounds[:-1], bounds[1:]):
         np.matmul(av[start:stop], bv, out=value[start:stop])
     return value
@@ -121,14 +129,43 @@ def _hand_over(slot: Slot | None, g: np.ndarray) -> None:
         slot.grad += g
 
 
+def _noted(arr: np.ndarray, tracker, tag: str) -> np.ndarray:
+    if tracker is not None:
+        tracker.note(arr, tag)
+    return arr
+
+
+def _mean_aggregate_grad(graph, g: np.ndarray, inv_deg: np.ndarray, tracker) -> np.ndarray:
+    """Gradient through mean aggregation; scales ``g`` in place."""
+    g *= inv_deg[:, None]
+    d = _noted(_graphs.neighbor_sum(graph, g), tracker, "grads")
+    d += g
+    return d
+
+
+# a rank-1 update adds a block of this many elements at a time
+_OUTER_BLOCK = 1 << 16
+
+
+def _add_outer(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """out += outer(u, v), a few rows at a time, so no full-size temporary
+    is made."""
+    step = max(1, _OUTER_BLOCK // max(1, v.size))
+    for start in range(0, u.size, step):
+        out[start : start + step] += u[start : start + step, None] * v
+
+
 class Tape:
     """Record of one forward pass, replayable in reverse for gradients.
 
     Each primitive call appends one record, ``(output slot, backward
-    closure)``. Primitives that see a whole batch (``segment_readout`` and
-    the segmented ``matmul`` and ``vecdot``) take per-graph row counts, so
-    the number of records per pass does not depend on how many graphs a
-    batch holds.
+    closure)``. The primitives are ``mpconv`` (a whole conv block),
+    ``topk_gate`` (a whole pool block: score, select, gate),
+    ``segment_readout``, ``sum_tensors``, ``matmul``, ``add``, ``relu`` and
+    ``softmax_xent``. Those that see a whole batch (``mpconv``,
+    ``topk_gate``, ``segment_readout`` and the segmented ``matmul``) take
+    per-graph row counts, so the number of records per pass does not depend
+    on how many graphs a batch holds.
 
     ``tracker`` (optional) must expose ``note(array, tag)`` and is informed
     of every activation, gradient and CSR buffer the pass allocates.
@@ -266,18 +303,158 @@ class Tape:
         self._push(out.slot, bw)
         return out
 
-    def tanh_elem(self, a: Var) -> Var:
-        t = np.tanh(a.value)
-        out = self._out(t)
-        a_slot, tr = a.slot, self.tracker
-        saved = t if a_slot is not None else None
+    def mpconv(
+        self, graph: _graphs.SparseGraph, x: Var, theta: Var, theta_skip: Var, segments=None
+    ) -> Var:
+        """ReLU(mean_aggregate(X) @ theta + X @ theta_skip) as one record.
+
+        The aggregation is linear, so it runs on the narrower side of theta.
+        With ``F_in >= F_out`` the record computes mean_aggregate(X @ theta)
+        and saves only X, which the skip product reads anyway. With
+        ``F_in < F_out`` it computes mean_aggregate(X) @ theta, aggregating
+        fewer columns, and also saves mean_aggregate(X) for theta's
+        gradient. The skip product is added into the aggregated buffer and
+        the ReLU is applied in place, so the ReLU output is the only other
+        N x F_out array the record saves. ``segments`` works as in
+        :meth:`matmul`.
+
+        Backward masks its own gradient in place, drops the ReLU output as
+        soon as the mask is applied, and writes the theta-path product into
+        the gradient's buffer when theta is square.
+        """
+        xv, tv, sv = x.value, theta.value, theta_skip.value
+        if xv.ndim != 2 or tv.ndim != 2 or sv.shape != tv.shape or xv.shape[1] != tv.shape[0]:
+            raise ValueError(
+                f"mpconv shape mismatch: X {xv.shape}, theta {tv.shape}, theta_skip {sv.shape}"
+            )
+        tr = self.tracker
+        agg_first = tv.shape[0] < tv.shape[1]
+        if agg_first:
+            agg = _noted(_graphs.spmm_mean(graph, xv), tr, "acts")
+            h = _noted(_segmented_matmul(agg, tv, segments), tr, "acts")
+        else:
+            agg = None
+            xt = _noted(_segmented_matmul(xv, tv, segments), tr, "acts")
+            h = _noted(_graphs.spmm_mean(graph, xt), tr, "acts")
+            del xt
+        h += _noted(_segmented_matmul(xv, sv, segments), tr, "acts")
+        if self.probe is not None and h.size:
+            self.probe_min("relu_margin", float(np.min(np.abs(h))))
+        np.maximum(h, 0.0, out=h)
+        x_slot, t_slot, s_slot = x.slot, theta.slot, theta_skip.slot
+        out = Var(h, None if x_slot is None and t_slot is None and s_slot is None else Slot())
+        if not (self.record and out.slot is not None):
+            return out
+        x_saved = xv if (t_slot is not None or s_slot is not None) else None
+        t_saved = tv if x_slot is not None else None
+        s_saved = sv if x_slot is not None else None
+        if t_slot is None:
+            agg = None
+        inv_deg = 1.0 / (graph.degrees + 1)
+        square = tv.shape[0] == tv.shape[1]
 
         def bw(g):
-            if a_slot is not None:
-                _acc(a_slot, g * (1.0 - saved * saved), True, tr)
+            nonlocal h, agg
+            np.multiply(g, h > 0.0, out=g)
+            h = None  # read by nothing else
+            if s_slot is not None:
+                _acc(s_slot, x_saved.T @ g, True, tr)
+            if x_slot is not None:
+                _acc(x_slot, g @ s_saved.T, True, tr)  # x_slot.grad is set from here on
+            if agg_first:
+                if t_slot is not None:
+                    _acc(t_slot, agg.T @ g, True, tr)
+                    agg = None
+                if x_slot is not None:
+                    d_agg = _noted(g @ t_saved.T, tr, "grads")
+                    x_slot.grad += _mean_aggregate_grad(graph, d_agg, inv_deg, tr)
+            elif x_slot is not None or t_slot is not None:
+                d = _mean_aggregate_grad(graph, g, inv_deg, tr)
+                if t_slot is not None:
+                    _acc(t_slot, x_saved.T @ d, True, tr)
+                if x_slot is not None:
+                    if square:
+                        x_slot.grad += np.matmul(d, t_saved.T, out=g)
+                    else:
+                        x_slot.grad += _noted(d @ t_saved.T, tr, "grads")
 
-        self._push(out.slot, bw)
+        self._nodes.append((out.slot, bw))
         return out
+
+    def topk_gate(self, x: Var, p: Var, counts, select):
+        """Score, select and gate rows of ``x`` in one record.
+
+        Each row's score is ``x_i . p / max(||p||, guard)``, computed per
+        segment of ``counts`` as in :meth:`matmul`; while the guard is
+        active the norm is a constant. ``select(scores)`` returns the kept
+        row indices, strictly increasing, and the kept count of each
+        segment. The output is ``x[idx] * tanh(scores[idx])[:, None]``, so
+        ``p`` gets a gradient through the gate. Returns ``(output, idx, kept
+        counts)``.
+
+        Backward works on the kept rows only: it gathers them once, frees
+        the copy before it builds the input gradient and adds the score term
+        as a rank-1 update in place. When no row was dropped the gradient
+        itself becomes the input's.
+        """
+        xv, pv = x.value, p.value
+        if xv.ndim != 2 or pv.shape != (xv.shape[1],):
+            raise ValueError(f"topk_gate shape mismatch: {xv.shape} . {pv.shape}")
+        tr = self.tracker
+        raw = _noted(_segmented_matmul(xv, pv, counts), tr, "acts")
+        raw_norm = float(np.linalg.norm(pv))
+        guarded = raw_norm < _NORM_GUARD
+        norm = _NORM_GUARD if guarded else raw_norm
+        scores = _noted(raw / norm, tr, "acts")
+        gate = _noted(np.tanh(scores), tr, "acts")
+        idx, kept = select(scores)
+        idx = np.asarray(idx, dtype=np.int64)
+        n = xv.shape[0]
+        if idx.ndim != 1 or (
+            idx.size and (idx[0] < 0 or idx[-1] >= n or np.any(np.diff(idx) <= 0))
+        ):
+            raise ValueError(f"topk_gate indices must be strictly increasing in [0, {n})")
+        every = idx.size == n  # then idx is 0..n-1
+        if every:
+            t = gate
+            value = xv * t[:, None]
+        else:
+            t = _noted(gate[idx], tr, "acts")
+            value = xv[idx]
+            value *= t[:, None]
+        x_slot, p_slot = x.slot, p.slot
+        out = self._out(value, x_slot is not None or p_slot is not None)
+        if not (self.record and out.slot is not None):
+            return out, idx, kept
+        r = None  # raw scores of the kept rows, for the norm's gradient
+        if p_slot is not None and not guarded:
+            r = raw if every else _noted(raw[idx], tr, "acts")
+        del raw, scores, gate
+
+        def bw(g):
+            rows = xv if every else _noted(xv[idx], tr, "acts")
+            d_score = np.einsum("ij,ij->i", rows, g)
+            d_score *= 1.0 - t * t
+            d_raw = d_score / norm
+            if p_slot is not None:
+                d_p = d_raw @ rows
+                if not guarded:
+                    d_p -= (float(d_score @ r) / norm**3) * pv
+                _acc(p_slot, d_p, True, tr)
+            del rows
+            if x_slot is None:
+                return
+            g *= t[:, None]
+            _add_outer(g, d_raw, pv)
+            if every:
+                _hand_over(x_slot, g)
+            else:
+                d_x = _noted(np.zeros((n, g.shape[1])), tr, "grads")
+                d_x[idx] = g
+                _hand_over(x_slot, d_x)
+
+        self._nodes.append((out.slot, bw))
+        return out, idx, kept
 
     def segment_readout(self, x: Var, counts) -> Var:
         """Column-wise [mean || max] of each row segment, one row per segment.
@@ -298,24 +475,26 @@ class Tape:
             )
         f = xv.shape[1]
         value = np.empty((counts.size, 2 * f))
+        mean, top = value[:, :f], value[:, f:]
         x_slot, tr = x.slot, self.tracker
         wants_grad = self.record and x_slot is not None
         first = np.empty((counts.size, f), dtype=np.int64) if wants_grad else None
-        start = 0
-        for i, n in enumerate(counts.tolist()):
+        starts = np.cumsum(counts) - counts
+        for i, (start, n) in enumerate(zip(starts.tolist(), counts.tolist())):
             blk = xv[start : start + n]
-            top = blk.max(axis=0)
-            value[i, :f] = blk.mean(axis=0)
-            value[i, f:] = top
+            np.add.reduce(blk, axis=0, out=mean[i])
+            np.maximum.reduce(blk, axis=0, out=top[i])
             if wants_grad:
-                first[i] = start + np.argmax(blk == top, axis=0)
+                first[i] = np.argmax(blk == top[i], axis=0)
             if self.probe is not None and n > 1:
                 second = np.partition(blk, -2, axis=0)[-2]
                 # exact zero-zero ties come from ReLU clamping and are stable
-                live = ~((top == 0.0) & (second == 0.0))
+                live = ~((top[i] == 0.0) & (second == 0.0))
                 if np.any(live):
-                    self.probe_min("rowmax_gap", float(np.min((top - second)[live])))
-            start += n
+                    self.probe_min("rowmax_gap", float(np.min((top[i] - second)[live])))
+        mean /= counts[:, None]  # what blk.mean(axis=0) divides by
+        if wants_grad:
+            first += starts[:, None]
         out = self._out(value)
         cols = np.arange(f)
 
@@ -350,87 +529,6 @@ class Tape:
         self._push(out.slot, bw)
         return out
 
-    def gate_rows(self, x: Var, gate: Var, idx) -> Var:
-        """Rows ``idx`` of ``x``, each scaled by its gate: ``x[idx] * gate[idx, None]``.
-
-        ``idx`` must be strictly increasing. Only the kept rows are ever
-        materialised; the record saves ``x`` and ``gate``, which their
-        producers hold anyway, and backward scatters into the kept rows.
-        """
-        xv, gv = x.value, gate.value
-        idx = np.asarray(idx, dtype=np.int64)
-        if xv.ndim != 2 or gv.shape != (xv.shape[0],) or idx.ndim != 1:
-            raise ValueError(
-                f"gate_rows needs a 2-D input, one gate per row and 1-D indices, "
-                f"got {xv.shape}, {gv.shape}, {idx.shape}"
-            )
-        if idx.size and (idx[0] < 0 or idx[-1] >= xv.shape[0] or np.any(np.diff(idx) <= 0)):
-            raise ValueError(
-                f"gate_rows indices must be strictly increasing in [0, {xv.shape[0]})"
-            )
-        value = xv[idx]
-        value *= gv[idx, None]
-        out = self._out(value)
-        x_slot, g_slot, tr = x.slot, gate.slot, self.tracker
-        x_saved = xv if g_slot is not None else None
-        g_saved = gv if x_slot is not None else None
-        shape = xv.shape
-
-        def bw(g):
-            if g_slot is not None:
-                rows = x_saved[idx]
-                rows *= g
-                d_gate = np.zeros(shape[0])
-                d_gate[idx] = rows.sum(axis=1)
-                _acc(g_slot, d_gate, True, tr)
-            if x_slot is not None:
-                g *= g_saved[idx, None]
-                d_x = np.zeros(shape)
-                d_x[idx] = g
-                _acc(x_slot, d_x, True, tr)
-
-        self._push(out.slot, bw)
-        return out
-
-    def vecdot(self, a: Var, p: Var, segments=None) -> Var:
-        av, pv = a.value, p.value
-        if av.ndim != 2 or pv.shape != (av.shape[1],):
-            raise ValueError(f"vecdot shape mismatch: {av.shape} . {pv.shape}")
-        out = self._out(_segmented_matmul(av, pv, segments))
-        a_slot, p_slot, tr = a.slot, p.slot, self.tracker
-        a_saved = av if p_slot is not None else None
-        p_saved = pv if a_slot is not None else None
-
-        def bw(g):
-            if a_slot is not None:
-                _acc(a_slot, np.outer(g, p_saved), True, tr)
-            if p_slot is not None:
-                _acc(p_slot, g @ a_saved, True, tr)
-
-        self._push(out.slot, bw)
-        return out
-
-    def div_by_norm(self, y: Var, p: Var) -> Var:
-        """y / max(||p||_2, guard); the guard, when active, is a constant."""
-        yv, pv = y.value, p.value
-        raw = float(np.linalg.norm(pv))
-        guarded = raw < _NORM_GUARD
-        norm = _NORM_GUARD if guarded else raw
-        out = self._out(yv / norm)
-        y_slot, p_slot, tr = y.slot, p.slot, self.tracker
-        y_saved = yv if (p_slot is not None and not guarded) else None
-        p_saved = pv if (p_slot is not None and not guarded) else None
-
-        def bw(g):
-            if y_slot is not None:
-                _acc(y_slot, g / norm, True, tr)
-            if p_slot is not None and not guarded:
-                coef = -float(np.vdot(g, y_saved)) / norm**3
-                _acc(p_slot, coef * p_saved, True, tr)
-
-        self._push(out.slot, bw)
-        return out
-
     def softmax_xent(self, logits: Var, labels) -> Var:
         """Mean softmax cross-entropy over rows; scalar output."""
         lv = logits.value
@@ -460,22 +558,6 @@ class Tape:
                 d[rows, labels] -= 1.0
                 d *= float(g) / n
                 _acc(l_slot, d[0] if one_d else d, True, tr)
-
-        self._push(out.slot, bw)
-        return out
-
-    def spmm_mean(self, graph: _graphs.SparseGraph, x: Var) -> Var:
-        """Mean over each node and its neighbours; the output needs a gradient
-        only when ``x`` does."""
-        x_slot, tr = x.slot, self.tracker
-        out = self._out(_graphs.spmm_mean(graph, x.value), x_slot is not None)
-        inv_deg = 1.0 / (graph.degrees + 1) if x_slot is not None else None
-
-        def bw(g):
-            g *= inv_deg[:, None]
-            d = _graphs.neighbor_sum(graph, g)
-            d += g
-            _acc(x_slot, d, True, tr)
 
         self._push(out.slot, bw)
         return out

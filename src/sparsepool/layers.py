@@ -175,30 +175,29 @@ def kept_count(n: int, ratio: float) -> int:
     return max(1, min(n, int(math.ceil(ratio * n - 1e-9))))
 
 
+def _kept_counts(counts: np.ndarray, ratio: float) -> np.ndarray:
+    """:func:`kept_count` of every entry of an int64 array."""
+    return np.clip(np.ceil(ratio * counts - 1e-9), 1, counts).astype(np.int64)
+
+
 def mpconv_forward(
     tape: Tape, graph: SparseGraph, x: Var, layer: MPConvLayer, segments=None
 ) -> Var:
-    """ReLU(mean_aggregate(X) @ theta + X @ theta_skip).
+    """ReLU(mean_aggregate(X) @ theta + X @ theta_skip), one tape record.
 
-    The aggregation is linear, so it runs on the narrower side of theta.
-    With ``in_dim >= out_dim`` the block computes mean_aggregate(X @ theta)
-    and its records save only X, which the skip product saves anyway. With
-    ``in_dim < out_dim`` it computes mean_aggregate(X) @ theta, aggregating
-    fewer columns, and also saves mean_aggregate(X) for the gradient of
-    theta. Either way the ReLU output is saved. ``segments`` (per-graph node
-    counts of a block-diagonal batch) keeps the products bit-identical with
-    per-graph runs.
+    The record (:meth:`Tape.mpconv`) aggregates on the narrower side of
+    theta and saves X, the ReLU output and, when ``in_dim < out_dim``,
+    mean_aggregate(X). ``segments`` (per-graph node counts of a
+    block-diagonal batch) keeps the products bit-identical with per-graph
+    runs.
     """
     if x.value.shape[1] != layer.in_dim:
         raise ValueError(
             f"feature dim {x.value.shape[1]} does not match layer input dim {layer.in_dim}"
         )
-    theta = tape.param(layer.theta)
-    if layer.in_dim >= layer.out_dim:
-        conv = tape.spmm_mean(graph, tape.matmul(x, theta, segments))
-    else:
-        conv = tape.matmul(tape.spmm_mean(graph, x), theta, segments)
-    return tape.relu(tape.add(conv, tape.matmul(x, tape.param(layer.theta_skip), segments)))
+    return tape.mpconv(
+        graph, x, tape.param(layer.theta), tape.param(layer.theta_skip), segments
+    )
 
 
 def _select_topk(scores: np.ndarray, counts, ratio: float, probe: dict | None):
@@ -208,7 +207,9 @@ def _select_topk(scores: np.ndarray, counts, ratio: float, probe: dict | None):
     kept when its rank inside its segment is below that segment's k.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    k = np.array([kept_count(n, ratio) for n in counts.tolist()], dtype=np.int64)
+    k = _kept_counts(counts, ratio)
+    if probe is None and np.array_equal(k, counts):
+        return np.arange(scores.size), k  # every row is kept: nothing to rank
     order = np.lexsort((-scores, np.repeat(np.arange(counts.size), counts)))
     starts = np.cumsum(counts) - counts
     rank = np.arange(scores.size) - np.repeat(starts, counts)
@@ -232,11 +233,12 @@ def _topk_pool_segments(tape, graph, x, layer, counts):
             f"feature dim {x.value.shape[1]} does not match projection length "
             f"{layer.p_vec.value.shape[0]}"
         )
-    raw = tape.vecdot(x, tape.param(layer.p_vec), counts)
-    scores = tape.div_by_norm(raw, tape.param(layer.p_vec))
-    gate = tape.tanh_elem(scores)
-    idx, new_counts = _select_topk(scores.value, counts, layer.ratio, tape.probe)
-    pooled_x = tape.gate_rows(x, gate, idx)
+    pooled_x, idx, new_counts = tape.topk_gate(
+        x,
+        tape.param(layer.p_vec),
+        counts,
+        lambda scores: _select_topk(scores, counts, layer.ratio, tape.probe),
+    )
     sub = induced_subgraph(graph, idx)
     tape.note(sub.row_offsets, "graph/csr")
     tape.note(sub.col_indices, "graph/csr")
@@ -248,9 +250,10 @@ def topk_pool(tape: Tape, graph: SparseGraph, x: Var, layer: TopKPoolLayer):
 
     Scores are X p / ||p||; kept rows are gated by tanh(score) so the
     projection vector receives gradient. Gradient flows into retained rows
-    of X only. Only the kept rows are gated, so no full-size gated copy of X
-    is made. The records save X, which the ReLU that produced it saves
-    anyway, and the raw and tanh scores (N-vectors); X' is not saved.
+    of X only. One record (:meth:`Tape.topk_gate`) gates only the kept
+    rows, so no full-size gated copy of X is made. It saves X, which the
+    conv that produced it saves anyway, and the gates and raw scores of the
+    kept rows; X' is not saved.
     """
     if graph.num_nodes == 0:
         raise ValueError("cannot pool an empty graph")

@@ -16,7 +16,9 @@ from sparsepool.engine import (
     load_parameters,
     save_parameters,
 )
+from sparsepool.engine import _segmented_matmul
 from sparsepool.graphs import from_edge_list
+from sparsepool.layers import _select_topk
 
 PRIMITIVE_TOL = 1e-6
 
@@ -35,13 +37,51 @@ def leaf_fn(build):
     return fn
 
 
-def check_primitive(build, x, tol=PRIMITIVE_TOL):
-    err = finite_diff_check(leaf_fn(build), x)
+def check_primitive(build, x, tol=PRIMITIVE_TOL, h=1e-5):
+    err = finite_diff_check(leaf_fn(build), x, h=h)
     assert err < tol, f"gradient mismatch: {err}"
 
 
+def keep_rows(idx):
+    """A ``topk_gate`` selector that keeps fixed rows, whatever the scores;
+    ``topk_gate`` hands the kept count back unread."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return lambda scores: (idx, np.array([idx.size]))
+
+
+def gated(t, x, p, idx=None, counts=None):
+    """``topk_gate`` output keeping rows ``idx`` (all rows by default)."""
+    n = x.value.shape[0]
+    idx = np.arange(n) if idx is None else idx
+    return t.topk_gate(x, p, [n] if counts is None else counts, keep_rows(idx))[0]
+
+
+def softmax_upstream(logits, labels):
+    """d(mean softmax cross-entropy)/d(logits)."""
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    return (probs - np.eye(logits.shape[1])[labels]) / len(labels)
+
+
+def mean_aggregation_matrix(graph):
+    """Dense D^-1 (A + I), the oracle of mean aggregation."""
+    a_hat = graph.to_dense() + np.eye(graph.num_nodes)
+    return a_hat / a_hat.sum(axis=1, keepdims=True)
+
+
+# (F_in, F_out): aggregate first, theta first with a wide input, square theta
+CONV_ORDERS = [(2, 5), (5, 3), (4, 4)]
+
+
 class TestPrimitiveGradients:
-    """Every primitive's backward matches central finite differences."""
+    """Every primitive's backward matches central finite differences.
+
+    ``topk_gate`` runs the steps of a pool block in one record; the tests
+    named after those steps (``vecdot`` for the segmented scores,
+    ``div_by_norm`` for the norm, ``tanh`` for the gate, ``gate_rows`` for
+    the gathered rows) check it through each of them. ``spmm_mean`` names
+    the aggregation inside ``mpconv``.
+    """
 
     def setup_method(self):
         self.rng = np.random.default_rng(99)
@@ -92,21 +132,124 @@ class TestPrimitiveGradients:
         assert v.slot.grad[0, 1] != 0.0
 
     def test_tanh(self):
+        # scores of magnitude 1.5-3 sit on tanh's flat shoulders
+        x = 3.0 * self.weights(4, 2)
         check_primitive(
-            lambda t, v: t.softmax_xent(t.tanh_elem(v), [2]), self.weights(1, 4)
+            lambda t, v: t.softmax_xent(gated(t, t.leaf(x), v), [1, 0, 1, 0]),
+            np.array([0.9, -0.7]),
         )
 
     def test_gate_rows_both_inputs(self):
-        gate = self.weights(3)
-        every_row = np.arange(3)
+        p = self.weights(2)
         check_primitive(
-            lambda t, v: t.softmax_xent(t.gate_rows(v, t.leaf(gate), every_row), [1, 0, 1]),
+            lambda t, v: t.softmax_xent(gated(t, v, t.leaf(p)), [1, 0, 1]),
             self.weights(3, 2),
         )
         feats = self.weights(3, 2)
         check_primitive(
-            lambda t, v: t.softmax_xent(t.gate_rows(t.leaf(feats), v, every_row), [1, 0, 1]),
-            self.weights(3),
+            lambda t, v: t.softmax_xent(gated(t, t.leaf(feats), v), [1, 0, 1]),
+            self.weights(2),
+        )
+
+    def conv_case(self, f_in, f_out):
+        graph = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+        return graph, self.weights(5, f_in), self.weights(f_in, f_out), self.weights(f_in, f_out)
+
+    def test_mpconv_each_input_in_both_orders(self):
+        for f_in, f_out in CONV_ORDERS:
+            graph, x, theta, skip = self.conv_case(f_in, f_out)
+            labels = np.arange(5) % f_out
+
+            def conv(t, xv, tv, sv):
+                return t.softmax_xent(t.mpconv(graph, xv, tv, sv), labels)
+
+            check_primitive(lambda t, v: conv(t, v, t.leaf(theta), t.leaf(skip)), x.copy())
+            check_primitive(lambda t, v: conv(t, t.leaf(x), v, t.leaf(skip)), theta.copy())
+            check_primitive(lambda t, v: conv(t, t.leaf(x), t.leaf(theta), v), skip.copy())
+
+    def test_mpconv_matches_dense_oracle(self):
+        for f_in, f_out in CONV_ORDERS:
+            graph, x, theta, skip = self.conv_case(f_in, f_out)
+            labels = np.arange(5) % f_out
+            tape = Tape()
+            xv, tv, sv = (tape.leaf(a, needs_grad=True) for a in (x, theta, skip))
+            out = tape.mpconv(graph, xv, tv, sv)
+            mean = mean_aggregation_matrix(graph)
+            pre = mean @ x @ theta + x @ skip
+            assert np.allclose(out.value, np.maximum(pre, 0.0), rtol=0.0, atol=1e-14)
+            tape.backward(tape.softmax_xent(out, labels))
+            up = softmax_upstream(np.maximum(pre, 0.0), labels) * (pre > 0.0)
+            close = dict(rtol=0.0, atol=1e-14)
+            assert np.allclose(sv.slot.grad, x.T @ up, **close)
+            assert np.allclose(tv.slot.grad, (mean @ x).T @ up, **close)
+            assert np.allclose(xv.slot.grad, up @ skip.T + mean.T @ up @ theta.T, **close)
+
+    def test_gate_rows_backward_scatters_to_kept_rows(self):
+        tape = Tape()
+        v = tape.leaf(np.array([[0.3, 0.4], [0.5, -0.2], [0.7, 0.1]]), needs_grad=True)
+        p = tape.leaf(np.array([0.9, -0.6]), needs_grad=True)
+        out, idx, _ = tape.topk_gate(v, p, [3], keep_rows([0, 2]))
+        tape.backward(tape.softmax_xent(out, [1, 0]))
+        assert np.array_equal(idx, [0, 2])
+        assert np.all(v.slot.grad[1] == 0.0) and not np.signbit(v.slot.grad[1]).any()
+        assert np.all(v.slot.grad[[0, 2]] != 0.0)
+        assert np.all(p.slot.grad != 0.0)
+
+    def test_gate_rows_matches_dense_oracle(self):
+        counts = [4, 1, 5]
+        x = self.rng.standard_normal((10, 3))
+        p = self.rng.standard_normal(3)
+        labels = [2, 0, 1, 1, 0, 2]
+        tape = Tape()
+        xv = tape.leaf(x, needs_grad=True)
+        pv = tape.leaf(p, needs_grad=True)
+        out, idx, kept = tape.topk_gate(
+            xv, pv, counts, lambda s: _select_topk(s, counts, 0.5, None)
+        )
+        assert np.array_equal(kept, [2, 1, 3]) and idx.size == len(labels)
+        norm = np.linalg.norm(p)
+        gate = np.tanh(x @ p / norm)
+        assert np.allclose(out.value, (x * gate[:, None])[idx], rtol=0.0, atol=1e-15)
+        tape.backward(tape.softmax_xent(out, labels))
+        # dense oracle: out = S diag(tanh(X p / |p|)) X with the 0/1 row selector S
+        select = np.eye(10)[idx]
+        back = select.T @ softmax_upstream(out.value, labels)
+        d_score = (back * x).sum(axis=1) * (1.0 - gate**2)
+        d_x = gate[:, None] * back + np.outer(d_score, p) / norm
+        d_p = x.T @ d_score / norm - (d_score @ (x @ p)) * p / norm**3
+        assert np.allclose(xv.slot.grad, d_x, rtol=0.0, atol=1e-14)
+        assert np.allclose(pv.slot.grad, d_p, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "idx", [[2, 0], [1, 1], [0, 1, 1], [0, 3], [-1, 0], [3]],
+        ids=["unsorted", "duplicate", "trailing_duplicate", "past_end", "negative", "only_past_end"],
+    )
+    def test_gate_rows_rejects_bad_indices(self, idx):
+        tape = Tape()
+        with pytest.raises(ValueError, match="strictly increasing"):
+            tape.topk_gate(tape.leaf(np.ones((3, 2))), tape.leaf(np.ones(2)), [3], keep_rows(idx))
+
+    def test_vecdot(self):
+        # segmented scores: three graphs, one row dropped from two of them
+        p = self.weights(3)
+        idx = [0, 2, 3, 4, 6]
+        check_primitive(
+            lambda t, v: t.softmax_xent(
+                t.segment_readout(gated(t, v, t.leaf(p), idx, [3, 1, 3]), [2, 1, 2]), [1, 0, 3]
+            ),
+            self.weights(7, 3),
+        )
+
+    def test_gate_rows_scatter(self):
+        p = self.weights(2)
+        check_primitive(
+            lambda t, v: t.softmax_xent(gated(t, v, t.leaf(p), [0, 2]), [1, 0]),
+            self.weights(4, 2),
+        )
+        feats = self.weights(4, 2)
+        check_primitive(
+            lambda t, v: t.softmax_xent(gated(t, t.leaf(feats), v, [1, 3]), [1, 0]),
+            self.weights(2),
         )
 
     def test_segment_readout_single_segment(self):
@@ -159,103 +302,54 @@ class TestPrimitiveGradients:
             self.weights(2, 3),
         )
 
-    def test_gate_rows_scatter(self):
-        gate = self.weights(4)
-        check_primitive(
-            lambda t, v: t.softmax_xent(t.gate_rows(v, t.leaf(gate), [0, 2]), [1, 0]),
-            self.weights(4, 2),
-        )
-        feats = self.weights(4, 2)
-        check_primitive(
-            lambda t, v: t.softmax_xent(t.gate_rows(t.leaf(feats), v, [1, 3]), [1, 0]),
-            self.weights(4),
-        )
-
-    def test_gate_rows_backward_scatters_to_kept_rows(self):
-        tape = Tape()
-        v = tape.leaf(np.array([[0.3, 0.4], [0.5, -0.2], [0.7, 0.1]]), needs_grad=True)
-        gate = tape.leaf(np.array([0.9, -0.6, 0.4]), needs_grad=True)
-        out = tape.gate_rows(v, gate, np.array([0, 2]))
-        tape.backward(tape.softmax_xent(out, [1, 0]))
-        assert np.all(v.slot.grad[1] == 0.0) and gate.slot.grad[1] == 0.0  # dropped row
-        assert np.any(v.slot.grad[0] != 0.0) and np.any(v.slot.grad[2] != 0.0)
-        assert gate.slot.grad[0] != 0.0 and gate.slot.grad[2] != 0.0
-
-    def test_gate_rows_matches_dense_oracle(self):
-        x = self.rng.standard_normal((6, 3))
-        gate = np.tanh(self.rng.standard_normal(6))
-        idx = np.array([1, 2, 4])
-        labels = [2, 0, 1]
-        tape = Tape()
-        xv = tape.leaf(x, needs_grad=True)
-        gv = tape.leaf(gate, needs_grad=True)
-        out = tape.gate_rows(xv, gv, idx)
-        assert np.array_equal(out.value, (x * gate[:, None])[idx])
-        tape.backward(tape.softmax_xent(out, labels))
-        # dense oracle: out = S diag(gate) X with the 0/1 row selector S
-        select = np.eye(6)[idx]
-        logits = select @ np.diag(gate) @ x
-        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        upstream = (probs - np.eye(3)[labels]) / len(labels)
-        back = select.T @ upstream
-        assert np.allclose(xv.slot.grad, np.diag(gate) @ back, rtol=0.0, atol=1e-14)
-        assert np.allclose(gv.slot.grad, (back * x).sum(axis=1), rtol=0.0, atol=1e-14)
-
-    @pytest.mark.parametrize(
-        "idx", [[2, 0], [1, 1], [0, 1, 1], [0, 3], [-1, 0], [3]],
-        ids=["unsorted", "duplicate", "trailing_duplicate", "past_end", "negative", "only_past_end"],
-    )
-    def test_gate_rows_rejects_bad_indices(self, idx):
-        tape = Tape()
-        with pytest.raises(ValueError, match="strictly increasing"):
-            tape.gate_rows(tape.leaf(np.ones((3, 2))), tape.leaf(np.ones(3)), idx)
-
-    def test_vecdot(self):
-        p = self.weights(3)
-        check_primitive(
-            lambda t, v: t.softmax_xent(
-                t.sum_tensors([
-                    t.segment_readout(t.gate_rows(v, t.vecdot(v, t.leaf(p)), np.arange(4)), [4]),
-                    t.segment_readout(v, [4]),
-                ]),
-                [1],
-            ),
-            self.weights(4, 3),
-        )
-
     def test_div_by_norm_wrt_vector(self):
         x = self.weights(5, 3)
-
-        def build(t, p):
-            scores = t.div_by_norm(t.vecdot(t.leaf(x), p), p)
-            gated = t.gate_rows(t.leaf(x), t.tanh_elem(scores), np.arange(5))
-            return t.softmax_xent(t.segment_readout(gated, [5]), [2])
-
-        check_primitive(build, self.weights(3))
+        check_primitive(
+            lambda t, v: t.softmax_xent(t.segment_readout(gated(t, t.leaf(x), v, [0, 1, 3]), [3]), [2]),
+            self.weights(3),
+        )
 
     def test_div_by_norm_wrt_numerator(self):
+        # X feeds the scores, the gated rows and a second consumer
         p = self.weights(4)
 
         def build(t, v):
-            scores = t.div_by_norm(t.vecdot(v, t.leaf(p)), t.leaf(p))
-            gated = t.gate_rows(v, t.tanh_elem(scores), np.arange(3))
-            return t.softmax_xent(t.segment_readout(gated, [3]), [1])
+            return t.softmax_xent(
+                t.sum_tensors([
+                    t.segment_readout(gated(t, v, t.leaf(p), [1, 2]), [2]),
+                    t.segment_readout(v, [3]),
+                ]),
+                [1],
+            )
 
         check_primitive(build, self.weights(3, 4))
 
     def test_div_by_norm_guard_treats_norm_as_constant(self):
+        # |p| < 1e-12: the norm is the guard itself, a constant, for p and
+        # for steps of 1e-17 around it
+        x = self.weights(4, 3)
+        p = 4e-13 * np.array([0.8, -0.5, 0.6])
         tape = Tape()
-        p = tape.leaf(np.zeros(3), needs_grad=True)
-        y = tape.leaf(np.array([1.0, 2.0]), needs_grad=True)
-        out = tape.div_by_norm(y, p)
-        assert np.allclose(out.value, np.array([1.0, 2.0]) / 1e-12)
-
-    def test_spmm_mean(self):
-        g = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        out = gated(tape, tape.leaf(x), tape.leaf(p))
+        assert np.array_equal(out.value, x * np.tanh(x @ p / 1e-12)[:, None])
 
         def build(t, v):
-            return t.softmax_xent(t.segment_readout(t.spmm_mean(g, v), [4]), [1])
+            return t.softmax_xent(gated(t, t.leaf(x), v, [0, 2, 3]), [2, 0, 1])
+
+        check_primitive(build, p.copy(), h=1e-17)
+        check_primitive(
+            lambda t, v: t.softmax_xent(gated(t, v, t.leaf(p), [0, 2, 3]), [2, 0, 1]),
+            x.copy(),
+        )
+
+    def test_spmm_mean(self):
+        # the aggregate-first order: mean_aggregate(X) @ theta
+        g = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        theta, skip = self.weights(3, 5), self.weights(3, 5)
+
+        def build(t, v):
+            h = t.mpconv(g, v, t.leaf(theta), t.leaf(skip))
+            return t.softmax_xent(t.segment_readout(h, [4]), [1])
 
         check_primitive(build, self.weights(4, 3))
 
@@ -283,9 +377,14 @@ class TestPrimitiveGradients:
         with pytest.raises(ValueError):
             tape.add(a, tape.leaf(np.zeros((3, 3))))
         with pytest.raises(ValueError):
-            tape.gate_rows(a, tape.leaf(np.zeros(4)), [0])
+            tape.topk_gate(a, tape.leaf(np.zeros(4)), [2], keep_rows([0]))
+        graph = from_edge_list(2, [(0, 1)])
         with pytest.raises(ValueError):
-            tape.vecdot(a, tape.leaf(np.zeros(4)))
+            tape.mpconv(graph, a, tape.leaf(np.zeros((3, 2))), tape.leaf(np.zeros((3, 3))))
+        with pytest.raises(ValueError):
+            tape.mpconv(graph, a, tape.leaf(np.zeros((2, 2))), tape.leaf(np.zeros((2, 2))))
+        with pytest.raises(ValueError, match="segments sum"):
+            tape.topk_gate(a, tape.leaf(np.ones(3)), [1], keep_rows([0]))
 
     def test_multiple_consumers_accumulate(self):
         def build(t, v):
@@ -318,26 +417,124 @@ class TestGradientHandOver:
 
         check_primitive(build, self.x)
 
-    def test_spmm_mean_input_also_read_by_the_skip_product(self):
-        def build(t, v):
-            agg = t.matmul(t.spmm_mean(self.graph, v), t.leaf(self.w))
-            return t.softmax_xent(t.add(agg, t.matmul(v, t.leaf(self.w.T))), [1, 0, 2, 1])
+    def conv(self, t, v, theta, skip):
+        return t.mpconv(self.graph, v, t.leaf(theta), t.leaf(skip))
 
-        check_primitive(build, self.x)
+    def test_spmm_mean_input_also_read_by_the_skip_product(self):
+        # mpconv reads X in its aggregation and its skip product, in both orders
+        wide = np.hstack([self.w, self.w[:, :2]])
+        for theta, skip in ((self.w, self.w.T), (wide, wide[::-1])):
+            def build(t, v):
+                return t.softmax_xent(self.conv(t, v, theta, skip), [1, 0, 2, 1])
+
+            check_primitive(build, self.x)
 
     def test_spmm_mean_output_added_to_its_own_input(self):
+        # X already has a gradient when the conv record runs, which then adds
+        # its skip term and (square theta) its theta term from the owned buffer
         def build(t, v):
-            return t.softmax_xent(t.relu(t.add(t.spmm_mean(self.graph, v), v)), [1, 0, 2, 1])
+            return t.softmax_xent(t.relu(t.add(self.conv(t, v, self.w, self.w.T), v)), [1, 0, 2, 1])
 
         check_primitive(build, self.x)
 
     def test_spmm_mean_of_a_constant_input_has_no_gradient_slot(self):
         tape = Tape()
-        agg = tape.spmm_mean(self.graph, tape.leaf(self.x))
-        assert agg.slot is None
+        x = tape.leaf(self.x)
+        assert tape.mpconv(self.graph, x, tape.leaf(self.w), tape.leaf(self.w.T)).slot is None
+        assert tape._nodes == []
         theta = tape.leaf(self.w, needs_grad=True)
-        tape.backward(tape.softmax_xent(tape.matmul(agg, theta), [1, 0, 2, 1]))
+        h = tape.mpconv(self.graph, x, theta, tape.leaf(self.w.T))
+        tape.backward(tape.softmax_xent(h, [1, 0, 2, 1]))
+        assert x.slot is None
         assert theta.slot.grad.shape == self.w.shape
+
+    def test_mpconv_output_consumed_twice(self):
+        # a pre-pool readout and the pool both read the conv output
+        p = np.array([0.6, -0.8, 0.3])
+
+        def build(t, v):
+            h = self.conv(t, v, self.w, self.w.T)
+            summary = t.segment_readout(h, [4])
+            pooled = t.segment_readout(gated(t, h, t.leaf(p), [0, 1, 3]), [3])
+            return t.softmax_xent(t.sum_tensors([summary, pooled]), [4])
+
+        check_primitive(build, self.x)
+
+    def test_topk_gate_hands_over_or_adds_its_gradient(self):
+        # every row kept: the gradient is handed over when the input has
+        # none yet and added when another reader ran first; with a dropped
+        # row it is scattered either way
+        p = np.array([0.6, -0.8, 0.3])
+        for idx in (None, [0, 2, 3]):
+            for read_first in (False, True):
+                def build(t, v):
+                    other = t.segment_readout(v, [4]) if read_first else None
+                    pooled = t.segment_readout(gated(t, v, t.leaf(p), idx), [4 if idx is None else 3])
+                    if other is None:
+                        other = t.segment_readout(v, [4])
+                    return t.softmax_xent(t.sum_tensors([other, pooled]), [2])
+
+                check_primitive(build, self.x)
+
+
+def loop_segmented_matmul(a, b, counts):
+    """Reference: one product per row block."""
+    bounds = np.cumsum([0] + list(counts))
+    return np.concatenate([a[lo:hi] @ b for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def loop_readout(x, counts):
+    """Reference: per-segment mean, max and first argmax of the max."""
+    value, first, start = [], [], 0
+    for n in counts:
+        blk = x[start : start + n]
+        top = blk.max(axis=0)
+        value.append(np.concatenate([blk.mean(axis=0), top]))
+        first.append(start + np.argmax(blk == top, axis=0))
+        start += n
+    return np.array(value), np.array(first)
+
+
+class TestBatchedKernels:
+    """Batch-wide kernels equal the per-segment loops they replace, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equal_segments_match_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        groups, rows, inner = (int(v) for v in rng.integers(1, 40, size=3))
+        for width in (1, 2, 3, int(rng.integers(4, 130))):
+            a = rng.standard_normal((groups * rows, inner))
+            b = rng.standard_normal((inner, width))
+            counts = [rows] * groups
+            assert np.array_equal(_segmented_matmul(a, b, counts), loop_segmented_matmul(a, b, counts))
+        vec = rng.standard_normal(inner)
+        assert np.array_equal(_segmented_matmul(a, vec, counts), loop_segmented_matmul(a, vec, counts))
+
+    def test_head_rows_match_the_loop(self):
+        rng = np.random.default_rng(1)
+        for width in (64, 2):
+            a = rng.standard_normal((256, 128))
+            b = rng.standard_normal((128, width))
+            ones = [1] * 256
+            assert np.array_equal(_segmented_matmul(a, b, ones), loop_segmented_matmul(a, b, ones))
+
+    @pytest.mark.parametrize("segments,rows", [(64, 1400), (256, 5000), (1, 16000)])
+    def test_segment_readout_matches_the_loop(self, segments, rows):
+        rng = np.random.default_rng(segments)
+        cuts = np.sort(rng.choice(np.arange(1, rows), size=segments - 1, replace=False))
+        counts = np.diff(np.concatenate([[0], cuts, [rows]])).tolist()
+        x = np.maximum(rng.standard_normal((rows, 16)), 0.0)  # ReLU-style ties at zero
+        tape = Tape()
+        xv = tape.leaf(x, needs_grad=True)
+        out = tape.segment_readout(xv, counts)
+        value, first = loop_readout(x, counts)
+        assert np.array_equal(out.value, value)
+        up = rng.standard_normal(value.shape)
+        ((_, rule),) = tape._nodes
+        rule(up.copy())  # the backward rule, fed a chosen upstream gradient
+        expected = np.repeat(up[:, :16] / np.array(counts)[:, None], counts, axis=0)
+        expected[first, np.arange(16)] += up[:, 16:]
+        assert np.array_equal(xv.slot.grad, expected)
 
 
 class TestTapeLifecycle:

@@ -19,6 +19,7 @@ from sparsepool.layers import (
     HierarchicalModel,
     MPConvLayer,
     TopKPoolLayer,
+    _kept_counts,
     _select_topk,
     aggregate_summaries,
     build_model,
@@ -50,6 +51,13 @@ class TestKeptCount:
     )
     def test_values(self, n, ratio, expected):
         assert kept_count(n, ratio) == expected
+
+    # 0.07 and 0.55 times some n land just above an integer in floats
+    @pytest.mark.parametrize("ratio", [0.05, 1 / 3, 0.5, 0.8, 0.999999, 1.0, 0.07, 0.55])
+    def test_vector_form_matches_kept_count(self, ratio):
+        counts = np.arange(1, 20001, dtype=np.int64)
+        expected = [kept_count(n, ratio) for n in counts.tolist()]
+        assert np.array_equal(_kept_counts(counts, ratio), expected)
 
 
 class TestMPConv:
@@ -206,6 +214,21 @@ class TestTopKPool:
         assert np.array_equal(pooled.value, o_feats)  # bit-exact
         assert np.array_equal(sub.to_dense(), o_adj)
 
+    @pytest.mark.parametrize("p_needs_grad", [True, False])
+    def test_record_keeps_only_what_backward_reads(self, p_needs_grad):
+        # the pooled rows, the gates of the kept rows and, for p's gradient,
+        # their raw scores; no N-row array stays alive
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((9, 5))
+        tracker = MemoryTracker()
+        tape = Tape(tracker=tracker)
+        p = tape.leaf(rng.standard_normal(5), needs_grad=p_needs_grad)
+        out, idx, kept = tape.topk_gate(
+            tape.leaf(x, needs_grad=True), p, [4, 5], lambda s: _select_topk(s, [4, 5], 0.5, None)
+        )
+        assert np.array_equal(kept, [2, 3]) and out.value.shape == (5, 5)
+        assert tracker.current == 8 * (5 * 5 + 5 * (2 if p_needs_grad else 1))
+
     def test_gradient_flows_to_retained_rows_only(self):
         rng = np.random.default_rng(8)
         graph = from_edge_list(4, [(0, 1), (2, 3)])
@@ -260,6 +283,16 @@ class TestSelectTopK:
         assert np.array_equal(kept, ref_kept)
         assert probe == ref_probe
         assert np.array_equal(_select_topk(scores, counts, ratio, None)[0], ref_idx)
+
+    @pytest.mark.parametrize("ratio,counts", [(1.0, [3, 1, 4]), (0.2, [1, 1, 1]), (0.9, [5, 2])])
+    def test_every_row_kept_with_and_without_probe(self, ratio, counts):
+        scores = np.round(np.random.default_rng(0).standard_normal(sum(counts)), 1)
+        probe: dict = {}
+        ref_idx, ref_kept, ref_probe = reference_topk(scores, counts, ratio)
+        for margins in (probe, None):
+            idx, kept = _select_topk(scores, np.array(counts), ratio, margins)
+            assert np.array_equal(idx, ref_idx) and np.array_equal(kept, ref_kept)
+        assert probe == ref_probe
 
 
 class TestReadout:
@@ -373,6 +406,21 @@ class TestModelForward:
             model_forward(tape, batch_graphs(graphs[:size]), model)
             records.append(len(tape._nodes))
         assert records[0] == records[1] == records[2]
+
+    @pytest.mark.parametrize("position", ["post_pool", "pre_pool"])
+    def test_a_training_pass_has_sixteen_records(self, position):
+        # per block one conv, one pool and one readout record; then the sum,
+        # five head records and the loss
+        rng = np.random.default_rng(3)
+        graphs = [
+            LabeledGraph(random_graph(rng, n), rng.standard_normal((n, 3)), n % 2)
+            for n in (5, 9, 7)
+        ]
+        batch = batch_graphs(graphs)
+        model = build_model(3, 4, 2, pool_ratio=0.6, seed=0, readout_position=position)
+        tape = Tape()
+        tape.softmax_xent(model_forward(tape, batch, model), batch.labels)
+        assert len(tape._nodes) == 16
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_nesting_and_exact_pool_sizes(self, seed):
