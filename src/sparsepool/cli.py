@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .datasets import DatasetFormatError, file_checksum, parse_tu_dataset
 from .engine import load_parameters, save_parameters
+from .fileio import atomic_open
 from .layers import build_model, forward_summaries, model_forward
 from .membench import scaling_sweep
 from .training import (
@@ -212,13 +213,19 @@ def _dataset_checksums(data_dir: str, name: str) -> dict[str, str]:
     return sums
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Replace ``path`` whole with ``text``; a failed write leaves the old file."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _write_manifest(out_dir: Path, command: str, entries: dict) -> None:
     lines = [f"command = {command}"]
     for key in sorted(entries):
         lines.append(f"{key} = {entries[key]}")
     lines.append(f"timestamp = {time.strftime('%Y-%m-%dT%H:%M:%S%z')}")
     lines.append(f"version = {__version__}")
-    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 
 def _manifest_entries(args, config: TrainConfig) -> dict:
@@ -252,7 +259,7 @@ def cmd_train(args) -> int:
         f"test_accuracy,{test_acc!r}\n"
         f"final_loss,{losses[-1]!r}\n"
     )
-    (out / "metrics.csv").write_text(metrics, encoding="utf-8")
+    _write_text(out / "metrics.csv", metrics)
     entries = _manifest_entries(args, config)
     entries["resolved.degree_bound"] = bound
     entries["resolved.fold"] = 0
@@ -275,8 +282,8 @@ def cmd_cv(args) -> int:
     result = cross_validate(dataset, config, jobs=args.jobs)
 
     out = _out_dir(args, f"runs/cv_{args.dataset}")
-    (out / "metrics.csv").write_text(format_metrics(result), encoding="utf-8")
-    (out / "report.txt").write_text(format_report(result), encoding="utf-8")
+    _write_text(out / "metrics.csv", format_metrics(result))
+    _write_text(out / "report.txt", format_report(result))
     entries = _manifest_entries(args, config)
     entries["resolved.degree_bounds"] = result.resolved["degree_bounds"]
     entries["jobs"] = args.jobs
@@ -288,7 +295,7 @@ def cmd_cv(args) -> int:
 def cmd_bench_mem(args) -> int:
     result = scaling_sweep(args.sizes, budget_bytes=args.budget, seed=args.seed)
     out = _out_dir(args, "runs/membench")
-    (out / "membench.csv").write_text(result.to_csv(), encoding="utf-8")
+    _write_text(out / "membench.csv", result.to_csv())
     _write_manifest(
         out,
         "bench-mem",
@@ -343,7 +350,7 @@ def cmd_export_summaries(args) -> int:
 
     out = _out_dir(args, f"runs/summaries_{args.dataset}")
     path = out / ("logits.csv" if args.post_head else "summaries.csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for gid, graph, row in zip(ids, graphs, vectors):
             values = ",".join(repr(float(v)) for v in row)
             fh.write(f"{int(gid)},{graph.label},{values}\n")

@@ -15,6 +15,7 @@ import struct
 import numpy as np
 
 from . import graphs as _graphs
+from .fileio import atomic_open
 
 __all__ = [
     "Var",
@@ -153,6 +154,14 @@ def _add_outer(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     step = max(1, _OUTER_BLOCK // max(1, v.size))
     for start in range(0, u.size, step):
         out[start : start + step] += u[start : start + step, None] * v
+
+
+def _add_rows(out: np.ndarray, rows: np.ndarray, index: np.ndarray) -> None:
+    """out += rows[index], a few rows at a time, so no full-size temporary
+    is made."""
+    step = max(1, _OUTER_BLOCK // max(1, rows.shape[1]))
+    for start in range(0, index.size, step):
+        out[start : start + step] += rows[index[start : start + step]]
 
 
 class Tape:
@@ -304,7 +313,13 @@ class Tape:
         return out
 
     def mpconv(
-        self, graph: _graphs.SparseGraph, x: Var, theta: Var, theta_skip: Var, segments=None
+        self,
+        graph: _graphs.SparseGraph,
+        x: Var,
+        theta: Var,
+        theta_skip: Var,
+        segments=None,
+        codes=None,
     ) -> Var:
         """ReLU(mean_aggregate(X) @ theta + X @ theta_skip) as one record.
 
@@ -318,6 +333,14 @@ class Tape:
         N x F_out array the record saves. ``segments`` works as in
         :meth:`matmul`.
 
+        ``codes`` (optional, from :func:`graphs.onehot_codes`) says that
+        row i of X is one-hot with its 1.0 in column ``codes[i]``. Each
+        product ``X @ M`` is then the row gather ``M[codes]``, and
+        mean_aggregate(X) counts neighbor codes. Both are exact, so values,
+        saved arrays and the backward pass equal the dense path byte for
+        byte, for finite theta without -0.0 entries (a dense product turns
+        inf into NaN and may turn a lone -0.0 into +0.0).
+
         Backward masks its own gradient in place, drops the ReLU output as
         soon as the mask is applied, and writes the theta-path product into
         the gradient's buffer when theta is square.
@@ -327,17 +350,23 @@ class Tape:
             raise ValueError(
                 f"mpconv shape mismatch: X {xv.shape}, theta {tv.shape}, theta_skip {sv.shape}"
             )
+        if codes is not None and np.shape(codes) != (xv.shape[0],):
+            raise ValueError(f"mpconv codes of shape {np.shape(codes)} for {xv.shape[0]} rows")
         tr = self.tracker
+
+        def project(m):  # X @ m
+            return _segmented_matmul(xv, m, segments) if codes is None else m[codes]
+
         agg_first = tv.shape[0] < tv.shape[1]
         if agg_first:
-            agg = _noted(_graphs.spmm_mean(graph, xv), tr, "acts")
+            agg = _noted(_graphs.spmm_mean(graph, xv, codes), tr, "acts")
             h = _noted(_segmented_matmul(agg, tv, segments), tr, "acts")
         else:
             agg = None
-            xt = _noted(_segmented_matmul(xv, tv, segments), tr, "acts")
+            xt = _noted(project(tv), tr, "acts")
             h = _noted(_graphs.spmm_mean(graph, xt), tr, "acts")
             del xt
-        h += _noted(_segmented_matmul(xv, sv, segments), tr, "acts")
+        h += _noted(project(sv), tr, "acts")
         if self.probe is not None and h.size:
             self.probe_min("relu_margin", float(np.min(np.abs(h))))
         np.maximum(h, 0.0, out=h)
@@ -499,10 +528,21 @@ class Tape:
         cols = np.arange(f)
 
         def bw(g):
-            if x_slot is not None:
-                d = np.repeat(g[:, :f] / counts[:, None], counts, axis=0)
+            if x_slot is None:
+                return
+            share = g[:, :f] / counts[:, None]  # each row's part of its mean
+            if x_slot.grad is None:
+                d = np.repeat(share, counts, axis=0)
                 d[first, cols] += g[:, f:]
                 _acc(x_slot, d, True, tr)
+                return
+            # add into the gradient in place; the max entries get
+            # grad + (share + max), the bytes of grad += d with d as above
+            grad = x_slot.grad
+            at_max = grad[first, cols]
+            at_max += share + g[:, f:]
+            _add_rows(grad, share, np.repeat(np.arange(counts.size), counts))
+            grad[first, cols] = at_max
 
         self._push(out.slot, bw)
         return out
@@ -622,15 +662,17 @@ def finite_diff_check(fn, x: np.ndarray, h: float = 1e-5) -> float:
 
 _MAGIC = b"SPPOOLP\x01"
 _VERSION = 1
+_MAX_RANK = 64  # the most dimensions numpy 2 holds
 
 
 def save_parameters(params, path) -> None:
     """Flat binary dump: magic, version, count, then per-parameter records.
 
     Each record: u32 name length, UTF-8 name, u32 ndim, u64 dims, then the
-    values as little-endian float64.
+    values as little-endian float64. The file is replaced whole
+    (:func:`fileio.atomic_open`): a failed write leaves the old one intact.
     """
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(params)))
         for p in params:
@@ -646,7 +688,10 @@ def load_parameters(path) -> list[tuple[str, np.ndarray]]:
     """Read a parameter file written by :func:`save_parameters`.
 
     A file that ends early, or runs on past its last record, raises
-    ``ValueError`` naming the path and the byte offset.
+    ``ValueError`` naming the path and the byte offset; so do a bad magic,
+    an unknown version, a name that is not UTF-8, a rank above 64 and a
+    shape numpy cannot hold. Every length is checked against the bytes
+    left before it is read, so a garbage header allocates nothing large.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -670,11 +715,23 @@ def load_parameters(path) -> list[tuple[str, np.ndarray]]:
     out = []
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        raw_name = take(name_len, "name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: the name ending at byte {pos} is not UTF-8") from None
         (ndim,) = struct.unpack("<I", take(4, f"{name!r} rank"))
+        if ndim > _MAX_RANK:
+            raise ValueError(f"{path}: {name!r} has rank {ndim}, more than {_MAX_RANK}")
         shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, f"{name!r} shape"))
         data = np.frombuffer(take(8 * math.prod(shape), f"{name!r} values"), dtype="<f8")
-        out.append((name, data.reshape(shape).astype(np.float64)))
+        try:
+            value = data.reshape(shape)
+        except ValueError as exc:  # too many dimensions, or one too large
+            raise ValueError(
+                f"{path}: {name!r} has a rank-{ndim} shape numpy cannot hold: {exc}"
+            ) from None
+        out.append((name, value.astype(np.float64)))
     if pos != len(blob):
         raise ValueError(f"{path}: {len(blob) - pos} unexpected bytes after byte {pos}")
     return out

@@ -27,7 +27,9 @@ __all__ = [
     "from_edge_list",
     "spmm_mean",
     "neighbor_sum",
+    "neighbor_code_count",
     "degree_onehot",
+    "onehot_codes",
     "erdos_renyi",
     "induced_subgraph",
     "batch_graphs",
@@ -200,16 +202,58 @@ def neighbor_sum(graph: SparseGraph, x: np.ndarray) -> np.ndarray:
     return adj @ x
 
 
-def spmm_mean(graph: SparseGraph, x: np.ndarray) -> np.ndarray:
+def neighbor_code_count(graph: SparseGraph, codes: np.ndarray, width: int) -> np.ndarray:
+    """Row i, column c: how many neighbors of node i carry the code c, as float64.
+
+    This is :func:`neighbor_sum` of the one-hot matrix whose row j holds
+    its 1.0 in column ``codes[j]`` (each code in ``[0, width)``), and it is
+    equal byte for byte: that sum adds only zeros and ones, so every partial
+    sum is an exact whole number. The counts are added straight into the
+    N x width result, one stored edge at a time, in O(|E| + N * width).
+    """
+    n = graph.num_nodes
+    counts = csr_array(
+        (np.ones(graph.col_indices.size), codes[graph.col_indices], graph.row_offsets),
+        shape=(n, width),
+    )
+    return counts.toarray()  # adds up repeated (row, code) entries
+
+
+def spmm_mean(graph: SparseGraph, x: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
     """Mean aggregation with an implicit self-loop.
 
     Row i of the result is the mean of feature rows over {i} and i's
     neighbors. Runs in O(|E|*F + N*F); no dense adjacency is formed.
+    ``codes`` (from :func:`onehot_codes`) says that ``x`` is one-hot; the
+    neighbor sums are then counted (:func:`neighbor_code_count`) in
+    O(|E| + N*F), with the same bytes.
     """
-    summed = neighbor_sum(graph, x)
+    if codes is None:
+        summed = neighbor_sum(graph, x)
+    else:
+        summed = neighbor_code_count(graph, codes, x.shape[1])
     summed += x
-    summed /= (graph.degrees + 1)[:, None]
+    summed /= (graph.degrees + 1.0)[:, None]  # float divisors: no cast inside the loop
     return summed
+
+
+def onehot_codes(x: np.ndarray) -> np.ndarray | None:
+    """Column of each row's 1.0 when every row of ``x`` is one-hot, else None.
+
+    One-hot means every entry is 0.0 or 1.0 with exactly one 1.0 per row,
+    as node labels and degrees are featurized. The first row is checked on
+    its own first, so node attributes and hidden activations cost one row.
+    """
+    if x.shape[0] == 0:
+        return None
+    first = x[0]
+    if np.count_nonzero(first) != 1 or first.max() != 1.0:
+        return None
+    codes = np.argmax(x, axis=1)
+    # a 1.0 at each row's maximum and one nonzero per row leave no other entry
+    if np.count_nonzero(x) != x.shape[0] or not np.all(x[np.arange(x.shape[0]), codes] == 1.0):
+        return None
+    return codes
 
 
 def degree_onehot(graph: SparseGraph, max_degree: int) -> np.ndarray:
@@ -273,7 +317,8 @@ def induced_subgraph(graph: SparseGraph, keep) -> SparseGraph:
     """Subgraph on the given sorted, distinct node indices.
 
     Node u' of the result is keep[u']; an edge (u', v') exists iff
-    (keep[u'], keep[v']) was an edge of the input.
+    (keep[u'], keep[v']) was an edge of the input. When every node is kept
+    the input graph itself is returned.
     """
     keep = np.asarray(keep, dtype=np.int64)
     if keep.ndim != 1:
@@ -283,6 +328,8 @@ def induced_subgraph(graph: SparseGraph, keep) -> SparseGraph:
             raise ValueError("keep index out of range")
         if np.any(np.diff(keep) <= 0):
             raise ValueError("keep must be strictly increasing (sorted, distinct)")
+    if keep.size == graph.num_nodes:
+        return graph  # every node kept: the input is its own induced subgraph
     mask = np.zeros(graph.num_nodes, dtype=bool)
     mask[keep] = True
     remap = np.full(graph.num_nodes, -1, dtype=np.int64)

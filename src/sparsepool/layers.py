@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Parameter, Tape, Var, glorot_init
-from .graphs import GraphBatch, SparseGraph, induced_subgraph
+from .graphs import GraphBatch, SparseGraph, induced_subgraph, onehot_codes
 
 __all__ = [
     "MPConvLayer",
@@ -181,7 +181,7 @@ def _kept_counts(counts: np.ndarray, ratio: float) -> np.ndarray:
 
 
 def mpconv_forward(
-    tape: Tape, graph: SparseGraph, x: Var, layer: MPConvLayer, segments=None
+    tape: Tape, graph: SparseGraph, x: Var, layer: MPConvLayer, segments=None, codes=None
 ) -> Var:
     """ReLU(mean_aggregate(X) @ theta + X @ theta_skip), one tape record.
 
@@ -189,14 +189,16 @@ def mpconv_forward(
     theta and saves X, the ReLU output and, when ``in_dim < out_dim``,
     mean_aggregate(X). ``segments`` (per-graph node counts of a
     block-diagonal batch) keeps the products bit-identical with per-graph
-    runs.
+    runs. ``codes`` (from :func:`graphs.onehot_codes`) marks a one-hot X,
+    whose products become row gathers and whose aggregation counts
+    neighbor codes, with the same bytes.
     """
     if x.value.shape[1] != layer.in_dim:
         raise ValueError(
             f"feature dim {x.value.shape[1]} does not match layer input dim {layer.in_dim}"
         )
     return tape.mpconv(
-        graph, x, tape.param(layer.theta), tape.param(layer.theta_skip), segments
+        graph, x, tape.param(layer.theta), tape.param(layer.theta_skip), segments, codes
     )
 
 
@@ -240,8 +242,9 @@ def _topk_pool_segments(tape, graph, x, layer, counts):
         lambda scores: _select_topk(scores, counts, layer.ratio, tape.probe),
     )
     sub = induced_subgraph(graph, idx)
-    tape.note(sub.row_offsets, "graph/csr")
-    tape.note(sub.col_indices, "graph/csr")
+    if sub is not graph:  # a graph kept whole is already accounted for
+        tape.note(sub.row_offsets, "graph/csr")
+        tape.note(sub.col_indices, "graph/csr")
     return sub, pooled_x, idx, new_counts
 
 
@@ -278,7 +281,12 @@ def aggregate_summaries(tape: Tape, summaries) -> Var:
 
 
 def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -> Var:
-    """Per-graph summary vectors (num_graphs x 2F'), summed over all blocks."""
+    """Per-graph summary vectors (num_graphs x 2F'), summed over all blocks.
+
+    When the input features are one-hot (node labels, degrees), block 0
+    reads them as label codes (:func:`graphs.onehot_codes`); the outputs
+    are the same bytes as on the dense path.
+    """
     if batch.features.shape[1] != model.in_dim:
         raise ValueError(
             f"batch feature dim {batch.features.shape[1]} does not match "
@@ -287,9 +295,11 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
     graph = batch.graph
     counts = np.asarray(batch.node_counts, dtype=np.int64)
     x = tape.leaf(batch.features)
+    codes = onehot_codes(x.value)
     per_block = []
     for conv, pool in model.blocks:
-        h = mpconv_forward(tape, graph, x, conv, counts)
+        h = mpconv_forward(tape, graph, x, conv, counts, codes)
+        codes = None  # hidden features are dense
         if model.readout_position == "pre_pool":
             per_block.append(readout(tape, h, counts))
         graph, x, _, counts = _topk_pool_segments(tape, graph, h, pool, counts)

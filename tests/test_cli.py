@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import FIXTURES
+from sparsepool import cli
 from sparsepool.cli import _budget, _sizes, main
 from sparsepool.engine import Parameter, save_parameters
 
@@ -271,10 +275,76 @@ class TestExportSummaries:
             assert err.startswith(f"error: {cut}: truncated at byte ")
             assert "Traceback" not in err
 
+    def test_a_failed_export_keeps_the_old_file(self, fixtures_dir, tmp_path, trained,
+                                                monkeypatch):
+        # the third row cannot be formatted: the rows before it must not
+        # replace the file an earlier run wrote
+        out = tmp_path / "exp"
+        assert main(["export-summaries", *toy_args(fixtures_dir), "--model", str(trained),
+                     "--out", str(out)]) == 0
+        before = (out / "summaries.csv").read_bytes()
+        real = cli.forward_batches
+
+        def broken(*args, **kwargs):
+            rows = real(*args, **kwargs).astype(object)
+            rows[2, 0] = "not a number"
+            return rows
+
+        monkeypatch.setattr(cli, "forward_batches", broken)
+        assert main(["export-summaries", *toy_args(fixtures_dir), "--model", str(trained),
+                     "--out", str(out)]) == 2
+        assert (out / "summaries.csv").read_bytes() == before
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.txt", "summaries.csv"]
+
     def test_bad_fold_exits_2(self, fixtures_dir, tmp_path, trained, capsys):
         code = main(["export-summaries", *toy_args(fixtures_dir), "--model", str(trained),
                      "--fold", "99", "--out", str(tmp_path / "x")])
         assert code == 2
+
+
+class TestGarbageModelFiles:
+    """``export-summaries --model`` on garbage exits 2 with an error line.
+
+    A byte-flipped valid file may still load (a flipped value is a valid
+    value), so that case may also exit 0; nothing may raise past ``main``.
+    """
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("garbage_train")
+        assert main(["train", *toy_args(FIXTURES), "--out", str(out)]) == 0
+        return (out / "model.params").read_bytes()
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("garbage")
+
+    @given(st.data())
+    def test_garbage_exits_2(self, trained, workdir, data):
+        blob = bytearray(trained)
+        kind = data.draw(st.sampled_from(["flipped", "blob", "magic", "header"]))
+        if kind == "flipped":
+            for _ in range(data.draw(st.integers(1, 3))):
+                blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        elif kind == "blob":
+            blob = data.draw(st.binary(max_size=200))
+        elif kind == "magic":
+            blob[:8] = data.draw(st.binary(min_size=8, max_size=8).filter(
+                lambda m: m != trained[:8]))
+        else:  # a valid magic and version, then an absurd count, name, rank or size
+            at = data.draw(st.sampled_from([12, 16, 20, 24, 28, 36]))
+            blob[at:at + 4] = data.draw(st.sampled_from(
+                [b"\xff\xff\xff\xff", b"\x00\x00\x00\x80", b"\xff\xfe\xfd\xfc", b"\x00" * 4]))
+        model = workdir / "model.params"
+        model.write_bytes(bytes(blob))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["export-summaries", *toy_args(FIXTURES), "--model", str(model),
+                         "--out", str(workdir / "out")])
+        assert "Traceback" not in err.getvalue()
+        if code != 0 or kind != "flipped":
+            assert code == 2, kind
+            assert err.getvalue().startswith("error: ")
 
 
 class TestParser:

@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sparsepool.engine import (
     NonFiniteGradientError,
@@ -16,11 +20,60 @@ from sparsepool.engine import (
     load_parameters,
     save_parameters,
 )
-from sparsepool.engine import _segmented_matmul
+from sparsepool.engine import _MAGIC, _segmented_matmul
 from sparsepool.graphs import from_edge_list
 from sparsepool.layers import _select_topk
 
 PRIMITIVE_TOL = 1e-6
+
+
+def header(count, version=1):
+    return _MAGIC + struct.pack("<II", version, count)
+
+
+def record(name: bytes, dims, data=b""):
+    """One parameter record as ``save_parameters`` lays it out."""
+    return (struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims) + data)
+
+
+VALID_PARAMETER_FILE = (
+    header(2) + record(b"w", (2, 3), b"\x3f" * 48) + record(b"b", (3,), b"\0" * 24)
+)
+
+
+@st.composite
+def garbage_parameter_files(draw):
+    """(kind, bytes): random blobs, byte-flipped valid files, bad magic, and
+    valid headers with absurd counts, ranks, dimensions or non-UTF-8 names."""
+    kind = draw(st.sampled_from(["blob", "flipped", "magic", "header"]))
+    if kind == "blob":
+        return kind, draw(st.binary(max_size=120))
+    if kind == "flipped":
+        blob = bytearray(VALID_PARAMETER_FILE)
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(blob) - 1))
+            blob[at] ^= draw(st.integers(1, 255))
+        return kind, bytes(blob)
+    if kind == "magic":
+        magic = draw(st.binary(min_size=8, max_size=8).filter(lambda m: m != _MAGIC))
+        return kind, magic + VALID_PARAMETER_FILE[8:]
+    u32 = st.one_of(st.integers(0, 4), st.integers(0, 2**32 - 1))
+    u64 = st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1))
+    name = st.one_of(st.binary(max_size=6), st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+    body = b""
+    for _ in range(draw(st.integers(0, 3))):
+        choice = draw(st.integers(0, 2))
+        if choice == 0:  # a name length with no name behind it
+            body += struct.pack("<I", draw(u32))
+            break
+        n = draw(name)
+        if choice == 1:  # a rank with too few dimensions behind it
+            body += struct.pack("<I", len(n)) + n + struct.pack("<I", draw(u32))
+            break
+        dims = draw(st.lists(u64, max_size=4))
+        body += record(n, dims, draw(st.binary(max_size=40)))
+    return kind, header(draw(u32), draw(st.sampled_from([1, 1, 0, 2, 2**32 - 1]))) + body
 
 
 def leaf_fn(build):
@@ -536,6 +589,30 @@ class TestBatchedKernels:
         expected[first, np.arange(16)] += up[:, 16:]
         assert np.array_equal(xv.slot.grad, expected)
 
+    @pytest.mark.parametrize("segments,rows,width", [(64, 1400, 16), (3, 9000, 128), (1, 5, 1)])
+    def test_segment_readout_adds_in_place_with_the_same_bytes(self, segments, rows, width):
+        # an input that already holds a gradient gets its share added in row
+        # blocks; the bytes equal adding the whole N x F contribution at once
+        rng = np.random.default_rng(rows)
+        cuts = np.sort(rng.choice(np.arange(1, rows), size=segments - 1, replace=False))
+        counts = np.diff(np.concatenate([[0], cuts, [rows]])).tolist()
+        x = np.maximum(rng.standard_normal((rows, width)), 0.0)
+        prior = rng.standard_normal((rows, width))
+        tape = Tape()
+        xv = tape.leaf(x, needs_grad=True)
+        value, first = loop_readout(x, counts)
+        tape.segment_readout(xv, counts)
+        xv.slot.grad = held = prior.copy()
+        up = rng.standard_normal(value.shape)
+        ((_, rule),) = tape._nodes
+        rule(up.copy())
+        d = np.repeat(up[:, :width] / np.array(counts)[:, None], counts, axis=0)
+        d[first, np.arange(width)] += up[:, width:]
+        expected = prior.copy()
+        expected += d
+        assert xv.slot.grad is held
+        assert xv.slot.grad.tobytes() == expected.tobytes()
+
 
 class TestTapeLifecycle:
     def test_backward_needs_scalar(self):
@@ -682,3 +759,41 @@ class TestSerialization:
         path.write_bytes(b"not a parameter file")
         with pytest.raises(ValueError, match="magic"):
             load_parameters(path)
+
+    @pytest.mark.parametrize("record,match", [
+        (record(b"\xff\xfe", (1,), b"\0" * 8), "not UTF-8"),
+        (record(b"w", (1,) * 65, b"\0" * 8), "rank 65"),
+        (struct.pack("<I", 1) + b"w" + struct.pack("<I", 2**32 - 1), "rank 4294967295"),
+        (record(b"w", (0, 2**63)), "shape numpy cannot hold"),
+        (record(b"w", (2**64 - 1, 0)), "shape numpy cannot hold"),
+        (struct.pack("<I", 2**32 - 1), "name needs 4294967295 bytes"),
+        (record(b"w", (2**40, 2**40)), "values needs"),
+    ])
+    def test_absurd_headers_name_the_file(self, tmp_path, record, match):
+        path = tmp_path / "absurd.params"
+        path.write_bytes(header(1) + record)
+        with pytest.raises(ValueError, match=match) as info:
+            load_parameters(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @given(garbage_parameter_files())
+    def test_garbage_is_a_value_error(self, case):
+        _, blob = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "garbage.params"
+            path.write_bytes(blob)
+            try:
+                load_parameters(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
+
+    def test_a_failed_save_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "model.params"
+        save_parameters([Parameter("w", np.ones((2, 2)))], path)
+        before = path.read_bytes()
+        bad = Parameter("w", np.ones(2))
+        bad.value = np.array(["not a number"], dtype=object)  # fails after the first record
+        with pytest.raises(ValueError):
+            save_parameters([Parameter("a", np.zeros(3)), bad], path)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.params"]

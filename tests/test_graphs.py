@@ -158,6 +158,18 @@ class TestSpmmMean:
         expected[sigma] = spmm_mean(g, x)
         assert np.allclose(spmm_mean(pg, px), expected, atol=1e-12)
 
+    @given(st.integers(0, 1000), st.integers(1, 5))
+    def test_float_divisors_give_the_int_divisor_bytes(self, seed, width):
+        # numpy casts an int64 divisor to float64 element by element; a
+        # float64 divisor made up front divides by the same values
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, int(rng.integers(1, 20)), edge_prob=rng.uniform(0.0, 0.9))
+        x = rng.standard_normal((g.num_nodes, width)) * 10.0 ** rng.integers(-5, 6)
+        old = neighbor_sum(g, x)
+        old += x
+        old /= (g.degrees + 1)[:, None]
+        assert spmm_mean(g, x).tobytes() == old.tobytes()
+
     @given(st.integers(0, 1000))
     def test_rows_are_convex_combinations(self, seed):
         rng = np.random.default_rng(seed)
@@ -279,6 +291,20 @@ class TestInducedSubgraph:
         sub = induced_subgraph(g, np.arange(15))
         assert np.array_equal(sub.row_offsets, g.row_offsets)
         assert np.array_equal(sub.col_indices, g.col_indices)
+
+    @pytest.mark.parametrize("n", [1, 2, 15])
+    def test_keeping_every_node_returns_the_input(self, n):
+        g = random_graph(np.random.default_rng(n), n)
+        assert induced_subgraph(g, np.arange(n)) is g
+        assert induced_subgraph(g, list(range(n))) is g
+        if n > 1:
+            assert induced_subgraph(g, np.arange(1, n)) is not g
+
+    def test_keeping_every_node_still_checks_the_indices(self):
+        with pytest.raises(ValueError):
+            induced_subgraph(triangle(), [0, 1, 3])
+        with pytest.raises(ValueError):
+            induced_subgraph(triangle(), [0, 2, 1])
 
     def test_path_endpoints_disconnect(self):
         sub = induced_subgraph(path3(), [0, 2])

@@ -393,6 +393,39 @@ class TestModelForward:
         assert peaks[1] < peaks[0]
 
     @pytest.mark.parametrize("position", ["post_pool", "pre_pool"])
+    def test_ratio_one_pools_onto_the_same_graph(self, monkeypatch, position):
+        # every node kept: each level's graph is the input graph itself, its
+        # CSR is noted once, and the logits equal those of rebuilt copies
+        from sparsepool import layers
+        from sparsepool.graphs import SparseGraph, induced_subgraph
+
+        rng = np.random.default_rng(8)
+        batch = batch_graphs([
+            LabeledGraph(random_graph(rng, n), rng.standard_normal((n, 3)), n % 2)
+            for n in (6, 9, 4)
+        ])
+        model = build_model(3, 5, 2, pool_ratio=1.0, seed=2, readout_position=position)
+        subgraphs = []
+
+        def spy(graph, keep):
+            sub = induced_subgraph(graph, keep)
+            subgraphs.append((graph, sub))
+            return sub
+
+        monkeypatch.setattr(layers, "induced_subgraph", spy)
+        tracker = MemoryTracker()
+        logits = model_forward(Tape(tracker=tracker), batch, model).value
+        assert [sub is graph for graph, sub in subgraphs] == [True, True, True]
+        assert "graph/csr" not in dict(tracker.peak_breakdown())
+
+        def rebuilt(graph, keep):
+            return SparseGraph(graph.num_nodes, graph.row_offsets.copy(),
+                               graph.col_indices.copy())
+
+        monkeypatch.setattr(layers, "induced_subgraph", rebuilt)
+        assert model_forward(Tape(), batch, model).value.tobytes() == logits.tobytes()
+
+    @pytest.mark.parametrize("position", ["post_pool", "pre_pool"])
     def test_tape_records_do_not_grow_with_batch_size(self, position):
         rng = np.random.default_rng(6)
         graphs = [

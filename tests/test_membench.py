@@ -141,6 +141,32 @@ class TestSparse:
             tracemalloc.stop()
         assert traced_peak - report.peak_bytes < 0.5 * (n * 128 * 8)
 
+    def test_no_panel_is_added_to_a_gradient_unnoted(self, monkeypatch):
+        # a contribution added into an existing gradient is a temporary the
+        # tracker never sees; none may be N x 128 (segment_readout adds its
+        # share in bounded row blocks instead)
+        from sparsepool import engine
+
+        n = 4000
+        added = []
+        orig = engine._acc
+
+        def spy(slot, g, fresh, tracker):
+            if slot is not None and slot.grad is not None:
+                added.append(g.shape)
+            return orig(slot, g, fresh, tracker)
+
+        monkeypatch.setattr(engine, "_acc", spy)
+        measure_sparse(n)
+        assert (n, 128) not in added
+
+    def test_a_graph_kept_whole_is_noted_once(self):
+        # ratio 1.0 pools every level onto the input graph itself
+        n = 3000
+        report = measure_sparse(n)
+        csr = dict(report.breakdown)["graph/csr"]
+        assert csr == (n + 1) * 8 + 2 * report.edge_count * 8
+
     def test_breakdown_sums_to_peak(self):
         for report in (measure_sparse(1500), measure_dense_assignment(1500)):
             assert sum(b for _, b in report.breakdown) >= report.peak_bytes
