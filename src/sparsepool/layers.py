@@ -229,23 +229,28 @@ def _select_topk(scores: np.ndarray, counts, ratio: float, probe: dict | None):
     return selected, k
 
 
-def _topk_pool_segments(tape, graph, x, layer, counts):
+def _topk_pool_segments(tape, x, layer, counts):
+    """Gated kept rows, their indices and the kept count of each segment."""
     if x.value.shape[1] != layer.p_vec.value.shape[0]:
         raise ValueError(
             f"feature dim {x.value.shape[1]} does not match projection length "
             f"{layer.p_vec.value.shape[0]}"
         )
-    pooled_x, idx, new_counts = tape.topk_gate(
+    return tape.topk_gate(
         x,
         tape.param(layer.p_vec),
         counts,
         lambda scores: _select_topk(scores, counts, layer.ratio, tape.probe),
     )
+
+
+def _pooled_graph(tape, graph, idx):
+    """The subgraph on the kept nodes ``idx``, its CSR noted when it is new."""
     sub = induced_subgraph(graph, idx)
     if sub is not graph:  # a graph kept whole is already accounted for
         tape.note(sub.row_offsets, "graph/csr")
         tape.note(sub.col_indices, "graph/csr")
-    return sub, pooled_x, idx, new_counts
+    return sub
 
 
 def topk_pool(tape: Tape, graph: SparseGraph, x: Var, layer: TopKPoolLayer):
@@ -260,10 +265,8 @@ def topk_pool(tape: Tape, graph: SparseGraph, x: Var, layer: TopKPoolLayer):
     """
     if graph.num_nodes == 0:
         raise ValueError("cannot pool an empty graph")
-    sub, pooled_x, idx, _ = _topk_pool_segments(
-        tape, graph, x, layer, np.array([graph.num_nodes])
-    )
-    return sub, pooled_x, idx
+    pooled_x, idx, _ = _topk_pool_segments(tape, x, layer, np.array([graph.num_nodes]))
+    return _pooled_graph(tape, graph, idx), pooled_x, idx
 
 
 def readout(tape: Tape, x: Var, counts) -> Var:
@@ -285,7 +288,8 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
 
     When the input features are one-hot (node labels, degrees), block 0
     reads them as label codes (:func:`graphs.onehot_codes`); the outputs
-    are the same bytes as on the dense path.
+    are the same bytes as on the dense path. The pooled graph is sliced
+    only when another block reads it.
     """
     if batch.features.shape[1] != model.in_dim:
         raise ValueError(
@@ -297,12 +301,14 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
     x = tape.leaf(batch.features)
     codes = onehot_codes(x.value)
     per_block = []
-    for conv, pool in model.blocks:
+    for i, (conv, pool) in enumerate(model.blocks):
+        if i:
+            graph = _pooled_graph(tape, graph, idx)
         h = mpconv_forward(tape, graph, x, conv, counts, codes)
         codes = None  # hidden features are dense
         if model.readout_position == "pre_pool":
             per_block.append(readout(tape, h, counts))
-        graph, x, _, counts = _topk_pool_segments(tape, graph, h, pool, counts)
+        x, idx, counts = _topk_pool_segments(tape, h, pool, counts)
         if model.readout_position == "post_pool":
             per_block.append(readout(tape, x, counts))
     return aggregate_summaries(tape, per_block)

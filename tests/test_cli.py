@@ -8,7 +8,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURES
 from sparsepool import cli
@@ -360,3 +360,117 @@ class TestParser:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
+
+
+_JUNK = ["", "x", "nan", "inf", "-inf", "1e400", "2.5"]
+
+# flag: (small valid values, invalid values just past the valid range)
+_CONFIG_FLAGS = {
+    "--hidden": (st.integers(1, 8), [0, -1]),
+    "--ratio": (st.floats(0.01, 1.0), [0.0, -0.5, 1.5]),
+    "--lr": (st.floats(0.0, 0.05), [-0.01]),
+    "--epochs": (st.integers(1, 2), [0]),
+    "--batch-size": (st.integers(1, 9), [0]),
+    "--seed": (st.integers(0, 3), [-1]),
+    "--blocks": (st.integers(1, 3), [0]),
+    "--readout-position": (st.sampled_from(["pre_pool", "post_pool"]), ["mid_pool"]),
+    "--max-degree": (st.integers(1, 5), [0]),
+}
+
+
+class TestArgvFuzz:
+    """Random argv for every command on the TOY24/MINI fixtures: each exits 0,
+    or exits 2 with an ``error:`` line, and never prints a traceback.
+
+    Most cases are valid runs; in about one in four, one flag gets an
+    invalid value or a junk token. Values stay small, so every case runs in
+    well under a second. A huge ``--hidden``, ``--sizes`` or ``--jobs`` is
+    only parsed and validated, never run (it would allocate gigabytes or
+    start processes).
+    """
+
+    # the fixtures have no defaults; drawn flags come later and win
+    BASE = ["--hidden=8", "--lr=0.01", "--epochs=1", "--batch-size=8"]
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("argv")
+        argv = ["train", "--dataset", "TOY24", "--data-dir", str(FIXTURES / "TOY24"), *self.BASE]
+        assert main([*argv, "--out", str(work / "trained")]) == 0
+        (work / "garbage.params").write_bytes(b"not a parameter file")
+        (work / "a_file").write_text("occupied")
+        return work
+
+    @staticmethod
+    def run(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(argv)
+        assert "Traceback" not in err.getvalue() + out.getvalue()
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert any(line.startswith("error: ") or ": error: " in line for line in lines), argv
+        return code
+
+    @staticmethod
+    def draw_flags(data, table, required=()):
+        """{flag: value}: the ``required`` flags and some others, valid except
+        for at most one, which gets an invalid value or a junk token."""
+        broken = data.draw(st.sampled_from(sorted(table))) if data.draw(st.integers(0, 3)) == 3 else None
+        chosen = {}
+        for flag, (valid, invalid) in table.items():
+            if flag == broken:
+                chosen[flag] = data.draw(st.sampled_from([*invalid, *_JUNK]))
+            elif flag in required or data.draw(st.booleans()):
+                chosen[flag] = data.draw(valid)
+        return chosen
+
+    @given(st.data())
+    @settings(max_examples=30)
+    def test_dataset_commands(self, workdir, data):
+        command = data.draw(st.sampled_from(["train", "cv", "export-summaries"]))
+        table = {**_CONFIG_FLAGS,
+                 "--dataset": (st.just("TOY24"), ["MINI", "NOPE"]),
+                 "--out": (st.just("out"), ["a_file"])}
+        if command == "cv":
+            table["--jobs"] = (st.just(1), [0, -1])
+        elif command == "export-summaries":
+            table["--model"] = (st.just("trained/model.params"), ["garbage.params", "none"])
+            table["--fold"] = (st.integers(0, 9), [-1, 10])
+            table["--split"] = (st.sampled_from(["test", "train", "all"]), ["x"])
+            table["--post-head"] = (st.just(True), [])
+        chosen = self.draw_flags(data, table, required=("--dataset", "--out", "--model"))
+        name = str(chosen.pop("--dataset"))
+        data_dir = FIXTURES / name if (FIXTURES / name).is_dir() else workdir / "missing"
+        argv = [command, "--dataset", name, "--data-dir", str(data_dir), *self.BASE]
+        for flag in ("--out", "--model"):
+            if flag in chosen:
+                argv.append(f"{flag}={workdir / str(chosen.pop(flag))}")
+        if chosen.pop("--post-head", False) is True:
+            argv.append("--post-head")
+        self.run(argv + [f"{flag}={value}" for flag, value in chosen.items()])
+
+    @given(st.data())
+    @settings(max_examples=30)
+    def test_bench_mem(self, workdir, data):
+        ascending = st.lists(st.integers(1, 40), min_size=2, max_size=4, unique=True)
+        chosen = self.draw_flags(data, {
+            "--sizes": (ascending.map(lambda ns: ",".join(map(str, sorted(ns)))),
+                        ["1", "8,4", "4,4", "0,8", "8,,16", " 8, 16 "]),
+            "--budget": (st.sampled_from(["1GiB", "2MiB", "1KB", "100", "0"]), ["-1", "1e400GiB"]),
+            "--seed": (st.integers(0, 3), [-1]),
+            "--out": (st.just("out"), ["a_file"]),
+        }, required=("--sizes", "--out"))  # the default sweep reaches n = 16000
+        chosen["--out"] = workdir / str(chosen["--out"])
+        self.run(["bench-mem", *(f"{flag}={value}" for flag, value in chosen.items())])
+
+    @given(hidden=st.integers(10**6, 10**12), jobs=st.integers(10**3, 10**9),
+           size=st.integers(10**6, 10**12))
+    def test_huge_values_pass_validation_unrun(self, hidden, jobs, size):
+        parser = cli.build_parser()
+        args = parser.parse_args(["cv", *toy_args(FIXTURES), "--hidden", str(hidden),
+                                  "--jobs", str(jobs)])
+        assert cli._resolve_config(args).hidden_dim == hidden and args.jobs == jobs
+        args = parser.parse_args(["bench-mem", "--sizes", f"{size},{2 * size}"])
+        assert args.sizes == [size, 2 * size]

@@ -12,6 +12,7 @@ from sparsepool import graphs
 from sparsepool.graphs import (
     LabeledGraph,
     SparseGraph,
+    _dense_pieces,
     _distinct_draws,
     _validate_csr,
     batch_graphs,
@@ -116,6 +117,137 @@ class TestNeighborSum:
             neighbor_sum(triangle(), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             neighbor_sum(triangle(), np.zeros(3))
+
+
+def piece_bounds(graph):
+    return _dense_pieces(graph)[0]
+
+
+def reference_bounds(graph):
+    """Piece bounds by brute force: a piece ends at r when no edge joins
+    rows 0..r to rows r+1.., read off the dense adjacency."""
+    a = graph.to_dense()
+    n = graph.num_nodes
+    return [0] + [r + 1 for r in range(n) if not a[: r + 1, r + 1 :].any()]
+
+
+@st.composite
+def edge_graphs(draw, max_nodes=10):
+    """A graph from random pairs: isolated nodes, no edges and no nodes allowed."""
+    n = draw(st.integers(0, max_nodes))
+    if n == 0:
+        return from_edge_list(0, [])
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=25))
+    return from_edge_list(n, [(u, v) for u, v in pairs if u != v])
+
+
+def dense_graph(n, seed, density=0.9):
+    return erdos_renyi(n, int(round(density * n * (n - 1) / 2)), seed)
+
+
+class TestPieces:
+    @pytest.mark.parametrize(
+        "n,edges,bounds",
+        [
+            (5, [(0, 1), (1, 2), (3, 4)], [0, 3, 5]),  # two contiguous components
+            (4, [(0, 2), (1, 3)], [0, 4]),  # interleaved components are one piece
+            (5, [(1, 2)], [0, 1, 3, 4, 5]),  # isolated nodes are pieces of one row
+            (6, [(0, 5), (2, 3)], [0, 6]),  # an edge spanning all rows
+            (3, [], [0, 1, 2, 3]),  # no edges
+            (0, [], [0]),  # no nodes
+        ],
+    )
+    def test_bounds(self, n, edges, bounds):
+        graph = from_edge_list(n, edges)
+        assert piece_bounds(graph).tolist() == bounds == reference_bounds(graph)
+        assert piece_bounds(graph).dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "graph,dense",
+        [
+            (triangle(), [True]),  # 6 stored edges > 9 / 2
+            (path3(), [False]),  # 4 stored edges < 9 / 2
+            (from_edge_list(2, [(0, 1)]), [False]),  # 2 stored edges = 4 / 2: not more
+            (from_edge_list(4, [(0, 1), (1, 2), (0, 2)]), [True, False]),
+            (from_edge_list(1, []), [False]),
+        ],
+    )
+    def test_dense_rule(self, graph, dense):
+        assert _dense_pieces(graph)[1].tolist() == dense
+
+    @given(edge_graphs())
+    def test_bounds_match_the_brute_force_reference(self, graph):
+        assert piece_bounds(graph).tolist() == reference_bounds(graph)
+
+    @given(st.lists(edge_graphs().filter(lambda g: g.num_nodes > 0), min_size=1, max_size=5))
+    def test_a_batch_splits_into_its_graphs_splits(self, structures):
+        batch = batch_graphs([LabeledGraph(g, np.zeros((g.num_nodes, 1)), 0) for g in structures])
+        joined, base = [0], 0
+        for g in structures:
+            joined.extend((piece_bounds(g)[1:] + base).tolist())
+            base += g.num_nodes
+        assert piece_bounds(batch.graph).tolist() == joined
+        dense = np.concatenate([_dense_pieces(g)[1] for g in structures])
+        assert np.array_equal(_dense_pieces(batch.graph)[1], dense)
+
+
+class TestDenseAggregation:
+    """The dense-piece path against the dense oracle and against per-graph calls."""
+
+    @staticmethod
+    def batch(kinds, seed, width=3):
+        rng = np.random.default_rng(seed)
+        graphs = []
+        for i, kind in enumerate(kinds):
+            n = int(rng.integers(3, 30))
+            g = dense_graph(n, seed + i) if kind == "dense" else random_graph(rng, n, 0.15)
+            graphs.append(LabeledGraph(g, rng.standard_normal((n, width)), 0))
+        return batch_graphs(graphs), graphs
+
+    @pytest.mark.parametrize(
+        "kinds", [("dense",), ("dense", "dense", "dense"), ("sparse", "sparse"),
+                  ("sparse", "dense", "sparse", "dense"), ("dense", "sparse")]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_dense_oracle(self, kinds, seed):
+        batch, graphs = self.batch(kinds, seed)
+        g, x = batch.graph, batch.features
+        dense = _dense_pieces(g)[1]
+        assert dense.any() == ("dense" in kinds)
+        assert np.allclose(neighbor_sum(g, x), g.to_dense() @ x, rtol=0.0, atol=1e-12)
+        assert np.allclose(spmm_mean(g, x), dense_spmm_oracle(g.to_dense(), x),
+                           rtol=0.0, atol=1e-12)
+
+    @given(st.lists(st.sampled_from(["dense", "sparse"]), min_size=1, max_size=5),
+           st.integers(0, 1000), st.integers(1, 5), st.booleans())
+    def test_batch_equals_per_graph_calls_bit_for_bit(self, kinds, seed, width, strided):
+        batch, graphs = self.batch(kinds, seed, 2 * width if strided else width)
+        x = batch.features[:, ::2] if strided else batch.features
+        out = neighbor_sum(batch.graph, x)
+        assert out.flags.c_contiguous and out.dtype == np.float64
+        bounds = np.concatenate([[0], np.cumsum(batch.node_counts)])
+        separate = [neighbor_sum(lg.graph, x[a:b].copy())
+                    for lg, a, b in zip(graphs, bounds[:-1], bounds[1:])]
+        assert out.tobytes() == np.concatenate(separate).tobytes()
+
+    def test_complete_graph_and_isolated_rows(self):
+        # a complete piece next to isolated nodes and an edge: all three kinds of row
+        g = from_edge_list(7, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (5, 6)])
+        assert piece_bounds(g).tolist() == [0, 1, 5, 7]
+        assert _dense_pieces(g)[1].tolist() == [False, True, False]
+        x = np.arange(14.0).reshape(7, 2)
+        assert np.array_equal(neighbor_sum(g, x), g.to_dense() @ x)  # small whole numbers
+
+    def test_a_non_finite_entry_spreads_across_its_dense_piece(self):
+        # documented caveat: the block product also multiplies non-neighbor zeros
+        g = from_edge_list(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+        assert _dense_pieces(g)[1].tolist() == [True]  # 14 stored edges > 25 / 2
+        x = np.zeros((5, 1))
+        x[4, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            out = neighbor_sum(g, x)[:, 0]
+        assert out[3] == np.inf  # the only neighbor of node 4
+        assert np.isnan(out[[0, 1, 2, 4]]).all()  # 0 * inf elsewhere in the piece
 
 
 class TestSpmmMean:

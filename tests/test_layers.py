@@ -14,7 +14,15 @@ from conftest import (
     stable_instance,
 )
 from sparsepool.engine import Parameter, Tape, finite_diff_check
-from sparsepool.graphs import LabeledGraph, batch_graphs, from_edge_list
+from sparsepool import graphs as graphs_module
+from sparsepool.graphs import (
+    LabeledGraph,
+    _dense_pieces,
+    batch_graphs,
+    erdos_renyi,
+    from_edge_list,
+    induced_subgraph,
+)
 from sparsepool.layers import (
     HierarchicalModel,
     MPConvLayer,
@@ -116,7 +124,18 @@ class TestMPConv:
 
     @pytest.mark.parametrize("f_in,f_out,kept", ORDERS)
     def test_both_orders_match_finite_differences(self, f_in, f_out, kept):
-        graph, x, layer, labels = self.conv_case(f_in, f_out)
+        self.check_finite_differences(*self.conv_case(f_in, f_out))
+
+    @pytest.mark.parametrize("f_in,f_out,kept", ORDERS)
+    def test_finite_differences_on_a_dense_graph(self, f_in, f_out, kept):
+        # 13 of 15 possible edges: one dense piece, aggregated by a BLAS product
+        _, x, layer, labels = self.conv_case(f_in, f_out)
+        graph = erdos_renyi(6, 13, seed=f_in + f_out)
+        assert _dense_pieces(graph)[1].tolist() == [True]
+        self.check_finite_differences(graph, x, layer, labels)
+
+    @staticmethod
+    def check_finite_differences(graph, x, layer, labels):
         probe: dict = {}
         mpconv_forward(Tape(probe=probe), graph, Tape().leaf(x), layer)
         assert probe["relu_margin"] > 1e-3  # finite differences cannot cross a kink
@@ -376,6 +395,70 @@ class TestModelForward:
         )
         assert np.array_equal(stacked, single)
 
+    @given(
+        kinds=st.lists(st.booleans(), min_size=1, max_size=4).map(lambda k: [True] + k),
+        order=st.randoms(use_true_random=False),
+        width=st.integers(2, 9),
+        seed=st.integers(0, 10_000),
+    )
+    def test_mixed_dense_and_sparse_batches_are_bit_identical(self, kinds, order, width, seed):
+        # dense graphs (20-60 nodes, edge density >= 0.6) take the BLAS path,
+        # sparse ones the CSR product; logits equal per-graph runs, and the
+        # parameter gradients equal those of a pass whose every aggregation
+        # is done graph by graph
+        rng = np.random.default_rng(seed)
+        order.shuffle(kinds)
+        graphs = []
+        for dense in kinds:
+            if dense:
+                n = int(rng.integers(20, 61))
+                m = int(np.ceil(rng.uniform(0.6, 1.0) * n * (n - 1) / 2))
+                g = erdos_renyi(n, m, int(rng.integers(2**31)))
+            else:
+                n = int(rng.integers(1, 20))
+                g = random_graph(rng, n, 0.15)
+            graphs.append(LabeledGraph(g, rng.standard_normal((n, width)), int(rng.integers(3))))
+        batch = batch_graphs(graphs)
+        assert _dense_pieces(batch.graph)[1].any()
+        model = build_model(width, 6, 3, pool_ratio=0.7, seed=seed)
+
+        single = [model_forward(Tape(), batch_graphs([g]), model).value for g in graphs]
+        logits, grads = self.logits_and_gradients(batch, model)
+        assert logits.tobytes() == np.concatenate(single).tobytes()
+
+        segments_of = {}  # id(graph) -> per-graph node counts, seen by each conv
+        real_mpconv, real_sum = Tape.mpconv, graphs_module.neighbor_sum
+
+        def mpconv(self, graph, x, theta, theta_skip, segments=None, codes=None):
+            segments_of[id(graph)] = segments
+            return real_mpconv(self, graph, x, theta, theta_skip, segments, codes)
+
+        def per_graph_sum(graph, x):
+            bounds = np.concatenate([[0], np.cumsum(segments_of[id(graph)])])
+            return np.concatenate([
+                real_sum(induced_subgraph(graph, np.arange(a, b)), x[a:b])
+                for a, b in zip(bounds[:-1], bounds[1:])
+            ])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Tape, "mpconv", mpconv)
+            mp.setattr(graphs_module, "neighbor_sum", per_graph_sum)
+            ref_logits, ref_grads = self.logits_and_gradients(batch, model)
+        assert len(segments_of) == len(model.blocks)
+        assert ref_logits.tobytes() == logits.tobytes()
+        for got, want in zip(grads, ref_grads):
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def logits_and_gradients(batch, model):
+        tape = Tape()
+        logits = model_forward(tape, batch, model)
+        tape.backward(tape.softmax_xent(logits, batch.labels))
+        grads = [p.grad.copy() for p in model.parameters()]
+        for p in model.parameters():
+            p.grad[...] = 0.0
+        return logits.value, grads
+
     def test_forward_only_tape_matches_and_holds_less(self):
         rng = np.random.default_rng(0)
         graphs = [
@@ -395,7 +478,8 @@ class TestModelForward:
     @pytest.mark.parametrize("position", ["post_pool", "pre_pool"])
     def test_ratio_one_pools_onto_the_same_graph(self, monkeypatch, position):
         # every node kept: each level's graph is the input graph itself, its
-        # CSR is noted once, and the logits equal those of rebuilt copies
+        # CSR is noted once, and the logits equal those of rebuilt copies;
+        # the graph after the last pool is read by nothing, so it is not sliced
         from sparsepool import layers
         from sparsepool.graphs import SparseGraph, induced_subgraph
 
@@ -415,7 +499,7 @@ class TestModelForward:
         monkeypatch.setattr(layers, "induced_subgraph", spy)
         tracker = MemoryTracker()
         logits = model_forward(Tape(tracker=tracker), batch, model).value
-        assert [sub is graph for graph, sub in subgraphs] == [True, True, True]
+        assert [sub is graph for graph, sub in subgraphs] == [True, True]
         assert "graph/csr" not in dict(tracker.peak_breakdown())
 
         def rebuilt(graph, keep):
@@ -457,7 +541,7 @@ class TestModelForward:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_nesting_and_exact_pool_sizes(self, seed):
-        from sparsepool.layers import _topk_pool_segments
+        from sparsepool.layers import _pooled_graph, _topk_pool_segments
 
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 15))
@@ -471,7 +555,8 @@ class TestModelForward:
         sizes = [n]
         for conv, pool in model.blocks:
             h = mpconv_forward(tape, g, xv, conv)
-            g, xv, idx, counts = _topk_pool_segments(tape, g, h, pool, counts)
+            xv, idx, counts = _topk_pool_segments(tape, h, pool, counts)
+            g = _pooled_graph(tape, g, idx)
             assert counts[0] == kept_count(sizes[-1], 0.6)
             assert idx.size == counts[0]
             assert idx.max() < sizes[-1]  # indices reference the previous level

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sparsepool.graphs import _dense_pieces, erdos_renyi
 from sparsepool.membench import (
     MemoryTracker,
     measure_dense_assignment,
@@ -29,6 +30,16 @@ def dense_expected_bytes(n: int, k: float = 0.25, feat: int = 128, levels: int =
         total += pooled * pooled * 8  # coarsened adjacency
         size = pooled
     return total
+
+
+class TestSweepGraphs:
+    @pytest.mark.parametrize("seed", [0, 11, 41])
+    def test_no_dense_piece(self, seed):
+        # every aggregation of the sweep takes the sparse CSR product, which
+        # is what the memory slopes and tracked bytes are about
+        for n in (2000, 4000, 8000, 16000):
+            bounds, dense = _dense_pieces(erdos_renyi(n, 2 * n, seed))
+            assert not dense.any(), (n, seed)
 
 
 class TestMemoryTracker:

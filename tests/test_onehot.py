@@ -7,14 +7,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sparsepool import layers
 from sparsepool.engine import Tape, finite_diff_check
 from sparsepool.graphs import (
     LabeledGraph,
+    _dense_pieces,
     batch_graphs,
     degree_onehot,
+    erdos_renyi,
     from_edge_list,
     neighbor_code_count,
     neighbor_sum,
@@ -42,6 +44,20 @@ def labeled_graphs(draw, max_nodes=12):
 
 def onehot(codes, width):
     return np.eye(width)[codes]
+
+
+def dense_case(n=40, width=5, seed=3):
+    """A 90%-dense graph: one dense piece, aggregated by a BLAS product."""
+    graph = erdos_renyi(n, int(0.9 * n * (n - 1) / 2), seed)
+    return graph, np.random.default_rng(seed).integers(0, width, size=n), width
+
+
+def mixed_case():
+    """A dense graph batched between a sparse graph and an isolated node."""
+    dense, codes, width = dense_case(25, 4)
+    parts = [from_edge_list(4, [(0, 1), (2, 3)]), dense, from_edge_list(1, [])]
+    batch = batch_graphs([LabeledGraph(g, np.zeros((g.num_nodes, 1)), 0) for g in parts])
+    return batch.graph, np.concatenate([[0, 1, 3, 3], codes, [2]]), width
 
 
 class TestOnehotCodes:
@@ -87,6 +103,8 @@ class TestOnehotCodes:
 
 class TestCountedAggregation:
     @given(labeled_graphs())
+    @example(dense_case())
+    @example(mixed_case())
     def test_counts_equal_neighbor_sum_bytes(self, case):
         graph, codes, width = case
         x = onehot(codes, width)
@@ -95,10 +113,16 @@ class TestCountedAggregation:
         assert counted.tobytes() == neighbor_sum(graph, x).tobytes()
 
     @given(labeled_graphs())
+    @example(dense_case())
+    @example(mixed_case())
     def test_mean_equals_spmm_mean_bytes(self, case):
         graph, codes, width = case
         x = onehot(codes, width)
         assert spmm_mean(graph, x, codes).tobytes() == spmm_mean(graph, x).tobytes()
+
+    def test_the_dense_cases_take_the_dense_path(self):
+        assert _dense_pieces(dense_case()[0])[1].tolist() == [True]
+        assert _dense_pieces(mixed_case()[0])[1].tolist() == [False, False, True, False]
 
     def test_no_edges(self):
         graph = from_edge_list(4, [])
