@@ -1,7 +1,8 @@
 """Command-line interface binding all modules into reproducible experiments.
 
-Exit codes: 0 success, 2 argument/validation/data errors, 3 numeric failures
-during training. Every command writes a run manifest that captures each
+Exit codes: 0 success, 2 argument/validation/data errors (running out of
+memory included, with the sizing flags named), 3 numeric failures during
+training. Every command writes a run manifest that captures each
 resolved setting, the seeds, and dataset file checksums.
 """
 from __future__ import annotations
@@ -147,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p_train)
     _add_config_args(p_train)
     p_train.add_argument("--out", default=None, help="output directory")
-    p_train.set_defaults(fn=cmd_train)
+    p_train.set_defaults(fn=cmd_train, sizing="--hidden, --batch-size, --blocks")
 
     p_cv = sub.add_parser("cv", help="10-fold cross-validation")
     _add_dataset_args(p_cv)
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument(
         "--show-defaults", action="store_true", help="print per-dataset defaults and exit"
     )
-    p_cv.set_defaults(fn=cmd_cv)
+    p_cv.set_defaults(fn=cmd_cv, sizing="--hidden, --batch-size, --blocks, --jobs")
 
     p_mem = sub.add_parser("bench-mem", help="memory-scaling benchmark")
     p_mem.add_argument(
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mem.add_argument("--seed", type=_SEED, default=0)
     p_mem.add_argument("--out", default=None, help="output directory")
-    p_mem.set_defaults(fn=cmd_bench_mem)
+    p_mem.set_defaults(fn=cmd_bench_mem, sizing="--sizes")
 
     p_exp = sub.add_parser("export-summaries", help="export per-graph summary vectors")
     _add_dataset_args(p_exp)
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--post-head", action="store_true", help="export logits instead of summaries"
     )
     p_exp.add_argument("--out", default=None, help="output directory")
-    p_exp.set_defaults(fn=cmd_export_summaries)
+    p_exp.set_defaults(fn=cmd_export_summaries, sizing="--hidden, --blocks")
     return parser
 
 
@@ -296,24 +297,28 @@ def cmd_bench_mem(args) -> int:
     result = scaling_sweep(args.sizes, budget_bytes=args.budget, seed=args.seed)
     out = _out_dir(args, "runs/membench")
     _write_text(out / "membench.csv", result.to_csv())
-    _write_manifest(
-        out,
-        "bench-mem",
-        {
-            "sizes": ",".join(map(str, args.sizes)),
-            "budget_bytes": args.budget,
-            "seed": args.seed,
-            "slope_sparse": result.slope_sparse,
-            "slope_dense": result.slope_dense,
-            "dense_model_note": (
-                "footprint model counts the minimal buffers any dense "
-                "soft-assignment pooling variant must hold"
-            ),
-        },
-    )
+    largest = result.sparse[-1]
+    entries = {
+        "sizes": ",".join(map(str, args.sizes)),
+        "budget_bytes": args.budget,
+        "seed": args.seed,
+        "slope_sparse": result.slope_sparse,
+        "slope_dense": result.slope_dense,
+        "dense_model_note": (
+            "footprint model counts the minimal buffers any dense "
+            "soft-assignment pooling variant must hold"
+        ),
+        "sparse_peak.n": largest.graph_size,
+        "sparse_peak.bytes": largest.peak_bytes,
+    }
+    entries.update({f"sparse_peak.{tag}": nbytes for tag, nbytes in largest.breakdown})
+    _write_manifest(out, "bench-mem", entries)
     print(result.to_csv(), end="")
     print(f"log-log slope sparse: {result.slope_sparse:.3f}")
     print(f"log-log slope dense:  {result.slope_dense:.3f}")
+    print(f"sparse peak at n = {largest.graph_size}: {largest.peak_bytes} bytes")
+    for tag, nbytes in largest.breakdown:
+        print(f"  {tag:<10} {nbytes:>12}")
     return EXIT_OK
 
 
@@ -379,6 +384,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (DatasetFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        detail = str(exc) or "no detail"
+        print(f"error: out of memory ({detail}); lower {args.sizing}", file=sys.stderr)
         return EXIT_USAGE
 
 

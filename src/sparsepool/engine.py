@@ -50,13 +50,20 @@ class Slot:
 
 
 class Var:
-    """A value on the tape plus the slot its gradient accumulates into."""
+    """A value on the tape plus the slot its gradient accumulates into.
 
-    __slots__ = ("value", "slot")
+    ``rebuild`` (optional) is ``rows(start, stop)``, which returns a fresh
+    copy of ``value[start:stop]`` with the same bytes, built from arrays the
+    tape saves anyway. A record whose backward reads this input may save
+    ``rebuild`` instead of ``value``.
+    """
 
-    def __init__(self, value: np.ndarray, slot: Slot | None):
+    __slots__ = ("value", "slot", "rebuild")
+
+    def __init__(self, value: np.ndarray, slot: Slot | None, rebuild=None):
         self.value = value
         self.slot = slot
+        self.rebuild = rebuild
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -136,30 +143,50 @@ def _noted(arr: np.ndarray, tracker, tag: str) -> np.ndarray:
     return arr
 
 
-def _mean_aggregate_grad(graph, g: np.ndarray, inv_deg: np.ndarray, tracker) -> np.ndarray:
-    """Gradient through mean aggregation; scales ``g`` in place."""
-    g *= inv_deg[:, None]
-    d = _noted(_graphs.neighbor_sum(graph, g), tracker, "grads")
-    d += g
+def _mean_aggregate_grad(graph, g_scaled: np.ndarray, tracker) -> np.ndarray:
+    """Gradient through mean aggregation, (A + I) g_scaled, of an upstream
+    gradient already divided row-wise by degree + 1."""
+    d = _noted(_graphs.neighbor_sum(graph, g_scaled), tracker, "grads")
+    d += g_scaled
     return d
 
 
-# a rank-1 update adds a block of this many elements at a time
-_OUTER_BLOCK = 1 << 16
+# a row-blocked loop touches a block of this many elements at a time
+_ROW_BLOCK = 1 << 16
+
+
+def _block_rows(width: int) -> int:
+    return max(1, _ROW_BLOCK // max(1, width))
 
 
 def _add_outer(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     """out += outer(u, v), a few rows at a time, so no full-size temporary
     is made."""
-    step = max(1, _OUTER_BLOCK // max(1, v.size))
+    step = _block_rows(v.size)
     for start in range(0, u.size, step):
         out[start : start + step] += u[start : start + step, None] * v
+
+
+def _transposed_products(rows, n: int, step: int, grads) -> list[np.ndarray]:
+    """``[X.T @ g for g in grads]`` for the n-row X whose rows ``rows(start,
+    stop)`` returns, ``step`` rows at a time.
+
+    Each block of X is built once and read by every product. With ``step
+    >= n`` this is one product per gradient, the bytes of ``X.T @ g``.
+    """
+    blk = rows(0, step)
+    totals = [blk.T @ g[:step] for g in grads]
+    for start in range(step, n, step):
+        blk = rows(start, start + step)
+        for total, g in zip(totals, grads):
+            total += blk.T @ g[start : start + step]
+    return totals
 
 
 def _add_rows(out: np.ndarray, rows: np.ndarray, index: np.ndarray) -> None:
     """out += rows[index], a few rows at a time, so no full-size temporary
     is made."""
-    step = max(1, _OUTER_BLOCK // max(1, rows.shape[1]))
+    step = _block_rows(rows.shape[1])
     for start in range(0, index.size, step):
         out[start : start + step] += rows[index[start : start + step]]
 
@@ -190,6 +217,11 @@ class Tape:
     hand it to one input's slot instead of copying it. It must then read it
     for nothing else, and an input that needs its own copy is served first.
     A record whose output has no gradient slot is not kept.
+
+    A record saves no array another record already saves. The output of a
+    recorded ``topk_gate`` carries a ``rebuild`` (see :class:`Var`) that
+    gathers and gates its rows again from the pool record's saves, and an
+    ``mpconv`` reading it saves that instead of the pooled array.
     """
 
     def __init__(self, tracker=None, probe: dict | None = None, record: bool = True):
@@ -324,14 +356,19 @@ class Tape:
         """ReLU(mean_aggregate(X) @ theta + X @ theta_skip) as one record.
 
         The aggregation is linear, so it runs on the narrower side of theta.
-        With ``F_in >= F_out`` the record computes mean_aggregate(X @ theta)
-        and saves only X, which the skip product reads anyway. With
-        ``F_in < F_out`` it computes mean_aggregate(X) @ theta, aggregating
-        fewer columns, and also saves mean_aggregate(X) for theta's
-        gradient. The skip product is added into the aggregated buffer and
-        the ReLU is applied in place, so the ReLU output is the only other
-        N x F_out array the record saves. ``segments`` works as in
-        :meth:`matmul`.
+        With ``F_in >= F_out`` the record computes mean_aggregate(X @ theta),
+        and theta's and theta_skip's gradients read only X. With ``F_in <
+        F_out`` it computes mean_aggregate(X) @ theta, aggregating fewer
+        columns, and also saves mean_aggregate(X) for theta's gradient. The
+        skip product is added into the aggregated buffer and the ReLU is
+        applied in place, so the ReLU output is the only other N x F_out
+        array the record saves. ``segments`` works as in :meth:`matmul`.
+
+        When X has a ``rebuild`` (X is a pool output), the record saves the
+        rebuild instead of X. Backward then forms ``X.T @ g`` and ``X.T @
+        d`` over row blocks of at most ``_ROW_BLOCK`` elements, each block
+        rebuilt once and read by both products, so no N x F_in copy of X is
+        made again. Otherwise the record saves X and reads it as one block.
 
         ``codes`` (optional, from :func:`graphs.onehot_codes`) says that
         row i of X is one-hot with its 1.0 in column ``codes[i]``. Each
@@ -374,38 +411,47 @@ class Tape:
         out = Var(h, None if x_slot is None and t_slot is None and s_slot is None else Slot())
         if not (self.record and out.slot is not None):
             return out
-        x_saved = xv if (t_slot is not None or s_slot is not None) else None
+        n = xv.shape[0]
+        rows = step = None  # X's rows, read by theta's and theta_skip's gradients
+        if t_slot is not None or s_slot is not None:
+            if x.rebuild is None:  # X itself is saved, and read as one block
+                rows, step = (lambda start, stop: xv[start:stop]), max(1, n)
+            else:
+                rows, step = x.rebuild, _block_rows(xv.shape[1])
         t_saved = tv if x_slot is not None else None
         s_saved = sv if x_slot is not None else None
         if t_slot is None:
             agg = None
-        inv_deg = 1.0 / (graph.degrees + 1)
+        inv_deg = (1.0 / (graph.degrees + 1))[:, None]
         square = tv.shape[0] == tv.shape[1]
 
         def bw(g):
             nonlocal h, agg
             np.multiply(g, h > 0.0, out=g)
             h = None  # read by nothing else
-            if s_slot is not None:
-                _acc(s_slot, x_saved.T @ g, True, tr)
-            if x_slot is not None:
-                _acc(x_slot, g @ s_saved.T, True, tr)  # x_slot.grad is set from here on
+            d = None  # the gradient of X @ theta, in theta-first order
+            if not agg_first and (x_slot is not None or t_slot is not None):
+                d = _mean_aggregate_grad(graph, _noted(g * inv_deg, tr, "grads"), tr)
+            if agg_first and t_slot is not None:
+                _acc(t_slot, agg.T @ g, True, tr)
+                agg = None
+            wanted = [(slot, grad) for slot, grad in ((s_slot, g), (t_slot, d))
+                      if slot is not None and grad is not None]
+            if wanted:
+                totals = _transposed_products(rows, n, step, [gr for _, gr in wanted])
+                for (slot, _), total in zip(wanted, totals):
+                    _acc(slot, total, True, tr)
+            if x_slot is None:
+                return
+            _acc(x_slot, g @ s_saved.T, True, tr)  # x_slot.grad is set from here on
             if agg_first:
-                if t_slot is not None:
-                    _acc(t_slot, agg.T @ g, True, tr)
-                    agg = None
-                if x_slot is not None:
-                    d_agg = _noted(g @ t_saved.T, tr, "grads")
-                    x_slot.grad += _mean_aggregate_grad(graph, d_agg, inv_deg, tr)
-            elif x_slot is not None or t_slot is not None:
-                d = _mean_aggregate_grad(graph, g, inv_deg, tr)
-                if t_slot is not None:
-                    _acc(t_slot, x_saved.T @ d, True, tr)
-                if x_slot is not None:
-                    if square:
-                        x_slot.grad += np.matmul(d, t_saved.T, out=g)
-                    else:
-                        x_slot.grad += _noted(d @ t_saved.T, tr, "grads")
+                d_agg = _noted(g @ t_saved.T, tr, "grads")
+                d_agg *= inv_deg
+                x_slot.grad += _mean_aggregate_grad(graph, d_agg, tr)
+            elif square:
+                x_slot.grad += np.matmul(d, t_saved.T, out=g)
+            else:
+                x_slot.grad += _noted(d @ t_saved.T, tr, "grads")
 
         self._nodes.append((out.slot, bw))
         return out
@@ -420,6 +466,11 @@ class Tape:
         segment. The output is ``x[idx] * tanh(scores[idx])[:, None]``, so
         ``p`` gets a gradient through the gate. Returns ``(output, idx, kept
         counts)``.
+
+        The record saves ``x``, ``idx`` and the kept gates. On a recorded
+        tape the output's ``rebuild`` gathers and gates any of its row
+        blocks again from those, with the bytes of the output, so a record
+        that reads the output in backward need not save it.
 
         Backward works on the kept rows only: it gathers them once, frees
         the copy before it builds the input gradient and adds the score term
@@ -459,6 +510,15 @@ class Tape:
         if p_slot is not None and not guarded:
             r = raw if every else _noted(raw[idx], tr, "acts")
         del raw, scores, gate
+
+        def kept_rows(start, stop):  # output rows start:stop, the same bytes
+            if every:
+                return _noted(xv[start:stop] * t[start:stop, None], tr, "acts")
+            blk = _noted(xv[idx[start:stop]], tr, "acts")
+            blk *= t[start:stop, None]
+            return blk
+
+        out.rebuild = kept_rows
 
         def bw(g):
             rows = xv if every else _noted(xv[idx], tr, "acts")

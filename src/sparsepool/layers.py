@@ -186,7 +186,8 @@ def mpconv_forward(
     """ReLU(mean_aggregate(X) @ theta + X @ theta_skip), one tape record.
 
     The record (:meth:`Tape.mpconv`) aggregates on the narrower side of
-    theta and saves X, the ReLU output and, when ``in_dim < out_dim``,
+    theta and saves X (or, when X is a pool output, the pool's way to
+    rebuild it), the ReLU output and, when ``in_dim < out_dim``,
     mean_aggregate(X). ``segments`` (per-graph node counts of a
     block-diagonal batch) keeps the products bit-identical with per-graph
     runs. ``codes`` (from :func:`graphs.onehot_codes`) marks a one-hot X,
@@ -259,9 +260,9 @@ def topk_pool(tape: Tape, graph: SparseGraph, x: Var, layer: TopKPoolLayer):
     Scores are X p / ||p||; kept rows are gated by tanh(score) so the
     projection vector receives gradient. Gradient flows into retained rows
     of X only. One record (:meth:`Tape.topk_gate`) gates only the kept
-    rows, so no full-size gated copy of X is made. It saves X, which the
-    conv that produced it saves anyway, and the gates and raw scores of the
-    kept rows; X' is not saved.
+    rows, so no full-size gated copy of X is made. It saves X and the gates
+    and raw scores of the kept rows. X' is not saved: the next conv
+    rebuilds its rows from those saves in backward.
     """
     if graph.num_nodes == 0:
         raise ValueError("cannot pool an empty graph")

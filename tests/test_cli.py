@@ -14,6 +14,7 @@ from conftest import FIXTURES
 from sparsepool import cli
 from sparsepool.cli import _budget, _sizes, main
 from sparsepool.engine import Parameter, save_parameters
+from sparsepool.membench import measure_sparse
 
 
 def toy_args(fixtures_dir, *extra):
@@ -144,6 +145,14 @@ class TestBenchMem:
         assert len(lines) == 4
         console = capsys.readouterr().out
         assert "slope sparse" in console and "slope dense" in console
+        # the per-tag breakdown of the sparse peak at the largest size
+        peak = measure_sparse(2000)
+        assert f"sparse peak at n = 2000: {peak.peak_bytes} bytes" in console
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert f"sparse_peak.bytes = {peak.peak_bytes}" in manifest
+        for tag, nbytes in peak.breakdown:
+            assert f"sparse_peak.{tag} = {nbytes}" in manifest
+            assert any(line.split() == [tag, str(nbytes)] for line in console.splitlines())
 
     def test_budget_flag_parses_units(self, tmp_path):
         out = tmp_path / "mem2"
@@ -187,6 +196,39 @@ class TestBenchMem:
 
 _UNIT_SCALES = {"": 1, "B": 1, "kb": 10**3, "MB": 10**6, "GB": 10**9,
                 "KiB": 2**10, "mib": 2**20, "GiB": 2**30}
+
+
+def no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1048576, 1048576)")
+
+
+class TestOutOfMemory:
+    """A failed allocation exits 2 and names the flags that size the run.
+
+    The allocation is faked to fail: nothing large is allocated and no
+    worker process starts.
+    """
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", "--hidden, --batch-size, --blocks"),
+        ("cv", "--hidden, --batch-size, --blocks, --jobs"),
+    ])
+    def test_training_commands(self, command, flags, monkeypatch, fixtures_dir, tmp_path, capsys):
+        monkeypatch.setattr("sparsepool.layers.glorot_init", no_memory)
+        out = tmp_path / command
+        assert main([command, *toy_args(fixtures_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: out of memory (Unable to allocate 8.00 TiB" in err
+        assert err.rstrip().endswith(f"lower {flags}")
+        assert "Traceback" not in err and not (out / "metrics.csv").exists()
+
+    def test_bench_mem(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr("sparsepool.membench.erdos_renyi", no_memory)
+        out = tmp_path / "mem"
+        assert main(["bench-mem", "--sizes", "50,100", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith("lower --sizes") and "Traceback" not in err
+        assert not (out / "membench.csv").exists()
 
 
 class TestBenchMemFlagTypes:

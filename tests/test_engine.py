@@ -1,15 +1,19 @@
 """Engine tests: per-primitive gradients, Adam, init, serialization."""
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import tempfile
+import weakref
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sparsepool import engine
 from sparsepool.engine import (
     NonFiniteGradientError,
     Parameter,
@@ -125,6 +129,20 @@ def mean_aggregation_matrix(graph):
 # (F_in, F_out): aggregate first, theta first with a wide input, square theta
 CONV_ORDERS = [(2, 5), (5, 3), (4, 4)]
 
+# the kept rows of a 7-row input holding graphs of [3, 1, 3] rows, and the
+# edges of the pooled graph on them
+POOL_CASES = {
+    "every": (np.arange(7), [(0, 1), (1, 2), (4, 5), (5, 6), (4, 6)]),
+    "dropped": (np.array([0, 2, 3, 4, 6]), [(0, 1), (3, 4)]),
+}
+POOL_COUNTS = [3, 1, 3]
+
+
+def two_row_blocks(width):
+    """Rebuild a pooled input of this width two rows at a time, so block
+    boundaries fall inside graphs."""
+    return patch.object(engine, "_ROW_BLOCK", 2 * width)
+
 
 class TestPrimitiveGradients:
     """Every primitive's backward matches central finite differences.
@@ -236,6 +254,68 @@ class TestPrimitiveGradients:
             assert np.allclose(sv.slot.grad, x.T @ up, **close)
             assert np.allclose(tv.slot.grad, (mean @ x).T @ up, **close)
             assert np.allclose(xv.slot.grad, up @ skip.T + mean.T @ up @ theta.T, **close)
+
+    def pool_conv_case(self, f_in, f_out, name):
+        """Kept rows, pooled graph, kept counts and (X, p, theta, theta_skip)."""
+        idx, edges = POOL_CASES[name]
+        kept = np.diff(np.searchsorted(idx, np.cumsum([0] + POOL_COUNTS)))
+        arrays = (self.weights(7, f_in), self.weights(f_in),
+                  self.weights(f_in, f_out), self.weights(f_in, f_out))
+        return idx, from_edge_list(idx.size, edges), kept, arrays
+
+    def test_mpconv_of_a_pooled_input(self):
+        # the conv saves no copy of its pooled input and rebuilds it in
+        # backward; every input of the pool-conv pair, in both conv orders,
+        # with every row kept or some dropped, and with the pool output also
+        # read by a readout (its gradient is then added, not handed over)
+        cases = itertools.product(CONV_ORDERS, sorted(POOL_CASES), (False, True), range(4))
+        for (f_in, f_out), name, readout, i in cases:
+            idx, graph, kept, arrays = self.pool_conv_case(f_in, f_out, name)
+
+            def build(t, v):
+                # every input needs a gradient, so the pool is recorded
+                x, p, theta, skip = (
+                    v if j == i else t.leaf(a, needs_grad=True) for j, a in enumerate(arrays)
+                )
+                pooled = gated(t, x, p, idx, POOL_COUNTS)
+                h = t.mpconv(graph, pooled, theta, skip, kept)
+                loss = t.softmax_xent(t.segment_readout(h, kept), [0, 1, 2])
+                if readout:
+                    summary = t.segment_readout(pooled, kept)
+                    loss = t.add(loss, t.softmax_xent(summary, [3, 1, 0]))
+                return loss
+
+            with two_row_blocks(f_in):
+                check_primitive(build, arrays[i].copy())
+
+    def test_mpconv_of_a_pooled_input_matches_dense_oracle(self):
+        for f_in, f_out in CONV_ORDERS:
+            for name in POOL_CASES:
+                idx, graph, kept, (x, p, theta, skip) = self.pool_conv_case(f_in, f_out, name)
+                labels = np.arange(idx.size) % f_out
+                tape = Tape()
+                xv, pv, tv, sv = (tape.leaf(a, needs_grad=True) for a in (x, p, theta, skip))
+                with two_row_blocks(f_in):
+                    h = tape.mpconv(graph, gated(tape, xv, pv, idx, POOL_COUNTS), tv, sv, kept)
+                    tape.backward(tape.softmax_xent(h, labels))
+                # dense oracle: pooled = S diag(tanh(X p / |p|)) X with the 0/1 row selector S
+                norm = np.linalg.norm(p)
+                gate = np.tanh(x @ p / norm)
+                select = np.eye(7)[idx]
+                pooled = select @ (x * gate[:, None])
+                mean = mean_aggregation_matrix(graph)
+                pre = mean @ pooled @ theta + pooled @ skip
+                close = dict(rtol=0.0, atol=1e-14)
+                assert np.allclose(h.value, np.maximum(pre, 0.0), **close)
+                up = softmax_upstream(np.maximum(pre, 0.0), labels) * (pre > 0.0)
+                assert np.allclose(sv.slot.grad, pooled.T @ up, **close)
+                assert np.allclose(tv.slot.grad, (mean @ pooled).T @ up, **close)
+                back = select.T @ (up @ skip.T + mean.T @ up @ theta.T)
+                d_score = (back * x).sum(axis=1) * (1.0 - gate**2)
+                d_x = gate[:, None] * back + np.outer(d_score, p) / norm
+                d_p = x.T @ d_score / norm - (d_score @ (x @ p)) * p / norm**3
+                assert np.allclose(xv.slot.grad, d_x, **close)
+                assert np.allclose(pv.slot.grad, d_p, **close)
 
     def test_gate_rows_backward_scatters_to_kept_rows(self):
         tape = Tape()
@@ -639,6 +719,29 @@ class TestTapeLifecycle:
         assert loss.value == forward(Tape()).value
         with pytest.raises(RuntimeError, match="record=False"):
             tape.backward(loss)
+
+    @pytest.mark.parametrize("name", sorted(POOL_CASES))
+    def test_a_conv_saves_no_copy_of_its_pooled_input(self, name):
+        idx, edges = POOL_CASES[name]
+        rng = np.random.default_rng(3)
+        x, p = rng.standard_normal((7, 4)), rng.standard_normal(4)
+        tape = Tape()
+        pooled = gated(tape, tape.leaf(x, needs_grad=True), tape.leaf(p), idx, POOL_COUNTS)
+        for step in (1, 2, 3, idx.size):
+            blocks = [pooled.rebuild(start, start + step) for start in range(0, idx.size, step)]
+            assert np.concatenate(blocks).tobytes() == pooled.value.tobytes()
+        value = weakref.ref(pooled.value)
+        theta = tape.leaf(rng.standard_normal((4, 4)), needs_grad=True)
+        h = tape.mpconv(from_edge_list(idx.size, edges), pooled, theta, tape.leaf(np.eye(4)))
+        del pooled
+        assert value() is None
+        tape.backward(tape.softmax_xent(h, np.arange(idx.size) % 4))
+        assert np.all(np.isfinite(theta.slot.grad))
+
+    def test_a_forward_only_pool_output_has_no_rebuild(self):
+        tape = Tape(record=False)
+        out = gated(tape, tape.leaf(np.ones((3, 2)), needs_grad=True), tape.leaf(np.ones(2)))
+        assert out.rebuild is None
 
     def test_leaf_without_grad_gets_none(self):
         tape = Tape()
