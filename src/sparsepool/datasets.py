@@ -8,6 +8,7 @@ and `{name}_node_attributes.txt`. LF and CRLF line endings are both accepted.
 from __future__ import annotations
 
 import hashlib
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,10 +76,18 @@ class FoldSplit:
 
 
 def _read_lines(path: Path) -> list[str]:
+    """The file's lines (universal newlines); bytes that are not UTF-8
+    raise :class:`DatasetFormatError` at their line."""
     if not path.is_file():
         raise DatasetFormatError(path, None, "missing required file")
-    with open(path, "r", encoding="utf-8", newline=None) as fh:
-        return [line.rstrip("\r\n") for line in fh]
+    blob = path.read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = blob[: exc.start]
+        line_no = len(before.splitlines()) + (not before or before.endswith((b"\n", b"\r")))
+        raise DatasetFormatError(path, line_no, "not UTF-8 text") from None
+    return [line.rstrip("\r\n") for line in io.StringIO(text, newline=None)]
 
 
 def _load_table(path: Path, columns: int | None, dtype) -> np.ndarray | None:

@@ -84,7 +84,31 @@ class Parameter:
         self.step_count = 0
 
 
+def _equal_runs(counts: np.ndarray):
+    """``(first segment, first row, segments, rows per segment)`` of each
+    maximal run of equal entries in ``counts``."""
+    sizes = counts.tolist()
+    first = row = 0
+    while first < len(sizes):
+        n = sizes[first]
+        stop = first + 1
+        while stop < len(sizes) and sizes[stop] == n:
+            stop += 1
+        yield first, row, stop - first, n
+        row += (stop - first) * n
+        first = stop
+
+
 def _segmented_matmul(av: np.ndarray, bv: np.ndarray, segments) -> np.ndarray:
+    """``av @ bv`` computed segment by segment over the rows of ``av``.
+
+    BLAS results depend on the row count, so each segment is its own
+    product. A run of k segments of n rows each is one stacked product over
+    the ``(k, n, K)`` view, which runs the same gufunc core on each block as
+    k separate products (the same bytes) in one call. A run of one segment
+    is a plain 2-D product, so a shuffled training batch, whose runs are
+    mostly single graphs, costs what a per-segment loop does.
+    """
     if segments is None:
         return av @ bv
     counts = np.asarray(segments, dtype=np.int64)
@@ -93,15 +117,16 @@ def _segmented_matmul(av: np.ndarray, bv: np.ndarray, segments) -> np.ndarray:
         raise ValueError(f"segments sum to {rows}, expected {av.shape[0]} rows")
     shape = (av.shape[0],) if bv.ndim == 1 else (av.shape[0], bv.shape[1])
     value = np.empty(shape)
-    if counts.size and np.all(counts == counts[0]):
-        # equal segments (head rows, a single graph): one stacked product
-        # runs the same gufunc core on each block as the loop below
-        blocks = (counts.size, int(counts[0]))
-        np.matmul(av.reshape(blocks + av.shape[1:]), bv, out=value.reshape(blocks + shape[1:]))
-        return value
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        np.matmul(av[start:stop], bv, out=value[start:stop])
+    for _, start, k, n in _equal_runs(counts):
+        stop = start + k * n
+        if k == 1:
+            np.matmul(av[start:stop], bv, out=value[start:stop])
+        else:
+            np.matmul(
+                av[start:stop].reshape((k, n) + av.shape[1:]),
+                bv,
+                out=value[start:stop].reshape((k, n) + shape[1:]),
+            )
     return value
 
 
@@ -201,7 +226,10 @@ class Tape:
     ``softmax_xent``. Those that see a whole batch (``mpconv``,
     ``topk_gate``, ``segment_readout`` and the segmented ``matmul``) take
     per-graph row counts, so the number of records per pass does not depend
-    on how many graphs a batch holds.
+    on how many graphs a batch holds. Their per-graph kernels (the segmented
+    products and the readout) make one stacked call per run of equal
+    counts, so a batch in node-count order costs one call per distinct
+    size rather than one per graph.
 
     ``tracker`` (optional) must expose ``note(array, tag)`` and is informed
     of every activation, gradient and CSR buffer the pass allocates.
@@ -551,8 +579,12 @@ class Tape:
         ``counts`` splits the rows of ``x`` into consecutive non-empty
         segments (the graphs of a batch); a single graph is one segment. The
         max gradient goes to the first row attaining each column's maximum.
-        Segments are reduced slice by slice: ``np.maximum.reduceat`` along
-        axis 0 is several times slower than ``max(axis=0)`` on large inputs.
+        Each run of k segments of n rows is reduced as one ``(k, n, F)``
+        view along axis 1 (sum, max, first-index argmax and the
+        ``rowmax_gap`` probe), which adds each column's rows in the order a
+        per-segment ``(n, F)`` reduction does, so the bytes are the same.
+        ``np.maximum.reduceat`` along axis 0 was measured several times
+        slower than ``max(axis=0)`` on large inputs.
         """
         xv = x.value
         counts = np.asarray(counts, dtype=np.int64)
@@ -568,22 +600,22 @@ class Tape:
         x_slot, tr = x.slot, self.tracker
         wants_grad = self.record and x_slot is not None
         first = np.empty((counts.size, f), dtype=np.int64) if wants_grad else None
-        starts = np.cumsum(counts) - counts
-        for i, (start, n) in enumerate(zip(starts.tolist(), counts.tolist())):
-            blk = xv[start : start + n]
-            np.add.reduce(blk, axis=0, out=mean[i])
-            np.maximum.reduce(blk, axis=0, out=top[i])
+        for i, start, k, n in _equal_runs(counts):
+            blk = xv[start : start + k * n].reshape(k, n, f)
+            run_top = top[i : i + k]
+            np.add.reduce(blk, axis=1, out=mean[i : i + k])
+            np.maximum.reduce(blk, axis=1, out=run_top)
             if wants_grad:
-                first[i] = np.argmax(blk == top[i], axis=0)
+                first[i : i + k] = np.argmax(blk == run_top[:, None, :], axis=1)
             if self.probe is not None and n > 1:
-                second = np.partition(blk, -2, axis=0)[-2]
+                second = np.partition(blk, -2, axis=1)[:, -2]
                 # exact zero-zero ties come from ReLU clamping and are stable
-                live = ~((top[i] == 0.0) & (second == 0.0))
+                live = ~((run_top == 0.0) & (second == 0.0))
                 if np.any(live):
-                    self.probe_min("rowmax_gap", float(np.min((top[i] - second)[live])))
+                    self.probe_min("rowmax_gap", float(np.min((run_top - second)[live])))
         mean /= counts[:, None]  # what blk.mean(axis=0) divides by
         if wants_grad:
-            first += starts[:, None]
+            first += (np.cumsum(counts) - counts)[:, None]  # each segment's first row
         out = self._out(value)
         cols = np.arange(f)
 

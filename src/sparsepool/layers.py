@@ -290,7 +290,10 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
     When the input features are one-hot (node labels, degrees), block 0
     reads them as label codes (:func:`graphs.onehot_codes`); the outputs
     are the same bytes as on the dense path. The pooled graph is sliced
-    only when another block reads it.
+    only when another block reads it. A pool output is dropped once the next
+    conv has read it (that conv rebuilds its rows in backward), and a conv
+    output once it has been pooled, so a forward-only pass holds neither
+    past its last reader.
     """
     if batch.features.shape[1] != model.in_dim:
         raise ValueError(
@@ -306,10 +309,11 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
         if i:
             graph = _pooled_graph(tape, graph, idx)
         h = mpconv_forward(tape, graph, x, conv, counts, codes)
-        codes = None  # hidden features are dense
+        x = codes = None  # read by nothing else; hidden features are dense
         if model.readout_position == "pre_pool":
             per_block.append(readout(tape, h, counts))
         x, idx, counts = _topk_pool_segments(tape, h, pool, counts)
+        h = None  # a recording tape keeps what its backward reads
         if model.readout_position == "post_pool":
             per_block.append(readout(tape, x, counts))
     return aggregate_summaries(tape, per_block)

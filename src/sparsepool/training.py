@@ -170,16 +170,39 @@ def train_one(graphs, num_classes: int, config: TrainConfig):
 
 
 def forward_batches(forward, model: HierarchicalModel, graphs, batch_size: int = 256):
-    """``forward(tape, batch, model)`` over consecutive batches, rows stacked.
+    """``forward(tape, batch, model)`` over batches in node-count order; one
+    row per graph, in input order.
 
-    Each batch runs on a non-recording tape. No graphs give a 0 x 0 array.
+    The graphs are stably sorted by node count and cut into at most
+    ``ceil(len(graphs) / batch_size)`` batches where the running node total
+    crosses equal shares of the whole, so no batch holds more than
+    ``ceil(total / count)`` nodes plus its largest graph; empty parts are
+    dropped. Neighbouring graphs then share sizes, and the per-graph
+    kernels run one stacked call per run of equal sizes (see
+    :meth:`Tape.segment_readout`). Each batch runs on a non-recording tape,
+    and batched rows equal per-graph rows, so the order changes no byte.
+    No graphs give a 0 x 0 array.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     graphs = list(graphs)
-    rows = [
-        forward(Tape(record=False), batch_graphs(graphs[start : start + batch_size]), model).value
-        for start in range(0, len(graphs), batch_size)
-    ]
-    return np.concatenate(rows, axis=0) if rows else np.zeros((0, 0))
+    if not graphs:
+        return np.zeros((0, 0))
+    sizes = np.array([g.graph.num_nodes for g in graphs], dtype=np.int64)
+    order = np.argsort(sizes, kind="stable")
+    parts = -(-len(graphs) // batch_size)
+    # part j ends after the last graph whose running total stays within j/parts
+    # of all nodes; integers, so no share is rounded
+    running = np.cumsum(sizes[order]) * parts
+    cuts = np.searchsorted(running, np.arange(1, parts) * int(sizes.sum()), side="right")
+    bounds = np.unique(np.concatenate([[0], cuts, [len(graphs)]]))
+    rows = np.concatenate([
+        forward(Tape(record=False), batch_graphs([graphs[i] for i in order[lo:hi]]), model).value
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ])
+    out = np.empty_like(rows)
+    out[order] = rows
+    return out
 
 
 def predict_logits(model: HierarchicalModel, graphs, batch_size: int = 256) -> np.ndarray:
@@ -225,8 +248,7 @@ def prepare_fold(dataset: Dataset, split: FoldSplit, config: TrainConfig):
     return train, test, bound
 
 
-def _run_fold(args):
-    dataset, split, config = args
+def _run_fold(dataset: Dataset, split: FoldSplit, config: TrainConfig):
     start = time.perf_counter()
     train, test, bound = prepare_fold(dataset, split, config)
     fold_config = replace(config, seed=config.seed + split.fold_index)
@@ -235,25 +257,41 @@ def _run_fold(args):
     return accuracy, losses, time.perf_counter() - start, bound
 
 
+_worker_dataset: Dataset | None = None  # set once in each cv worker process
+
+
+def _share_dataset(dataset: Dataset) -> None:
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _run_worker_fold(task):
+    return _run_fold(_worker_dataset, *task)
+
+
 def cross_validate(dataset: Dataset, config: TrainConfig, jobs: int = 1) -> RunResult:
     """Ten independent train/evaluate runs with per-fold re-initialization.
 
     Fold f trains with seed ``config.seed + f`` and never sees its own test
     graphs. Folds are independent, so ``jobs > 1`` runs them in parallel
-    (at most one worker per fold) without changing any result.
+    (at most one worker per fold) without changing any result. Each worker
+    receives the dataset once, when it starts, and each fold task carries
+    only its split and the config.
     """
     config.validate()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     wall_start = time.perf_counter()
     splits = make_folds(dataset, config)
-    work = [(dataset, split, config) for split in splits]
-    workers = min(jobs, len(work))
+    tasks = [(split, config) for split in splits]
+    workers = min(jobs, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_fold, work))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_share_dataset, initargs=(dataset,)
+        ) as pool:
+            outcomes = list(pool.map(_run_worker_fold, tasks))
     else:
-        outcomes = [_run_fold(w) for w in work]
+        outcomes = [_run_fold(dataset, *task) for task in tasks]
     accuracies = [o[0] for o in outcomes]
     bounds = [o[3] for o in outcomes]
     return RunResult(

@@ -4,7 +4,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import re
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,3 +519,91 @@ class TestArgvFuzz:
         assert cli._resolve_config(args).hidden_dim == hidden and args.jobs == jobs
         args = parser.parse_args(["bench-mem", "--sizes", f"{size},{2 * size}"])
         assert args.sizes == [size, 2 * size]
+
+
+class TestDatasetDirFuzz:
+    """Whole TU dataset directories, damaged at random, through ``train``:
+    each exits 0, or exits 2 with an ``error:`` line naming the damaged
+    file (and its line, unless the damage is to the whole file), and never
+    prints a traceback.
+
+    The damage: a missing or empty file, a file cut short at any byte,
+    bytes that are not UTF-8, a dropped or repeated line (wrong row
+    counts), a stray separator and a line replaced by junk. The undamaged
+    directories are TOY24 as it is and with node labels or node attributes
+    added.
+    """
+
+    NAME = "TOY24"
+    FLAGS = ["--hidden=4", "--lr=0.01", "--epochs=1", "--batch-size=8"]
+    JUNK = ["x", "1.5", "--", "nan", "inf", "1e3", "99999999999999999999", "-1", "0",
+            "1,2,3", "\ufeff1", " "]
+    STRAY = [b",", b", ,", b";", b"\t", b" , ", b",,", b"\r", b"\x00"]
+    NOT_UTF8 = [b"\xff", b"\xc3", b"\xe2\x82", b"\x80abc"]
+    # whole-file and whole-dataset failures, which no single line causes
+    NO_LINE = ("missing required file", "dataset has no nodes", "has no nodes",
+               "needs at least")
+
+    @pytest.fixture(scope="class")
+    def variants(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("dirs")
+        made = {}
+        for extra in ("plain", "node_labels", "node_attributes"):
+            d = root / extra
+            shutil.copytree(FIXTURES / self.NAME, d)
+            nodes = len((d / f"{self.NAME}_graph_indicator.txt").read_text().splitlines())
+            if extra == "node_labels":
+                text = "".join(f"{i % 3}\n" for i in range(nodes))
+                (d / f"{self.NAME}_node_labels.txt").write_text(text)
+            elif extra == "node_attributes":
+                text = "".join(f"{i * 0.5}, {-i}\n" for i in range(nodes))
+                (d / f"{self.NAME}_node_attributes.txt").write_text(text)
+            made[extra] = d
+        return made
+
+    def damage(self, data, path):
+        kind = data.draw(st.sampled_from(
+            ["missing", "empty", "cut", "not_utf8", "drop", "repeat", "stray", "junk"]))
+        if kind == "missing":
+            path.unlink()
+            return kind
+        blob = path.read_bytes()
+        lines = blob.splitlines(keepends=True)
+        at = data.draw(st.integers(0, len(blob)))
+        row = data.draw(st.integers(0, len(lines) - 1))
+        if kind == "empty":
+            blob = b""
+        elif kind == "cut":
+            blob = blob[:at]
+        elif kind == "not_utf8":
+            blob = blob[:at] + data.draw(st.sampled_from(self.NOT_UTF8)) + blob[at:]
+        elif kind == "stray":
+            blob = blob[:at] + data.draw(st.sampled_from(self.STRAY)) + blob[at:]
+        else:
+            junk = data.draw(st.sampled_from(self.JUNK)).encode("utf-8") + b"\n"
+            new = {"drop": [], "repeat": [lines[row]] * 2, "junk": [junk]}[kind]
+            blob = b"".join(lines[:row] + new + lines[row + 1 :])
+        path.write_bytes(blob)
+        return kind
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_damaged_directories_exit_cleanly(self, variants, data):
+        source = variants[data.draw(st.sampled_from(sorted(variants)))]
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp) / "data"
+            shutil.copytree(source, d)
+            path = data.draw(st.sampled_from(sorted(d.iterdir())))
+            kind = self.damage(data, path)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(["train", "--dataset", self.NAME, "--data-dir", str(d),
+                             *self.FLAGS, "--out", str(Path(tmp) / "out")])
+        message = err.getvalue()
+        assert "Traceback" not in message + out.getvalue()
+        assert code in (0, 2), (kind, path.name, message)
+        if code == 2:
+            (line,) = [line for line in message.splitlines() if line.startswith("error: ")]
+            if not any(reason in line for reason in self.NO_LINE):
+                assert re.match(rf"error: {re.escape(str(d))}/{self.NAME}_\w+\.txt:\d+: ", line), (
+                    kind, path.name, line)

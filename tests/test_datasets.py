@@ -168,6 +168,17 @@ class TestParse:
         assert ds.graphs[0].graph.num_edges == 1
 
     @pytest.mark.parametrize(
+        "edges, line",
+        [(b"\xff1, 2\n", 1), (b"1, 2\n2, 1\xc3\n", 2), (b"1, 2\r\n\r\n\xe2\x82, 1\r\n", 3),
+         (b"1, 2\r2, 1\r\x80", 3)],
+    )
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, edges, line):
+        (tmp_path / "X_A.txt").write_bytes(edges)
+        write_corpus(tmp_path, "X", {"graph_indicator": "1\n1\n", "graph_labels": "1\n"})
+        with pytest.raises(DatasetFormatError, match=rf"X_A.txt:{line}: not UTF-8 text$"):
+            parse_tu_dataset(tmp_path, "X")
+
+    @pytest.mark.parametrize(
         "indicator, labels, error",
         [
             ("1\n\n2\n1\n", "1\n2\n", r"X_graph_indicator.txt:4: .*non-decreasing"),

@@ -11,7 +11,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sparsepool import engine
 from sparsepool.engine import (
@@ -628,8 +628,62 @@ def loop_readout(x, counts):
     return np.array(value), np.array(first)
 
 
+def loop_rowmax_gap(x, counts):
+    """Reference ``rowmax_gap`` probe: the smallest gap between a column's
+    largest and second-largest value in a segment of two or more rows,
+    skipping exact zero-zero ties; None when there is none."""
+    gaps, start = [], 0
+    for n in counts:
+        blk = np.sort(x[start : start + n], axis=0)
+        start += n
+        if n > 1:
+            live = ~((blk[-1] == 0.0) & (blk[-2] == 0.0))
+            gaps.extend((blk[-1] - blk[-2])[live].tolist())
+    return min(gaps) if gaps else None
+
+
+# segment counts made of runs of equal sizes, single segments and 1-row
+# segments, in any order (neighbouring runs of one size merge)
+run_counts = st.lists(
+    st.tuples(st.integers(1, 12), st.integers(1, 6)), min_size=1, max_size=8
+).map(lambda runs: [n for n, k in runs for _ in range(k)])
+
+
 class TestBatchedKernels:
     """Batch-wide kernels equal the per-segment loops they replace, bit for bit."""
+
+    @given(counts=run_counts, inner=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200)
+    def test_runs_of_equal_segments_match_the_loop(self, counts, inner, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((sum(counts), inner))
+        for b in [rng.standard_normal((inner, w)) for w in (1, 2, 3, 64, 128)] + [
+            rng.standard_normal(inner)
+        ]:
+            got = _segmented_matmul(a, b, counts)
+            assert got.tobytes() == loop_segmented_matmul(a, b, counts).tobytes()
+
+    @given(counts=run_counts, width=st.sampled_from([1, 2, 5, 64]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200)
+    def test_readout_runs_match_the_loop(self, counts, width, seed):
+        rng = np.random.default_rng(seed)
+        # rounded and ReLU-clamped, so columns tie at zero and above it
+        x = np.maximum(np.round(rng.standard_normal((sum(counts), width)), 1), 0.0)
+        probe: dict = {}
+        tape = Tape(probe=probe)
+        xv = tape.leaf(x, needs_grad=True)
+        out = tape.segment_readout(xv, counts)
+        value, first = loop_readout(x, counts)
+        assert out.value.tobytes() == value.tobytes()
+        assert probe.get("rowmax_gap") == loop_rowmax_gap(x, counts)
+        up = rng.standard_normal(value.shape)
+        ((_, rule),) = tape._nodes
+        rule(up.copy())  # the max share must reach the first row at each maximum
+        expected = np.repeat(up[:, :width] / np.array(counts)[:, None], counts, axis=0)
+        expected[first, np.arange(width)] += up[:, width:]
+        assert xv.slot.grad.tobytes() == expected.tobytes()
+        forward_only = Tape(record=False).segment_readout(Tape().leaf(x), counts)
+        assert forward_only.value.tobytes() == value.tobytes()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_equal_segments_match_the_loop(self, seed):

@@ -1,6 +1,8 @@
 """Layer and model-composition tests."""
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -474,6 +476,39 @@ class TestModelForward:
             peaks.append(tracker.peak)
         assert np.array_equal(logits[0], logits[1])
         assert peaks[1] < peaks[0]
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("position", ["post_pool", "pre_pool"])
+    def test_panels_are_dropped_after_their_last_reader(self, monkeypatch, record, position):
+        # a pool output is dead once the next conv has read it; on a
+        # forward-only tape a conv output is dead once it has been pooled
+        rng = np.random.default_rng(3)
+        batch = batch_graphs([
+            LabeledGraph(random_graph(rng, n), rng.standard_normal((n, 4)), 0) for n in (9, 7)
+        ])
+        model = build_model(4, 6, 2, pool_ratio=0.8, seed=1, readout_position=position)
+        pooled, convolved, live = [], [], []
+        real_mpconv, real_topk_gate = Tape.mpconv, Tape.topk_gate
+
+        def mpconv(tape, *args):
+            out = real_mpconv(tape, *args)
+            live.append(("conv", [ref() is not None for ref in convolved]))
+            convolved.append(weakref.ref(out.value))
+            return out
+
+        def topk_gate(tape, *args):
+            out, idx, kept = real_topk_gate(tape, *args)
+            live.append(("pool", [ref() is not None for ref in pooled]))
+            pooled.append(weakref.ref(out.value))
+            return out, idx, kept
+
+        monkeypatch.setattr(Tape, "mpconv", mpconv)
+        monkeypatch.setattr(Tape, "topk_gate", topk_gate)
+        model_forward(Tape(record=record), batch, model)
+        assert [kind for kind, _ in live] == ["conv", "pool"] * 3
+        assert all(not any(alive) for kind, alive in live if kind == "pool")
+        if not record:
+            assert all(not any(alive) for kind, alive in live if kind == "conv")
 
     @pytest.mark.parametrize("position", ["post_pool", "pre_pool"])
     def test_ratio_one_pools_onto_the_same_graph(self, monkeypatch, position):

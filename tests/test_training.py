@@ -2,14 +2,17 @@
 from __future__ import annotations
 
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import make_cycle_star_task
+from conftest import make_cycle_star_task, random_graph
+from sparsepool import engine
 from sparsepool.datasets import Dataset, parse_tu_dataset, stratified_kfold
 from sparsepool.engine import Tape
-from sparsepool.graphs import batch_graphs
+from sparsepool.graphs import LabeledGraph, batch_graphs
 from sparsepool import training
 from sparsepool.layers import build_model, forward_summaries, model_forward
 from sparsepool.training import (
@@ -182,7 +185,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(training, "model_forward", counting)
         logits = predict_logits(model, task, batch_size=4)
-        assert seen == [4, 2]
+        assert len(seen) == 2 and sum(seen) == len(task)  # node-balanced cut: 3 and 3
         assert logits.shape == (len(task), 2)
 
     def test_forward_batches_match_one_batch(self):
@@ -191,6 +194,89 @@ class TestEvaluate:
         whole = forward_summaries(Tape(record=False), batch_graphs(task), model).value
         assert np.array_equal(forward_batches(forward_summaries, model, task, batch_size=4), whole)
         assert forward_batches(forward_summaries, model, []).shape == (0, 0)
+
+
+def size_shuffled_graphs(seed: int = 5):
+    """Graphs of 1 to 11 nodes with many repeated sizes, one graph larger
+    than all the others together, and a 1-node graph, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    sizes = [1, *rng.integers(2, 12, size=60).tolist()]
+    sizes.append(sum(sizes) + 1)
+    graphs = []
+    for n in rng.permutation(sizes).tolist():
+        graph = random_graph(rng, n, edge_prob=min(0.4, 4.0 / n))
+        graphs.append(LabeledGraph(graph, rng.standard_normal((n, 5)), int(rng.integers(3))))
+    return graphs
+
+
+class TestForwardBatches:
+    """Forward-only batches are cut in node-count order and scattered back."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        return size_shuffled_graphs(), build_model(5, 8, 3, seed=2)
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 16, 256])
+    def test_rows_come_back_in_input_order(self, setup, batch_size):
+        graphs, model = setup
+        single = np.concatenate(
+            [model_forward(Tape(record=False), batch_graphs([g]), model).value for g in graphs]
+        )
+        batched = forward_batches(model_forward, model, graphs, batch_size)
+        assert batched.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 8, 30, 61, 62, 500])
+    def test_batches_are_node_balanced_and_never_empty(self, setup, batch_size):
+        graphs, model = setup
+        seen = []
+
+        def forward(tape, batch, m):
+            seen.append(np.asarray(batch.node_counts))
+            return forward_summaries(tape, batch, m)
+
+        forward_batches(forward, model, graphs, batch_size)
+        parts = math.ceil(len(graphs) / batch_size)
+        share = math.ceil(sum(g.graph.num_nodes for g in graphs) / parts)
+        assert 1 <= len(seen) <= parts
+        assert sum(c.size for c in seen) == len(graphs)
+        for counts in seen:
+            assert counts.size >= 1
+            assert np.all(np.diff(counts) >= 0)  # node-count order
+            assert counts.sum() <= share + counts.max()
+
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_raises(self, setup, batch_size):
+        graphs, model = setup
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            forward_batches(model_forward, model, graphs, batch_size)
+
+    def test_one_product_per_distinct_segment_size(self, monkeypatch):
+        # a sorted 256-graph batch: every segmented product makes at most one
+        # np.matmul call per distinct segment size
+        rng = np.random.default_rng(9)
+        graphs = []
+        for n in rng.integers(3, 9, size=256).tolist():
+            graphs.append(LabeledGraph(random_graph(rng, n), rng.standard_normal((n, 5)), 0))
+        model = build_model(5, 8, 3, seed=4)
+        calls, products = [0], []
+        real_matmul, real_segmented = np.matmul, engine._segmented_matmul
+
+        def counting_matmul(*args, **kwargs):
+            calls[0] += 1
+            return real_matmul(*args, **kwargs)
+
+        def segmented(av, bv, segments):
+            before = calls[0]
+            value = real_segmented(av, bv, segments)
+            products.append((calls[0] - before, np.unique(segments).size))
+            return value
+
+        monkeypatch.setattr(np, "matmul", counting_matmul)
+        monkeypatch.setattr(engine, "_segmented_matmul", segmented)
+        forward_batches(model_forward, model, graphs, batch_size=256)
+        assert len(products) >= 3 * 3 + 2  # scores and projections of every block, the head
+        assert all(made <= distinct for made, distinct in products)
+        assert max(distinct for _, distinct in products) > 1
 
 
 class TestCrossValidate:
@@ -219,7 +305,36 @@ class TestCrossValidate:
         ds = self.dataset(fixtures_dir)
         seq = cross_validate(ds, quick_config(folds=3), jobs=1)
         par = cross_validate(ds, quick_config(folds=3), jobs=2)
-        assert seq.fold_accuracies == par.fold_accuracies
+        untimed = dict(fold_seconds=[], wall_seconds=0.0)
+        assert replace(seq, **untimed) == replace(par, **untimed)
+
+    def test_fold_tasks_do_not_carry_the_dataset(self, fixtures_dir, monkeypatch):
+        # each worker gets the dataset once, from the pool initializer; a
+        # fold task pickles to its split and the config only
+        tasks = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*pickle.loads(pickle.dumps(initargs)))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                tasks.extend(pickle.dumps(item) for item in items)
+                return map(fn, [pickle.loads(task) for task in tasks])
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(training, "_worker_dataset", None)  # restored after the test
+        ds = self.dataset(fixtures_dir)
+        result = cross_validate(ds, quick_config(folds=3), jobs=2)
+        assert len(tasks) == 3
+        assert len(pickle.dumps(ds)) > 10_000
+        assert all(len(task) < 10_000 for task in tasks)
+        assert result.fold_accuracies == cross_validate(ds, quick_config(folds=3)).fold_accuracies
 
     @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (64, 3)])
     def test_worker_count_is_capped_at_fold_count(self, fixtures_dir, monkeypatch, jobs, workers):
@@ -228,8 +343,9 @@ class TestCrossValidate:
         class SerialPool:
             """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -241,6 +357,7 @@ class TestCrossValidate:
                 return map(fn, items)
 
         monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(training, "_worker_dataset", None)  # restored after the test
         ds = self.dataset(fixtures_dir)
         result = cross_validate(ds, quick_config(folds=3), jobs=jobs)
         assert started == [workers]
