@@ -28,12 +28,10 @@ from .layers import (
     MLPHead,
     MPConvLayer,
     TopKPoolLayer,
-    aggregate_summaries,
     build_model,
     forward_summaries,
     model_forward,
     mpconv_forward,
-    readout,
     topk_pool,
 )
 from .datasets import (

@@ -245,8 +245,11 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
             ind_path, _line_of_row(ind_path, bad), "graph indicator must be non-decreasing"
         )
     if np.any(steps > 1):
-        empty = int(indicator[np.argmax(steps > 1)]) + 1
-        raise DatasetFormatError(ind_path, None, f"graph {empty} has no nodes")
+        after = int(np.argmax(steps > 1)) + 1  # the first row past the gap
+        raise DatasetFormatError(
+            ind_path, _line_of_row(ind_path, after),
+            f"graph {int(indicator[after - 1]) + 1} has no nodes",
+        )
     num_graphs = int(indicator[-1])
     num_nodes = indicator.size
     starts = np.searchsorted(indicator, np.arange(1, num_graphs + 2)).tolist()

@@ -220,16 +220,18 @@ class Tape:
     """Record of one forward pass, replayable in reverse for gradients.
 
     Each primitive call appends one record, ``(output slot, backward
-    closure)``. The primitives are ``mpconv`` (a whole conv block),
-    ``topk_gate`` (a whole pool block: score, select, gate),
-    ``segment_readout``, ``sum_tensors``, ``matmul``, ``add``, ``relu`` and
-    ``softmax_xent``. Those that see a whole batch (``mpconv``,
-    ``topk_gate``, ``segment_readout`` and the segmented ``matmul``) take
-    per-graph row counts, so the number of records per pass does not depend
-    on how many graphs a batch holds. Their per-graph kernels (the segmented
-    products and the readout) make one stacked call per run of equal
-    counts, so a batch in node-count order costs one call per distinct
-    size rather than one per graph.
+    closure)``, and each primitive is one model stage: ``mpconv`` (a whole
+    conv block), ``topk_gate`` (a whole pool block: score, select, gate),
+    ``segment_readout`` (a block's readout, added into the running sum of
+    the earlier ones), ``mlp_head`` (both head layers) and
+    ``softmax_xent``. A training pass of the three-block model is 11
+    records, 10 with pre-pool readouts. The primitives see a whole batch at
+    once (``mpconv``, ``topk_gate`` and ``segment_readout`` take per-graph
+    row counts; ``mlp_head`` works row by row), so the number of records
+    per pass does not depend on how many graphs a batch holds. Their
+    per-graph kernels (the segmented products and the readout) make one
+    stacked call per run of equal counts, so a batch in node-count order
+    costs one call per distinct size rather than one per graph.
 
     ``tracker`` (optional) must expose ``note(array, tag)`` and is informed
     of every activation, gradient and CSR buffer the pass allocates.
@@ -312,66 +314,6 @@ class Tape:
     # ------------------------------------------------------------------
     # primitives
     # ------------------------------------------------------------------
-    def matmul(self, a: Var, b: Var, segments=None) -> Var:
-        """a @ b; with ``segments`` the product is computed per row block.
-
-        BLAS results depend on the total row count, so block-diagonal batches
-        are multiplied segment by segment to stay bit-identical with
-        per-graph runs. The backward pass is mathematically unaffected and
-        uses whole-matrix products.
-        """
-        av, bv = a.value, b.value
-        if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-            raise ValueError(f"matmul shape mismatch: {av.shape} @ {bv.shape}")
-        out = self._out(_segmented_matmul(av, bv, segments))
-        a_slot, b_slot, tr = a.slot, b.slot, self.tracker
-        a_saved = av if b_slot is not None else None
-        b_saved = bv if a_slot is not None else None
-
-        def bw(g):
-            if a_slot is not None:
-                _acc(a_slot, g @ b_saved.T, True, tr)
-            if b_slot is not None:
-                _acc(b_slot, a_saved.T @ g, True, tr)
-
-        self._push(out.slot, bw)
-        return out
-
-    def add(self, a: Var, b: Var) -> Var:
-        av, bv = a.value, b.value
-        broadcast = av.shape != bv.shape
-        if broadcast and not (
-            av.ndim == 2 and bv.ndim == 2 and bv.shape == (1, av.shape[1])
-        ):
-            raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
-        out = self._out(av + bv)
-        a_slot, b_slot, tr = a.slot, b.slot, self.tracker
-
-        def bw(g):
-            if b_slot is not None:
-                _acc(b_slot, g.sum(axis=0, keepdims=True) if broadcast else g, broadcast, tr)
-            _hand_over(a_slot, g)
-
-        self._push(out.slot, bw)
-        return out
-
-    def relu(self, a: Var) -> Var:
-        av = a.value
-        if self.probe is not None and av.size:
-            self.probe_min("relu_margin", float(np.min(np.abs(av))))
-        h = np.maximum(av, 0.0)
-        out = self._out(h)
-        a_slot = a.slot
-        saved = h if a_slot is not None else None
-
-        def bw(g):
-            if a_slot is not None:
-                np.multiply(g, saved > 0.0, out=g)
-                _hand_over(a_slot, g)
-
-        self._push(out.slot, bw)
-        return out
-
     def mpconv(
         self,
         graph: _graphs.SparseGraph,
@@ -390,7 +332,8 @@ class Tape:
         columns, and also saves mean_aggregate(X) for theta's gradient. The
         skip product is added into the aggregated buffer and the ReLU is
         applied in place, so the ReLU output is the only other N x F_out
-        array the record saves. ``segments`` works as in :meth:`matmul`.
+        array the record saves. With ``segments`` (per-graph row counts) each
+        product runs graph by graph (:func:`_segmented_matmul`).
 
         When X has a ``rebuild`` (X is a pool output), the record saves the
         rebuild instead of X. Backward then forms ``X.T @ g`` and ``X.T @
@@ -488,7 +431,7 @@ class Tape:
         """Score, select and gate rows of ``x`` in one record.
 
         Each row's score is ``x_i . p / max(||p||, guard)``, computed per
-        segment of ``counts`` as in :meth:`matmul`; while the guard is
+        segment of ``counts`` (:func:`_segmented_matmul`); while the guard is
         active the norm is a constant. ``select(scores)`` returns the kept
         row indices, strictly increasing, and the kept count of each
         segment. The output is ``x[idx] * tanh(scores[idx])[:, None]``, so
@@ -573,7 +516,7 @@ class Tape:
         self._nodes.append((out.slot, bw))
         return out, idx, kept
 
-    def segment_readout(self, x: Var, counts) -> Var:
+    def segment_readout(self, x: Var, counts, summary: Var | None = None) -> Var:
         """Column-wise [mean || max] of each row segment, one row per segment.
 
         ``counts`` splits the rows of ``x`` into consecutive non-empty
@@ -585,6 +528,12 @@ class Tape:
         per-segment ``(n, F)`` reduction does, so the bytes are the same.
         ``np.maximum.reduceat`` along axis 0 was measured several times
         slower than ``max(axis=0)`` on large inputs.
+
+        ``summary`` (optional) is a running sum of earlier readouts of the
+        output's shape. The readout is added into its buffer, which becomes
+        the output's value, so ``summary`` must be read for nothing else
+        afterwards. Backward hands its gradient on to ``summary``'s slot once
+        it has read it for ``x``.
         """
         xv = x.value
         counts = np.asarray(counts, dtype=np.int64)
@@ -595,9 +544,13 @@ class Tape:
                 f"segment counts must be positive and sum to the {xv.shape[0]} input rows"
             )
         f = xv.shape[1]
-        value = np.empty((counts.size, 2 * f))
-        mean, top = value[:, :f], value[:, f:]
+        shape = (counts.size, 2 * f)
+        if summary is not None and summary.value.shape != shape:
+            raise ValueError(f"segment_readout summary of shape {summary.value.shape}, "
+                             f"expected {shape}")
         x_slot, tr = x.slot, self.tracker
+        value = _noted(np.empty(shape), tr, "acts")
+        mean, top = value[:, :f], value[:, f:]
         wants_grad = self.record and x_slot is not None
         first = np.empty((counts.size, f), dtype=np.int64) if wants_grad else None
         for i, start, k, n in _equal_runs(counts):
@@ -616,47 +569,74 @@ class Tape:
         mean /= counts[:, None]  # what blk.mean(axis=0) divides by
         if wants_grad:
             first += (np.cumsum(counts) - counts)[:, None]  # each segment's first row
-        out = self._out(value)
+        s_slot = None
+        if summary is not None:
+            summary.value += value
+            value, s_slot = summary.value, summary.slot
+        out = Var(value, Slot())
         cols = np.arange(f)
 
         def bw(g):
-            if x_slot is None:
-                return
-            share = g[:, :f] / counts[:, None]  # each row's part of its mean
-            if x_slot.grad is None:
-                d = np.repeat(share, counts, axis=0)
-                d[first, cols] += g[:, f:]
-                _acc(x_slot, d, True, tr)
-                return
-            # add into the gradient in place; the max entries get
-            # grad + (share + max), the bytes of grad += d with d as above
-            grad = x_slot.grad
-            at_max = grad[first, cols]
-            at_max += share + g[:, f:]
-            _add_rows(grad, share, np.repeat(np.arange(counts.size), counts))
-            grad[first, cols] = at_max
+            if x_slot is not None:
+                share = g[:, :f] / counts[:, None]  # each row's part of its mean
+                if x_slot.grad is None:
+                    d = np.repeat(share, counts, axis=0)
+                    d[first, cols] += g[:, f:]
+                    _acc(x_slot, d, True, tr)
+                else:
+                    # add into the gradient in place; the max entries get
+                    # grad + (share + max), the bytes of grad += d with d as above
+                    grad = x_slot.grad
+                    at_max = grad[first, cols]
+                    at_max += share + g[:, f:]
+                    _add_rows(grad, share, np.repeat(np.arange(counts.size), counts))
+                    grad[first, cols] = at_max
+            _hand_over(s_slot, g)
 
         self._push(out.slot, bw)
         return out
 
-    def sum_tensors(self, vars: list[Var]) -> Var:
-        if not vars:
-            raise ValueError("sum_tensors needs at least one input")
-        shape = vars[0].value.shape
-        for v in vars:
-            if v.value.shape != shape:
-                raise ValueError(f"sum_tensors shape mismatch: {v.value.shape} vs {shape}")
-        total = vars[0].value.copy()
-        for v in vars[1:]:
-            total += v.value
-        out = self._out(total)
-        slots = [v.slot for v in vars]
+    def mlp_head(self, s: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
+        """relu(s @ w1 + b1) @ w2 + b2 as one record, one output row per row of ``s``.
+
+        Both products run row by row (:func:`_segmented_matmul` with one row
+        per segment), so a graph's logits do not depend on the batch it is
+        in. The biases are ``(1, width)`` rows added to every row. The
+        ``relu_margin`` probe reads the pre-activation. The record saves
+        ``s`` and the hidden activation; backward uses whole-matrix products.
+        """
+        sv, w1v, b1v, w2v, b2v = s.value, w1.value, b1.value, w2.value, b2.value
+        hidden, width = w1v.shape[-1], w2v.shape[-1]
+        if (sv.ndim != 2 or w1v.shape != (sv.shape[1], hidden) or b1v.shape != (1, hidden)
+                or w2v.shape != (hidden, width) or b2v.shape != (1, width)):
+            raise ValueError(
+                f"mlp_head shape mismatch: s {sv.shape}, w1 {w1v.shape}, b1 {b1v.shape}, "
+                f"w2 {w2v.shape}, b2 {b2v.shape}"
+            )
         tr = self.tracker
+        rows = np.ones(sv.shape[0], dtype=np.int64)
+        h = _noted(_segmented_matmul(sv, w1v, rows), tr, "acts")
+        h += b1v
+        if self.probe is not None and h.size:
+            self.probe_min("relu_margin", float(np.min(np.abs(h))))
+        np.maximum(h, 0.0, out=h)
+        out = self._out(_segmented_matmul(h, w2v, rows))
+        out.value += b2v
+        s_slot, w1_slot, b1_slot, w2_slot, b2_slot = (v.slot for v in (s, w1, b1, w2, b2))
 
         def bw(g):
-            for slot in slots[:-1]:
-                _acc(slot, g, False, tr)
-            _hand_over(slots[-1], g)
+            _acc(b2_slot, g.sum(axis=0, keepdims=True), True, tr)
+            if w2_slot is not None:
+                _acc(w2_slot, h.T @ g, True, tr)
+            if s_slot is None and w1_slot is None and b1_slot is None:
+                return
+            d = _noted(g @ w2v.T, tr, "grads")  # through the second product
+            d *= h > 0.0
+            _acc(b1_slot, d.sum(axis=0, keepdims=True), True, tr)
+            if w1_slot is not None:
+                _acc(w1_slot, sv.T @ d, True, tr)
+            if s_slot is not None:
+                _acc(s_slot, d @ w1v.T, True, tr)
 
         self._push(out.slot, bw)
         return out

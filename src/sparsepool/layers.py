@@ -19,8 +19,6 @@ __all__ = [
     "kept_count",
     "mpconv_forward",
     "topk_pool",
-    "readout",
-    "aggregate_summaries",
     "forward_summaries",
     "model_forward",
     "READOUT_POSITIONS",
@@ -270,30 +268,18 @@ def topk_pool(tape: Tape, graph: SparseGraph, x: Var, layer: TopKPoolLayer):
     return _pooled_graph(tape, graph, idx), pooled_x, idx
 
 
-def readout(tape: Tape, x: Var, counts) -> Var:
-    """Column-wise [mean || max] of each graph's rows, as a num_graphs x 2F matrix.
-
-    ``counts`` holds the per-graph row counts of a batch, ``[num_nodes]``
-    for a single graph.
-    """
-    return tape.segment_readout(x, counts)
-
-
-def aggregate_summaries(tape: Tape, summaries) -> Var:
-    """Elementwise sum of the per-block summaries."""
-    return tape.sum_tensors(list(summaries))
-
-
 def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -> Var:
     """Per-graph summary vectors (num_graphs x 2F'), summed over all blocks.
 
-    When the input features are one-hot (node labels, degrees), block 0
-    reads them as label codes (:func:`graphs.onehot_codes`); the outputs
-    are the same bytes as on the dense path. The pooled graph is sliced
-    only when another block reads it. A pool output is dropped once the next
-    conv has read it (that conv rebuilds its rows in backward), and a conv
-    output once it has been pooled, so a forward-only pass holds neither
-    past its last reader.
+    Each block's readout adds into the running sum of the earlier blocks'
+    readouts (:meth:`Tape.segment_readout`). When the input features are
+    one-hot (node labels, degrees), block 0 reads them as label codes
+    (:func:`graphs.onehot_codes`); the outputs are the same bytes as on the
+    dense path. The pooled graph is sliced only when another block reads
+    it, and with pre-pool readouts the last block is not pooled at all. A
+    pool output is dropped once the next conv has read it (that conv
+    rebuilds its rows in backward), and a conv output once it has been
+    pooled, so a forward-only pass holds neither past its last reader.
     """
     if batch.features.shape[1] != model.in_dim:
         raise ValueError(
@@ -304,28 +290,28 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
     counts = np.asarray(batch.node_counts, dtype=np.int64)
     x = tape.leaf(batch.features)
     codes = onehot_codes(x.value)
-    per_block = []
+    summary = None
+    last = len(model.blocks) - 1
     for i, (conv, pool) in enumerate(model.blocks):
         if i:
             graph = _pooled_graph(tape, graph, idx)
         h = mpconv_forward(tape, graph, x, conv, counts, codes)
         x = codes = None  # read by nothing else; hidden features are dense
         if model.readout_position == "pre_pool":
-            per_block.append(readout(tape, h, counts))
+            summary = tape.segment_readout(h, counts, summary)
+            if i == last:
+                break  # nothing reads the last pool's output
         x, idx, counts = _topk_pool_segments(tape, h, pool, counts)
         h = None  # a recording tape keeps what its backward reads
         if model.readout_position == "post_pool":
-            per_block.append(readout(tape, x, counts))
-    return aggregate_summaries(tape, per_block)
+            summary = tape.segment_readout(x, counts, summary)
+    return summary
 
 
 def model_forward(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -> Var:
     """Logits (num_graphs x C) for a batch; bit-equal to per-graph runs stacked."""
-    s = forward_summaries(tape, batch, model)
-    rows = np.ones(s.value.shape[0], dtype=np.int64)
-    hidden = tape.relu(
-        tape.add(tape.matmul(s, tape.param(model.head.w1), rows), tape.param(model.head.b1))
-    )
-    return tape.add(
-        tape.matmul(hidden, tape.param(model.head.w2), rows), tape.param(model.head.b2)
+    head = model.head
+    return tape.mlp_head(
+        forward_summaries(tape, batch, model),
+        *(tape.param(p) for p in (head.w1, head.b1, head.w2, head.b2)),
     )

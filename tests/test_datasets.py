@@ -185,7 +185,7 @@ class TestParse:
             ("\n2\n2\n", "1\n2\n", r"X_graph_indicator.txt:2: .*start at 1"),
             ("1\n99999999999999999999\n", "1\n", r"X_graph_indicator.txt:2: .*overflows"),
             # a jump in graph ids must not size an array by the largest id
-            ("1\n1000000000000\n", "1\n2\n", r"X_graph_indicator.txt: graph 2 has no nodes"),
+            ("1\n1000000000000\n", "1\n2\n", r"X_graph_indicator.txt:2: graph 2 has no nodes"),
             ("1\n2\n", "1\n\n", r"X_graph_labels.txt:3: expected 2 graph labels, got 1"),
         ],
     )

@@ -151,7 +151,9 @@ class TestPrimitiveGradients:
     named after those steps (``vecdot`` for the segmented scores,
     ``div_by_norm`` for the norm, ``tanh`` for the gate, ``gate_rows`` for
     the gathered rows) check it through each of them. ``spmm_mean`` names
-    the aggregation inside ``mpconv``.
+    the aggregation inside ``mpconv``. Likewise ``matmul``, ``add`` and
+    ``relu`` name the steps of ``mlp_head``, and ``sum_tensors`` the running
+    summary that ``segment_readout`` adds into.
     """
 
     def setup_method(self):
@@ -161,46 +163,80 @@ class TestPrimitiveGradients:
         # keep magnitudes O(1) and away from relu/max switch points
         return self.rng.uniform(0.2, 1.0, size=shape) * self.rng.choice([-1, 1], size=shape)
 
+    def head_case(self, rows=2):
+        """(s, w1, b1, w2, b2) of a 4 -> 3 -> 3 head on ``rows`` summaries.
+
+        Summaries in quarters, first-layer weights in halves and biases of
+        +-1/16 put every hidden pre-activation on an odd multiple of 1/16, at
+        least 1/16 from the ReLU kink, with units on both sides of it.
+        """
+        s = np.resize([[0.5, -0.25, 0.75, 1.0], [-0.5, 1.0, 0.25, -0.75]], (rows, 4))
+        w1 = np.array([[0.5, -0.5, 1.0], [0.5, 1.0, -0.5], [-1.0, 0.5, 0.5], [0.5, 1.0, 0.5]])
+        b1 = np.array([[0.0625, -0.0625, 0.0625]])
+        return s, w1, b1, self.weights(3, 3), self.weights(1, 3)
+
+    def head(self, t, arrays, v, i, labels=(1, 0)):
+        """Loss of ``mlp_head`` with input ``i`` replaced by ``v``."""
+        s, w1, b1, w2, b2 = (v if j == i else t.leaf(a) for j, a in enumerate(arrays))
+        return t.softmax_xent(t.mlp_head(s, w1, b1, w2, b2), list(labels))
+
     def test_matmul_left(self):
-        w = self.weights(4, 3)
-        check_primitive(
-            lambda t, v: t.softmax_xent(t.matmul(v, t.leaf(w)), [1, 0]),
-            self.weights(2, 4),
-        )
+        # the summaries, the left operand of the first product
+        arrays = self.head_case()
+        check_primitive(lambda t, v: self.head(t, arrays, v, 0), arrays[0].copy())
 
     def test_matmul_right(self):
-        a = self.weights(3, 4)
-        check_primitive(
-            lambda t, v: t.softmax_xent(t.matmul(t.leaf(a), v), [1, 0, 2]),
-            self.weights(4, 3),
-        )
+        # the weights, the right operands of both products
+        arrays = self.head_case()
+        for i in (1, 3):
+            check_primitive(lambda t, v: self.head(t, arrays, v, i), arrays[i].copy())
 
     def test_add(self):
-        b = self.weights(2, 3)
-        check_primitive(
-            lambda t, v: t.softmax_xent(t.add(v, t.leaf(b)), [0, 2]), self.weights(2, 3)
-        )
+        # one summary row: each bias has the shape of the row it is added to
+        arrays = self.head_case(rows=1)
+        for i in (2, 4):
+            check_primitive(lambda t, v: self.head(t, arrays, v, i, [2]), arrays[i].copy())
 
     def test_add_broadcast_bias(self):
-        a = np.array([[0.5, -0.7, 0.3], [0.2, 0.9, -0.4]])
-        check_primitive(
-            lambda t, v: t.softmax_xent(t.add(t.leaf(a), v), [0, 2]),
-            self.weights(1, 3),
-        )
+        arrays = self.head_case(rows=3)
+        for i in (2, 4):
+            check_primitive(lambda t, v: self.head(t, arrays, v, i, [0, 2, 1]), arrays[i].copy())
 
     def test_relu(self):
-        check_primitive(
-            lambda t, v: t.softmax_xent(t.relu(v), [1]), np.array([[0.8, -0.6, 0.4]])
-        )
+        # the hidden layer has units on both sides of the kink
+        s, w1, b1, w2, b2 = self.head_case()
+        pre = s @ w1 + b1
+        assert (pre > 0).any() and (pre < 0).any()
+        check_primitive(lambda t, v: self.head(t, (s, w1, b1, w2, b2), v, 2), b1.copy())
 
     def test_relu_passes_zero_below_kink(self):
         tape = Tape()
-        v = tape.leaf(np.array([[-1.0, 2.0]]), needs_grad=True)
-        out = tape.relu(v)
-        loss = tape.softmax_xent(out, [0])
+        w1 = tape.leaf(np.array([[-1.0, 2.0]]), needs_grad=True)
+        b1 = tape.leaf(np.zeros((1, 2)), needs_grad=True)
+        w2, b2 = tape.leaf(np.array([[1.0, -1.0], [0.5, 2.0]])), tape.leaf(np.zeros((1, 2)))
+        loss = tape.softmax_xent(tape.mlp_head(tape.leaf([[1.0]]), w1, b1, w2, b2), [0])
         tape.backward(loss)
-        assert v.slot.grad[0, 0] == 0.0
-        assert v.slot.grad[0, 1] != 0.0
+        for grad in (w1.slot.grad, b1.slot.grad):
+            assert grad[0, 0] == 0.0
+            assert grad[0, 1] != 0.0
+
+    def test_mlp_head_matches_dense_oracle(self):
+        s, w1, b1, w2, b2 = self.head_case(rows=5)
+        labels = [1, 0, 2, 2, 0]
+        tape = Tape()
+        vs = [tape.leaf(a, needs_grad=True) for a in (s, w1, b1, w2, b2)]
+        out = tape.mlp_head(*vs)
+        pre = s @ w1 + b1
+        hidden = np.maximum(pre, 0.0)
+        close = dict(rtol=0.0, atol=1e-14)
+        assert np.allclose(out.value, hidden @ w2 + b2, **close)
+        tape.backward(tape.softmax_xent(out, labels))
+        up = softmax_upstream(out.value, labels)
+        d_pre = (up @ w2.T) * (pre > 0.0)
+        expected = (d_pre @ w1.T, s.T @ d_pre, d_pre.sum(axis=0, keepdims=True),
+                    hidden.T @ up, up.sum(axis=0, keepdims=True))
+        for v, grad in zip(vs, expected):
+            assert np.allclose(v.slot.grad, grad, **close)
 
     def test_tanh(self):
         # scores of magnitude 1.5-3 sit on tanh's flat shoulders
@@ -271,6 +307,8 @@ class TestPrimitiveGradients:
         cases = itertools.product(CONV_ORDERS, sorted(POOL_CASES), (False, True), range(4))
         for (f_in, f_out), name, readout, i in cases:
             idx, graph, kept, arrays = self.pool_conv_case(f_in, f_out, name)
+            head = (self.weights(2 * f_in, 3), self.weights(1, 3),
+                    self.weights(3, 2 * f_out), self.weights(1, 2 * f_out))
 
             def build(t, v):
                 # every input needs a gradient, so the pool is recorded
@@ -279,11 +317,10 @@ class TestPrimitiveGradients:
                 )
                 pooled = gated(t, x, p, idx, POOL_COUNTS)
                 h = t.mpconv(graph, pooled, theta, skip, kept)
-                loss = t.softmax_xent(t.segment_readout(h, kept), [0, 1, 2])
-                if readout:
-                    summary = t.segment_readout(pooled, kept)
-                    loss = t.add(loss, t.softmax_xent(summary, [3, 1, 0]))
-                return loss
+                summary = None
+                if readout:  # a head maps the pooled readout to the conv's width
+                    summary = t.mlp_head(t.segment_readout(pooled, kept), *map(t.leaf, head))
+                return t.softmax_xent(t.segment_readout(h, kept, summary), [0, 1, 2])
 
             with two_row_blocks(f_in):
                 check_primitive(build, arrays[i].copy())
@@ -429,11 +466,15 @@ class TestPrimitiveGradients:
             tape.segment_readout(tape.leaf(np.ones((3, 2))), counts)
 
     def test_sum_tensors(self):
-        b = self.weights(2, 3)
-        check_primitive(
-            lambda t, v: t.softmax_xent(t.sum_tensors([v, t.leaf(b), v]), [0, 1]),
-            self.weights(2, 3),
-        )
+        # the same input read as the summary's source and as the input, and
+        # a constant input in between
+        b = self.weights(4, 3)
+
+        def build(t, v):
+            summary = t.segment_readout(t.leaf(b), [1, 3], t.segment_readout(v, [2, 2]))
+            return t.softmax_xent(t.segment_readout(v, [3, 1], summary), [0, 5])
+
+        check_primitive(build, self.weights(4, 3))
 
     def test_div_by_norm_wrt_vector(self):
         x = self.weights(5, 3)
@@ -447,13 +488,8 @@ class TestPrimitiveGradients:
         p = self.weights(4)
 
         def build(t, v):
-            return t.softmax_xent(
-                t.sum_tensors([
-                    t.segment_readout(gated(t, v, t.leaf(p), [1, 2]), [2]),
-                    t.segment_readout(v, [3]),
-                ]),
-                [1],
-            )
+            pooled = t.segment_readout(gated(t, v, t.leaf(p), [1, 2]), [2])
+            return t.softmax_xent(t.segment_readout(v, [3], pooled), [1])
 
         check_primitive(build, self.weights(3, 4))
 
@@ -504,11 +540,15 @@ class TestPrimitiveGradients:
     def test_shape_mismatches_raise(self):
         tape = Tape()
         a = tape.leaf(np.zeros((2, 3)))
-        b = tape.leaf(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
-            tape.matmul(a, b)
-        with pytest.raises(ValueError):
-            tape.add(a, tape.leaf(np.zeros((3, 3))))
+        head = [np.zeros((3, 4)), np.zeros((1, 4)), np.zeros((4, 2)), np.zeros((1, 2))]
+        for i, bad in enumerate([np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((3, 2)),
+                                 np.zeros(2)]):
+            with pytest.raises(ValueError, match="mlp_head shape mismatch"):
+                tape.mlp_head(a, *(tape.leaf(bad if j == i else w) for j, w in enumerate(head)))
+        with pytest.raises(ValueError, match="mlp_head shape mismatch"):
+            tape.mlp_head(tape.leaf(np.zeros(3)), *(tape.leaf(w) for w in head))
+        with pytest.raises(ValueError, match=r"summary of shape \(1, 6\), expected \(2, 6\)"):
+            tape.segment_readout(a, [1, 1], tape.leaf(np.zeros((1, 6))))
         with pytest.raises(ValueError):
             tape.topk_gate(a, tape.leaf(np.zeros(4)), [2], keep_rows([0]))
         graph = from_edge_list(2, [(0, 1)])
@@ -520,16 +560,18 @@ class TestPrimitiveGradients:
             tape.topk_gate(a, tape.leaf(np.ones(3)), [1], keep_rows([0]))
 
     def test_multiple_consumers_accumulate(self):
+        # v is read by three readouts, each adding into the one before
         def build(t, v):
-            return t.softmax_xent(t.add(t.add(v, v), v), [1])
+            summary = t.segment_readout(v, [1, 2], t.segment_readout(v, [2, 1]))
+            return t.softmax_xent(t.segment_readout(v, [1, 2], summary), [1, 4])
 
-        check_primitive(build, self.weights(1, 3))
+        check_primitive(build, self.weights(3, 3))
 
 
 class TestGradientHandOver:
     """Backward rules overwrite or adopt their incoming gradient; an input
-    that is also read elsewhere must still get the exact sum. ``add(v, v)``
-    is covered by ``test_multiple_consumers_accumulate``."""
+    that is also read elsewhere must still get the exact sum. Three readouts
+    of one input are covered by ``test_multiple_consumers_accumulate``."""
 
     def setup_method(self):
         rng = np.random.default_rng(5)
@@ -538,17 +580,41 @@ class TestGradientHandOver:
         self.graph = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
 
     def test_sum_tensors_of_one_input_twice_and_another(self):
+        # the readout sum reads v twice and a conv output of v once
         def build(t, v):
-            return t.softmax_xent(t.sum_tensors([v, v, t.matmul(v, t.leaf(self.w))]), [1, 0, 2, 1])
+            summary = t.segment_readout(v, [1, 3], t.segment_readout(v, [2, 2]))
+            h = self.conv(t, v, self.w, self.w.T)
+            return t.softmax_xent(t.segment_readout(h, [3, 1], summary), [1, 4])
 
         check_primitive(build, self.x)
 
-    def test_relu_output_consumed_twice(self):
+    def head(self, t, s):
+        """A 3 -> 3 -> 3 head on s, as the model applies it to its summaries."""
+        return t.mlp_head(s, t.leaf(self.w), t.leaf(np.full((1, 3), 0.1)),
+                          t.leaf(self.w.T), t.leaf(np.zeros((1, 3))))
+
+    def test_mlp_head_input_consumed_twice(self):
+        # the head reads its input, and so does a readout whose gradient is
+        # then added into the head's
         def build(t, v):
-            h = t.relu(v)
-            return t.softmax_xent(t.add(t.matmul(h, t.leaf(self.w)), t.add(h, h)), [1, 0, 2, 1])
+            summary = t.segment_readout(v, [3, 1])
+            return t.softmax_xent(t.segment_readout(self.head(t, v), [2, 2], summary), [1, 5])
 
         check_primitive(build, self.x)
+
+    def test_a_var_read_by_two_records_gets_the_exact_sum(self):
+        # the head's gradient of v plus the readout's, bit for bit
+        def grad(head_reads, readout_reads):
+            tape = Tape()
+            v = tape.leaf(self.x, needs_grad=True)
+            c = tape.leaf(self.x)
+            summary = tape.segment_readout(v if readout_reads else c, [3, 1])
+            h = self.head(tape, v if head_reads else c)
+            tape.backward(tape.softmax_xent(tape.segment_readout(h, [2, 2], summary), [1, 5]))
+            return v.slot.grad
+
+        expected = grad(True, False) + grad(False, True)
+        assert grad(True, True).tobytes() == expected.tobytes()
 
     def conv(self, t, v, theta, skip):
         return t.mpconv(self.graph, v, t.leaf(theta), t.leaf(skip))
@@ -566,7 +632,8 @@ class TestGradientHandOver:
         # X already has a gradient when the conv record runs, which then adds
         # its skip term and (square theta) its theta term from the owned buffer
         def build(t, v):
-            return t.softmax_xent(t.relu(t.add(self.conv(t, v, self.w, self.w.T), v)), [1, 0, 2, 1])
+            h = self.conv(t, v, self.w, self.w.T)
+            return t.softmax_xent(t.segment_readout(h, [4], t.segment_readout(v, [4])), [1])
 
         check_primitive(build, self.x)
 
@@ -588,8 +655,8 @@ class TestGradientHandOver:
         def build(t, v):
             h = self.conv(t, v, self.w, self.w.T)
             summary = t.segment_readout(h, [4])
-            pooled = t.segment_readout(gated(t, h, t.leaf(p), [0, 1, 3]), [3])
-            return t.softmax_xent(t.sum_tensors([summary, pooled]), [4])
+            pooled = t.segment_readout(gated(t, h, t.leaf(p), [0, 1, 3]), [3], summary)
+            return t.softmax_xent(pooled, [4])
 
         check_primitive(build, self.x)
 
@@ -602,10 +669,11 @@ class TestGradientHandOver:
             for read_first in (False, True):
                 def build(t, v):
                     other = t.segment_readout(v, [4]) if read_first else None
-                    pooled = t.segment_readout(gated(t, v, t.leaf(p), idx), [4 if idx is None else 3])
+                    pooled = gated(t, v, t.leaf(p), idx)
                     if other is None:
                         other = t.segment_readout(v, [4])
-                    return t.softmax_xent(t.sum_tensors([other, pooled]), [2])
+                    summary = t.segment_readout(pooled, [4 if idx is None else 3], other)
+                    return t.softmax_xent(summary, [2])
 
                 check_primitive(build, self.x)
 
@@ -753,12 +821,12 @@ class TestTapeLifecycle:
         tape = Tape()
         v = tape.leaf(np.zeros((2, 2)), needs_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            tape.backward(tape.relu(v))
+            tape.backward(tape.segment_readout(v, [2]))
 
     def test_backward_is_single_use(self):
         tape = Tape()
         v = tape.leaf(np.array([[0.5, -0.5]]), needs_grad=True)
-        loss = tape.softmax_xent(tape.relu(v), [0])
+        loss = tape.softmax_xent(tape.segment_readout(v, [1]), [0])
         tape.backward(loss)
         with pytest.raises(RuntimeError, match="consumed"):
             tape.backward(loss)
@@ -766,7 +834,7 @@ class TestTapeLifecycle:
     def test_forward_only_tape_has_no_backward(self):
         def forward(tape):
             v = tape.leaf(np.array([[0.5, -0.5]]), needs_grad=True)
-            return tape.softmax_xent(tape.relu(v), [0])
+            return tape.softmax_xent(tape.segment_readout(v, [1]), [0])
 
         tape = Tape(record=False)
         loss = forward(tape)
@@ -800,7 +868,7 @@ class TestTapeLifecycle:
     def test_leaf_without_grad_gets_none(self):
         tape = Tape()
         v = tape.leaf(np.array([[1.0, 2.0]]))
-        loss = tape.softmax_xent(tape.relu(v), [1])
+        loss = tape.softmax_xent(tape.segment_readout(v, [1]), [1])
         tape.backward(loss)
         assert v.slot is None
 

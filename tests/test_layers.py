@@ -31,13 +31,11 @@ from sparsepool.layers import (
     TopKPoolLayer,
     _kept_counts,
     _select_topk,
-    aggregate_summaries,
     build_model,
     forward_summaries,
     kept_count,
     model_forward,
     mpconv_forward,
-    readout,
     topk_pool,
 )
 from sparsepool.membench import MemoryTracker
@@ -319,46 +317,61 @@ class TestSelectTopK:
 class TestReadout:
     def test_hand_example(self):
         tape = Tape()
-        out = readout(tape, var(tape, [[1.0, 2.0], [3.0, 0.0]]), [2])
+        out = tape.segment_readout(var(tape, [[1.0, 2.0], [3.0, 0.0]]), [2])
         assert np.array_equal(out.value, [[2.0, 1.0, 3.0, 2.0]])
 
     def test_single_node(self):
         tape = Tape()
-        out = readout(tape, var(tape, [[1.5, -2.0]]), [1])
+        out = tape.segment_readout(var(tape, [[1.5, -2.0]]), [1])
         assert np.array_equal(out.value, [[1.5, -2.0, 1.5, -2.0]])
 
     def test_identical_rows(self):
         tape = Tape()
         row = np.array([0.5, 2.5, -1.0])
-        out = readout(tape, var(tape, np.tile(row, (4, 1))), [4])
+        out = tape.segment_readout(var(tape, np.tile(row, (4, 1))), [4])
         assert np.array_equal(out.value, np.concatenate([row, row])[None, :])
 
     def test_rejects_empty(self):
         tape = Tape()
         with pytest.raises(ValueError):
-            readout(tape, var(tape, np.zeros((0, 3))), [0])
+            tape.segment_readout(var(tape, np.zeros((0, 3))), [0])
+
+
+def summed_readouts(tape, blocks):
+    """Readouts of one-row inputs, each added into the sum of the ones before."""
+    summary = None
+    for x in blocks:
+        summary = tape.segment_readout(var(tape, x), [len(x)], summary)
+    return summary
 
 
 class TestAggregateSummaries:
     def test_zero_inputs_sum_to_zero(self):
-        tape = Tape()
-        zeros = [var(tape, np.zeros((1, 4))) for _ in range(3)]
-        assert np.array_equal(aggregate_summaries(tape, zeros).value, np.zeros((1, 4)))
+        zeros = [np.zeros((1, 2)) for _ in range(3)]
+        assert np.array_equal(summed_readouts(Tape(), zeros).value, np.zeros((1, 4)))
 
     def test_elementwise_sum(self):
-        tape = Tape()
-        vs = [var(tape, [[1.0, 1.0]]), var(tape, [[2.0, 2.0]]), var(tape, [[3.0, 3.0]])]
-        assert np.array_equal(aggregate_summaries(tape, vs).value, [[6.0, 6.0]])
+        blocks = [[[1.0, 1.0]], [[2.0, 2.0]], [[3.0, 3.0]]]
+        assert np.array_equal(summed_readouts(Tape(), blocks).value, [[6.0, 6.0, 6.0, 6.0]])
 
     def test_single_block_is_identity(self):
         tape = Tape()
-        v = var(tape, [[0.5, -1.0]])
-        assert np.array_equal(aggregate_summaries(tape, [v]).value, v.value)
+        x = np.array([[0.5, -1.0], [1.5, -3.0]])
+        expected = tape.segment_readout(var(tape, x), [2]).value
+        assert np.array_equal(summed_readouts(tape, [x]).value, expected)
 
     def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="summary of shape"):
+            summed_readouts(Tape(), [np.zeros((1, 2)), np.zeros((1, 3))])
+
+    def test_sum_matches_adding_the_readouts_in_block_order(self):
+        # the running sum is r0 + r1 + r2, added left to right in one buffer
+        rng = np.random.default_rng(7)
+        blocks = [rng.standard_normal((3, 4)) for _ in range(3)]
         tape = Tape()
-        with pytest.raises(ValueError):
-            aggregate_summaries(tape, [var(tape, np.zeros((1, 2))), var(tape, np.zeros((1, 3)))])
+        r = [tape.segment_readout(var(tape, x), [3]).value for x in blocks]
+        out = summed_readouts(tape, blocks)
+        assert out.value.tobytes() == ((r[0] + r[1]) + r[2]).tobytes()
 
 
 class TestModelForward:
@@ -505,7 +518,10 @@ class TestModelForward:
         monkeypatch.setattr(Tape, "mpconv", mpconv)
         monkeypatch.setattr(Tape, "topk_gate", topk_gate)
         model_forward(Tape(record=record), batch, model)
-        assert [kind for kind, _ in live] == ["conv", "pool"] * 3
+        stages = ["conv", "pool"] * 3
+        if position == "pre_pool":
+            stages.pop()  # nothing reads the last pool's output
+        assert [kind for kind, _ in live] == stages
         assert all(not any(alive) for kind, alive in live if kind == "pool")
         if not record:
             assert all(not any(alive) for kind, alive in live if kind == "conv")
@@ -559,10 +575,10 @@ class TestModelForward:
             records.append(len(tape._nodes))
         assert records[0] == records[1] == records[2]
 
-    @pytest.mark.parametrize("position", ["post_pool", "pre_pool"])
-    def test_a_training_pass_has_sixteen_records(self, position):
-        # per block one conv, one pool and one readout record; then the sum,
-        # five head records and the loss
+    @pytest.mark.parametrize("position,records", [("post_pool", 11), ("pre_pool", 10)])
+    def test_a_training_pass_has_one_record_per_stage(self, position, records):
+        # per block one conv, one pool and one readout record, then the head
+        # and the loss; with pre-pool readouts the last block is not pooled
         rng = np.random.default_rng(3)
         graphs = [
             LabeledGraph(random_graph(rng, n), rng.standard_normal((n, 3)), n % 2)
@@ -572,7 +588,7 @@ class TestModelForward:
         model = build_model(3, 4, 2, pool_ratio=0.6, seed=0, readout_position=position)
         tape = Tape()
         tape.softmax_xent(model_forward(tape, batch, model), batch.labels)
-        assert len(tape._nodes) == 16
+        assert len(tape._nodes) == records
 
     @pytest.mark.parametrize("seed", range(5))
     def test_monotone_nesting_and_exact_pool_sizes(self, seed):
