@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import LabeledGraph, SparseGraph, degree_onehot, from_edge_list
+from .graphs import LabelCodes, LabeledGraph, SparseGraph, degree_onehot, from_edge_list
 
 __all__ = [
     "Dataset",
@@ -211,8 +211,9 @@ def degree_feature_bound(graphs, max_degree: int | None = None) -> int:
 
 
 def with_degree_features(graphs, bound: int) -> list[LabeledGraph]:
-    """Rebuild labeled graphs with one-hot degree features at the given cap."""
-    # degree_onehot gives a fresh 0/1 float64 array per graph: nothing to check
+    """Rebuild labeled graphs with one-hot degree features at the given cap,
+    held as codes (:func:`graphs.degree_onehot`)."""
+    # degree_onehot gives valid codes for every node of its graph: nothing to check
     return [
         LabeledGraph._trusted(g.graph, degree_onehot(g.graph, bound), g.label) for g in graphs
     ]
@@ -223,7 +224,9 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
 
     Feature precedence: node attributes, then one-hot node labels (alphabet
     taken over the whole dataset), then one-hot degrees as a fallback for
-    featureless datasets. Edge lists get a symmetric closure and duplicate
+    featureless datasets. Labels and degrees are held as
+    :class:`graphs.LabelCodes`, one code per node; only attributes are a
+    dense float64 array. Edge lists get a symmetric closure and duplicate
     edges are collapsed.
     """
     d = Path(directory)
@@ -297,17 +300,17 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
         raw = _read_table(nlab_path, 1, np.int64)[:, 0]
         _check_count(nlab_path, raw, num_nodes, "node labels")
         alphabet = np.unique(raw)
-        onehot = np.zeros((num_nodes, alphabet.size))
-        onehot[np.arange(num_nodes), np.searchsorted(alphabet, raw)] = 1.0
-        features = [onehot[lo:hi] for lo, hi in blocks]
+        codes = np.searchsorted(alphabet, raw)
+        features = [LabelCodes._trusted(codes[lo:hi], int(alphabet.size)) for lo, hi in blocks]
         node_labels = [raw[lo:hi] for lo, hi in blocks]
     else:
         feature_kind = "degree_onehot"
         degree_bound = degree_feature_bound(structures)
         features = [degree_onehot(g, degree_bound) for g in structures]
 
-    # every feature table above is float64, C-contiguous, finite and num_nodes
-    # rows long, so its row blocks need no per-graph check
+    # every attribute table above is float64, C-contiguous, finite and
+    # num_nodes rows long, and every code lies in [0, width), so the row
+    # blocks need no per-graph check
     graphs = [
         LabeledGraph._trusted(g, f, int(y)) for g, f, y in zip(structures, features, labels)
     ]

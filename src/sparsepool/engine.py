@@ -56,6 +56,9 @@ class Var:
     copy of ``value[start:stop]`` with the same bytes, built from arrays the
     tape saves anyway. A record whose backward reads this input may save
     ``rebuild`` instead of ``value``.
+
+    The value of an input leaf may be :class:`graphs.LabelCodes` (one-hot
+    node features), which only ``Tape.mpconv`` reads; it takes no gradient.
     """
 
     __slots__ = ("value", "slot", "rebuild")
@@ -282,7 +285,15 @@ class Tape:
             self.probe[key] = value if cur is None else min(cur, value)
 
     def leaf(self, value, needs_grad: bool = False) -> Var:
-        """Wrap an input array; gradients are kept only if requested."""
+        """Wrap an input array; gradients are kept only if requested.
+
+        :class:`graphs.LabelCodes` are wrapped as they are, without a
+        gradient: nothing on the tape builds their one-hot matrix whole.
+        """
+        if isinstance(value, _graphs.LabelCodes):
+            if needs_grad:
+                raise ValueError("label codes take no gradient")
+            return Var(value, None)
         return Var(_as_f64(value), Slot() if needs_grad else None)
 
     def param(self, p: Parameter) -> Var:
@@ -321,7 +332,6 @@ class Tape:
         theta: Var,
         theta_skip: Var,
         segments=None,
-        codes=None,
     ) -> Var:
         """ReLU(mean_aggregate(X) @ theta + X @ theta_skip) as one record.
 
@@ -341,34 +351,41 @@ class Tape:
         rebuilt once and read by both products, so no N x F_in copy of X is
         made again. Otherwise the record saves X and reads it as one block.
 
-        ``codes`` (optional, from :func:`graphs.onehot_codes`) says that
-        row i of X is one-hot with its 1.0 in column ``codes[i]``. Each
-        product ``X @ M`` is then the row gather ``M[codes]``, and
-        mean_aggregate(X) counts neighbor codes. Both are exact, so values,
-        saved arrays and the backward pass equal the dense path byte for
-        byte, for finite theta without -0.0 entries (a dense product turns
-        inf into NaN and may turn a lone -0.0 into +0.0).
+        X may be :class:`graphs.LabelCodes`, whose row i is one-hot with
+        its 1.0 in column ``codes[i]`` (block 0 on node labels or degrees).
+        Each product ``X @ M`` is then the row gather ``M[codes]``, and
+        mean_aggregate(X) counts neighbor codes; no N x F_in array is saved.
+        With ``F_in < F_out`` backward counts mean_aggregate(X) again for
+        theta's gradient, and ``X.T @ g`` (``X.T @ d``) reads the one-hot X
+        built as one transient block. Counting and gathering are exact, and
+        the transposed products are the dense path's BLAS calls on the same
+        bytes, so values and gradients equal the dense path on the one-hot
+        matrix byte for byte, for finite theta without -0.0 entries (a
+        dense product turns inf into NaN and may turn a lone -0.0 into
+        +0.0).
 
         Backward masks its own gradient in place, drops the ReLU output as
         soon as the mask is applied, and writes the theta-path product into
         the gradient's buffer when theta is square.
         """
         xv, tv, sv = x.value, theta.value, theta_skip.value
-        if xv.ndim != 2 or tv.ndim != 2 or sv.shape != tv.shape or xv.shape[1] != tv.shape[0]:
+        if (len(xv.shape) != 2 or tv.ndim != 2 or sv.shape != tv.shape
+                or xv.shape[1] != tv.shape[0]):
             raise ValueError(
                 f"mpconv shape mismatch: X {xv.shape}, theta {tv.shape}, theta_skip {sv.shape}"
             )
-        if codes is not None and np.shape(codes) != (xv.shape[0],):
-            raise ValueError(f"mpconv codes of shape {np.shape(codes)} for {xv.shape[0]} rows")
+        coded = isinstance(xv, _graphs.LabelCodes)  # from a leaf, so without a gradient slot
         tr = self.tracker
 
         def project(m):  # X @ m
-            return _segmented_matmul(xv, m, segments) if codes is None else m[codes]
+            return m[xv.codes] if coded else _segmented_matmul(xv, m, segments)
 
         agg_first = tv.shape[0] < tv.shape[1]
         if agg_first:
-            agg = _noted(_graphs.spmm_mean(graph, xv, codes), tr, "acts")
+            agg = _noted(_graphs.spmm_mean(graph, xv), tr, "acts")
             h = _noted(_segmented_matmul(agg, tv, segments), tr, "acts")
+            if coded:
+                agg = None  # counted again in backward
         else:
             agg = None
             xt = _noted(project(tv), tr, "acts")
@@ -385,14 +402,19 @@ class Tape:
         n = xv.shape[0]
         rows = step = None  # X's rows, read by theta's and theta_skip's gradients
         if t_slot is not None or s_slot is not None:
-            if x.rebuild is None:  # X itself is saved, and read as one block
-                rows, step = (lambda start, stop: xv[start:stop]), max(1, n)
+            step = max(1, n)
+            if coded:  # the one-hot X, built as one transient block
+                rows = lambda start, stop: _noted(xv.rows(start, stop), tr, "acts")
+            elif x.rebuild is None:  # X itself is saved, and read as one block
+                rows = lambda start, stop: xv[start:stop]
             else:
                 rows, step = x.rebuild, _block_rows(xv.shape[1])
         t_saved = tv if x_slot is not None else None
         s_saved = sv if x_slot is not None else None
         if t_slot is None:
             agg = None
+        # bw recounts block 0's aggregate from codes; it never reads xv, so keeps no pooled X
+        codes = xv if coded else None
         inv_deg = (1.0 / (graph.degrees + 1))[:, None]
         square = tv.shape[0] == tv.shape[1]
 
@@ -404,6 +426,8 @@ class Tape:
             if not agg_first and (x_slot is not None or t_slot is not None):
                 d = _mean_aggregate_grad(graph, _noted(g * inv_deg, tr, "grads"), tr)
             if agg_first and t_slot is not None:
+                if codes is not None:
+                    agg = _noted(_graphs.spmm_mean(graph, codes), tr, "acts")
                 _acc(t_slot, agg.T @ g, True, tr)
                 agg = None
             wanted = [(slot, grad) for slot, grad in ((s_slot, g), (t_slot, d))

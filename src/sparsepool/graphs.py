@@ -1,8 +1,10 @@
 """Sparse graph containers and structural operations.
 
 Graphs are simple, undirected and unweighted, stored in CSR form with every
-edge recorded in both directions. Node features are plain float64 arrays of
-shape (num_nodes, num_features); no wrapper type is used.
+edge recorded in both directions. Node features are either plain float64
+arrays of shape (num_nodes, num_features) (node attributes) or
+:class:`LabelCodes`, one-hot features (node labels, degrees) held as one
+integer code per node.
 
 Validation happens where a graph enters. The public ``SparseGraph(...)`` and
 ``LabeledGraph(...)`` constructors check every invariant, and
@@ -24,12 +26,12 @@ __all__ = [
     "SparseGraph",
     "LabeledGraph",
     "GraphBatch",
+    "LabelCodes",
     "from_edge_list",
     "spmm_mean",
     "neighbor_sum",
     "neighbor_code_count",
     "degree_onehot",
-    "onehot_codes",
     "erdos_renyi",
     "induced_subgraph",
     "batch_graphs",
@@ -115,14 +117,78 @@ class SparseGraph:
 
 
 @dataclass(frozen=True, eq=False)
+class LabelCodes:
+    """One-hot node features held as codes: row i of the (N, width) one-hot
+    matrix holds its 1.0 in column ``codes[i]`` and zeros elsewhere.
+
+    Node labels and clamped degrees are featurized this way. ``shape`` is
+    the one-hot matrix's, ``nbytes`` the codes' (8 bytes a node rather than
+    8 * width), so a caller sizing or accounting features reads either kind
+    alike. Nothing dense is built until :meth:`rows` asks for a block. The
+    public constructor checks that ``codes`` is a 1-D integer array with
+    every entry in ``[0, width)``.
+    """
+
+    codes: np.ndarray
+    width: int
+
+    def __post_init__(self) -> None:
+        codes = np.asarray(self.codes)
+        if codes.ndim != 1 or codes.dtype.kind not in "iu":
+            raise ValueError(f"label codes must be a 1-D integer array, got {codes.dtype} "
+                             f"of shape {codes.shape}")
+        if not isinstance(self.width, (int, np.integer)) or self.width < 1:
+            raise ValueError(f"label code width must be an integer >= 1, got {self.width!r}")
+        width = int(self.width)
+        if codes.size and (codes.min() < 0 or codes.max() >= width):
+            raise ValueError(f"label codes must lie in [0, {width})")
+        object.__setattr__(self, "codes", np.ascontiguousarray(codes, dtype=np.int64))
+        object.__setattr__(self, "width", width)
+
+    @classmethod
+    def _trusted(cls, codes: np.ndarray, width: int):
+        """Codes known to be a 1-D int64 array in ``[0, width)``; nothing is checked."""
+        coded = object.__new__(cls)
+        vars(coded).update(codes=codes, width=width)
+        return coded
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.codes.size, self.width)
+
+    @property
+    def nbytes(self) -> int:
+        return self.codes.nbytes
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of the one-hot matrix, as a fresh float64 array."""
+        codes = self.codes[start:stop]
+        block = np.zeros((codes.size, self.width))
+        block[np.arange(codes.size), codes] = 1.0
+        return block
+
+
+@dataclass(frozen=True, eq=False)
 class LabeledGraph:
-    """A graph with node features and a class label."""
+    """A graph with node features and a class label.
+
+    ``features`` is a float64 (num_nodes, F) array or :class:`LabelCodes`
+    with one code per node. The public constructor checks either kind: a
+    dense array is converted to C-contiguous float64 and must be finite,
+    and codes must cover every node.
+    """
 
     graph: SparseGraph
-    features: np.ndarray
+    features: np.ndarray | LabelCodes
     label: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.features, LabelCodes):
+            if self.features.shape[0] != self.graph.num_nodes:
+                raise ValueError(
+                    f"{self.features.shape[0]} label codes for {self.graph.num_nodes} nodes"
+                )
+            return
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != self.graph.num_nodes:
             raise ValueError(
@@ -134,9 +200,10 @@ class LabeledGraph:
         object.__setattr__(self, "features", feats)
 
     @classmethod
-    def _trusted(cls, graph: SparseGraph, features: np.ndarray, label: int):
+    def _trusted(cls, graph: SparseGraph, features: np.ndarray | LabelCodes, label: int):
         """A labeled graph whose features are known to be a finite, C-contiguous
-        float64 (graph.num_nodes, F) array; nothing is converted or checked."""
+        float64 (graph.num_nodes, F) array or valid codes of graph.num_nodes
+        nodes; nothing is converted or checked."""
         labeled = object.__new__(cls)
         vars(labeled).update(graph=graph, features=features, label=label)
         return labeled
@@ -148,11 +215,13 @@ class GraphBatch:
 
     ``node_counts`` gives the segment lengths in merged node order: graph
     ``i`` owns the next ``node_counts[i]`` rows of ``features``. Every
-    segment is non-empty.
+    segment is non-empty. ``features`` is of its graphs' kind: a float64
+    array, or :class:`LabelCodes`, which block 0 reads without building the
+    one-hot matrix.
     """
 
     graph: SparseGraph
-    features: np.ndarray
+    features: np.ndarray | LabelCodes
     node_counts: np.ndarray
     labels: np.ndarray
 
@@ -285,6 +354,8 @@ def neighbor_code_count(graph: SparseGraph, codes: np.ndarray, width: int) -> np
     N x width result, one stored edge at a time, in O(|E| + N * width).
     """
     n = graph.num_nodes
+    if codes.shape != (n,):
+        raise ValueError(f"label codes of shape {codes.shape} for {n} nodes")
     counts = csr_array(
         (np.ones(graph.col_indices.size), codes[graph.col_indices], graph.row_offsets),
         shape=(n, width),
@@ -292,51 +363,31 @@ def neighbor_code_count(graph: SparseGraph, codes: np.ndarray, width: int) -> np
     return counts.toarray()  # adds up repeated (row, code) entries
 
 
-def spmm_mean(graph: SparseGraph, x: np.ndarray, codes: np.ndarray | None = None) -> np.ndarray:
+def spmm_mean(graph: SparseGraph, x: np.ndarray | LabelCodes) -> np.ndarray:
     """Mean aggregation with an implicit self-loop.
 
     Row i of the result is the mean of feature rows over {i} and i's
-    neighbors. Runs in O(|E|*F + N*F); no dense adjacency is formed.
-    ``codes`` (from :func:`onehot_codes`) says that ``x`` is one-hot; the
-    neighbor sums are then counted (:func:`neighbor_code_count`) in
-    O(|E| + N*F), with the same bytes.
+    neighbors. Runs in O(|E|*F + N*F); no dense adjacency is formed. For
+    :class:`LabelCodes` the neighbor sums are counted
+    (:func:`neighbor_code_count`) in O(|E| + N*F), and each node's own
+    one-hot row adds 1.0 at its code; the bytes are those of the dense
+    one-hot matrix's mean, since every partial sum is a whole number.
     """
-    if codes is None:
-        summed = neighbor_sum(graph, x)
+    if isinstance(x, LabelCodes):
+        summed = neighbor_code_count(graph, x.codes, x.width)
+        summed[np.arange(graph.num_nodes), x.codes] += 1.0
     else:
-        summed = neighbor_code_count(graph, codes, x.shape[1])
-    summed += x
+        summed = neighbor_sum(graph, x)
+        summed += x
     summed /= (graph.degrees + 1.0)[:, None]  # float divisors: no cast inside the loop
     return summed
 
 
-def onehot_codes(x: np.ndarray) -> np.ndarray | None:
-    """Column of each row's 1.0 when every row of ``x`` is one-hot, else None.
-
-    One-hot means every entry is 0.0 or 1.0 with exactly one 1.0 per row,
-    as node labels and degrees are featurized. The first row is checked on
-    its own first, so node attributes and hidden activations cost one row.
-    """
-    if x.shape[0] == 0:
-        return None
-    first = x[0]
-    if np.count_nonzero(first) != 1 or first.max() != 1.0:
-        return None
-    codes = np.argmax(x, axis=1)
-    # a 1.0 at each row's maximum and one nonzero per row leave no other entry
-    if np.count_nonzero(x) != x.shape[0] or not np.all(x[np.arange(x.shape[0]), codes] == 1.0):
-        return None
-    return codes
-
-
-def degree_onehot(graph: SparseGraph, max_degree: int) -> np.ndarray:
-    """One-hot node degrees, clamped at ``max_degree`` (F = max_degree + 1)."""
+def degree_onehot(graph: SparseGraph, max_degree: int) -> LabelCodes:
+    """One-hot node degrees as codes, clamped at ``max_degree`` (width max_degree + 1)."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    cols = np.minimum(graph.degrees, max_degree)
-    out = np.zeros((graph.num_nodes, max_degree + 1))
-    out[np.arange(graph.num_nodes), cols] = 1.0
-    return out
+    return LabelCodes._trusted(np.minimum(graph.degrees, max_degree), int(max_degree) + 1)
 
 
 def _distinct_draws(rng: np.random.Generator, max_m: int, m: int) -> np.ndarray:
@@ -422,19 +473,28 @@ def batch_graphs(graphs) -> GraphBatch:
     """Merge graphs into one block-diagonal graph with offset node indices.
 
     Pooling keeps at least one node per graph, so a graph without nodes is
-    rejected here, naming its position.
+    rejected here, naming its position; so is a graph whose features differ
+    from the first graph's in width or kind (codes or dense). A batch of one
+    graph shares that graph's CSR and feature arrays.
     """
     graphs = list(graphs)
     if not graphs:
         raise ValueError("cannot batch an empty list of graphs")
     counts = np.array([g.graph.num_nodes for g in graphs], dtype=np.int64)
     dims = np.array([g.features.shape[1] for g in graphs], dtype=np.int64)
-    bad = (counts == 0) | (dims != dims[0])
+    coded = np.array([isinstance(g.features, LabelCodes) for g in graphs])
+    bad = (counts == 0) | (dims != dims[0]) | (coded != coded[0])
     if bad.any():
         i = int(np.argmax(bad))
         if counts[i] == 0:
             raise ValueError(f"graph {i} of the batch has no nodes")
-        raise ValueError(f"feature dimensions differ: {dims[i]} vs {dims[0]}")
+        if dims[i] != dims[0]:
+            raise ValueError(f"feature dimensions differ: {dims[i]} vs {dims[0]}")
+        raise ValueError(f"graph {i} holds {'label codes' if coded[i] else 'dense features'}, "
+                         f"graph 0 does not")
+    labels = np.array([g.label for g in graphs], dtype=np.int64)
+    if len(graphs) == 1:
+        return GraphBatch(graphs[0].graph, graphs[0].features, counts, labels)
     structures = [g.graph for g in graphs]
     edge_counts = np.array([g.col_indices.size for g in structures], dtype=np.int64)
     # shift every block's columns by its first node, every block's offsets
@@ -444,9 +504,14 @@ def batch_graphs(graphs) -> GraphBatch:
     offsets = np.zeros(int(counts.sum()) + 1, dtype=np.int64)
     np.concatenate([g.row_offsets[1:] for g in structures], out=offsets[1:])
     offsets[1:] += np.repeat(np.cumsum(edge_counts) - edge_counts, counts)
+    if coded[0]:
+        codes = np.concatenate([g.features.codes for g in graphs])
+        features = LabelCodes._trusted(codes, int(dims[0]))
+    else:
+        features = np.concatenate([g.features for g in graphs], axis=0)
     return GraphBatch(
         graph=SparseGraph._trusted(offsets.size - 1, offsets, cols),
-        features=np.concatenate([g.features for g in graphs], axis=0),
+        features=features,
         node_counts=counts,
-        labels=np.array([g.label for g in graphs], dtype=np.int64),
+        labels=labels,
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Parameter, Tape, Var, glorot_init
-from .graphs import GraphBatch, SparseGraph, induced_subgraph, onehot_codes
+from .graphs import GraphBatch, SparseGraph, induced_subgraph
 
 __all__ = [
     "MPConvLayer",
@@ -179,7 +179,7 @@ def _kept_counts(counts: np.ndarray, ratio: float) -> np.ndarray:
 
 
 def mpconv_forward(
-    tape: Tape, graph: SparseGraph, x: Var, layer: MPConvLayer, segments=None, codes=None
+    tape: Tape, graph: SparseGraph, x: Var, layer: MPConvLayer, segments=None
 ) -> Var:
     """ReLU(mean_aggregate(X) @ theta + X @ theta_skip), one tape record.
 
@@ -188,17 +188,15 @@ def mpconv_forward(
     rebuild it), the ReLU output and, when ``in_dim < out_dim``,
     mean_aggregate(X). ``segments`` (per-graph node counts of a
     block-diagonal batch) keeps the products bit-identical with per-graph
-    runs. ``codes`` (from :func:`graphs.onehot_codes`) marks a one-hot X,
-    whose products become row gathers and whose aggregation counts
-    neighbor codes, with the same bytes.
+    runs. An X of :class:`graphs.LabelCodes` has its products taken as row
+    gathers and its aggregation counted, with the bytes of the one-hot
+    matrix's dense path, and nothing N x ``in_dim`` is saved.
     """
     if x.value.shape[1] != layer.in_dim:
         raise ValueError(
             f"feature dim {x.value.shape[1]} does not match layer input dim {layer.in_dim}"
         )
-    return tape.mpconv(
-        graph, x, tape.param(layer.theta), tape.param(layer.theta_skip), segments, codes
-    )
+    return tape.mpconv(graph, x, tape.param(layer.theta), tape.param(layer.theta_skip), segments)
 
 
 def _select_topk(scores: np.ndarray, counts, ratio: float, probe: dict | None):
@@ -272,14 +270,14 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
     """Per-graph summary vectors (num_graphs x 2F'), summed over all blocks.
 
     Each block's readout adds into the running sum of the earlier blocks'
-    readouts (:meth:`Tape.segment_readout`). When the input features are
-    one-hot (node labels, degrees), block 0 reads them as label codes
-    (:func:`graphs.onehot_codes`); the outputs are the same bytes as on the
-    dense path. The pooled graph is sliced only when another block reads
-    it, and with pre-pool readouts the last block is not pooled at all. A
-    pool output is dropped once the next conv has read it (that conv
-    rebuilds its rows in backward), and a conv output once it has been
-    pooled, so a forward-only pass holds neither past its last reader.
+    readouts (:meth:`Tape.segment_readout`). Features held as
+    :class:`graphs.LabelCodes` (node labels, degrees) go to block 0 as they
+    are; its outputs are the bytes the dense one-hot matrix would give. The
+    pooled graph is sliced only when another block reads it, and with
+    pre-pool readouts the last block is not pooled at all. A pool output is
+    dropped once the next conv has read it (that conv rebuilds its rows in
+    backward), and a conv output once it has been pooled, so a forward-only
+    pass holds neither past its last reader.
     """
     if batch.features.shape[1] != model.in_dim:
         raise ValueError(
@@ -289,14 +287,13 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
     graph = batch.graph
     counts = np.asarray(batch.node_counts, dtype=np.int64)
     x = tape.leaf(batch.features)
-    codes = onehot_codes(x.value)
     summary = None
     last = len(model.blocks) - 1
     for i, (conv, pool) in enumerate(model.blocks):
         if i:
             graph = _pooled_graph(tape, graph, idx)
-        h = mpconv_forward(tape, graph, x, conv, counts, codes)
-        x = codes = None  # read by nothing else; hidden features are dense
+        h = mpconv_forward(tape, graph, x, conv, counts)
+        x = None  # read by nothing else
         if model.readout_position == "pre_pool":
             summary = tape.segment_readout(h, counts, summary)
             if i == last:

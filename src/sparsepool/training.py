@@ -234,7 +234,10 @@ def prepare_fold(dataset: Dataset, split: FoldSplit, config: TrainConfig):
 
     Degree-featurized datasets get their features rebuilt with a bound
     resolved on the training portion only (95th-percentile policy unless the
-    config pins ``max_degree``). Returns (train, test, resolved_bound).
+    config pins ``max_degree``). A pinned ``max_degree`` above the dataset's
+    largest degree (or 1, when no node has an edge) is rejected before any
+    feature is built: its columns past that degree would always be zero.
+    Returns (train, test, resolved_bound).
     """
     if np.intersect1d(split.train_indices, split.test_indices).size:
         raise AssertionError("train/test overlap in fold split")
@@ -242,6 +245,13 @@ def prepare_fold(dataset: Dataset, split: FoldSplit, config: TrainConfig):
     test = [dataset.graphs[i] for i in split.test_indices]
     bound = None
     if dataset.feature_kind == "degree_onehot":
+        if config.max_degree is not None:
+            largest = max([1] + [int(g.graph.degrees.max(initial=0)) for g in dataset.graphs])
+            if config.max_degree > largest:
+                raise ValueError(
+                    f"max_degree {config.max_degree} exceeds {largest}, the largest degree "
+                    f"in dataset {dataset.name!r}; the columns above it would always be zero"
+                )
         bound = degree_feature_bound([g.graph for g in train], config.max_degree)
         train = with_degree_features(train, bound)
         test = with_degree_features(test, bound)

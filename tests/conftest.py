@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from sparsepool.engine import Tape
-from sparsepool.graphs import LabeledGraph, SparseGraph, degree_onehot, from_edge_list
+from sparsepool.graphs import LabelCodes, LabeledGraph, SparseGraph, degree_onehot, from_edge_list
 from sparsepool.layers import build_model, model_forward
 
 settings.register_profile("suite", max_examples=50, deadline=None, derandomize=True)
@@ -21,6 +21,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+def as_dense(features) -> np.ndarray:
+    """Node features as a float64 array; label codes become their one-hot matrix."""
+    if isinstance(features, LabelCodes):
+        return features.rows(0, features.shape[0])
+    return features
 
 
 # ----------------------------------------------------------------------

@@ -90,6 +90,20 @@ class TestTrain:
         assert code == 2
         assert "error: argument --seed: must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_max_degree_past_the_largest_degree_exits_2(self, fixtures_dir, tmp_path, capsys,
+                                                        command):
+        # TOY24's largest degree is 8; a larger cap would only add zero columns
+        out = tmp_path / "run"
+        code = main([command, *toy_args(fixtures_dir), "--max-degree", "9", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_degree 9 exceeds 8, the largest degree")
+        assert not (out / "model.params").exists() and not (out / "metrics.csv").exists()
+        code = main(["train", *toy_args(fixtures_dir), "--max-degree", "8", "--out", str(out)])
+        assert code == 0
+        assert "resolved.degree_bound = 8" in (out / "manifest.txt").read_text()
+
     def test_numeric_blowup_exits_3(self, fixtures_dir, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["train", "--dataset", "TOY24",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_graph
+from conftest import as_dense, random_graph
 from sparsepool import datasets
 from sparsepool.cli import main
 from sparsepool.datasets import (
@@ -147,8 +147,10 @@ class TestParse:
         ds = parse_tu_dataset(tmp_path, "X")
         assert ds.feature_kind == "node_labels_onehot"
         assert np.array_equal(ds.node_label_alphabet, [3, 7])
-        assert np.array_equal(ds.graphs[0].features, [[0, 1], [1, 0]])
-        assert np.array_equal(ds.graphs[1].features, [[0, 1]])
+        assert [g.features.width for g in ds.graphs] == [2, 2]
+        assert np.array_equal(ds.graphs[0].features.codes, [1, 0])
+        assert np.array_equal(ds.graphs[1].features.codes, [1])
+        assert np.array_equal(as_dense(ds.graphs[0].features), [[0, 1], [1, 0]])
 
     def test_indicator_must_be_sorted(self, tmp_path):
         write_corpus(
@@ -334,7 +336,8 @@ def parse_outcome(directory: Path, scan_only: bool):
         except DatasetFormatError as exc:
             return "error", str(exc)
     return "ok", [
-        (g.graph.row_offsets.tolist(), g.graph.col_indices.tolist(), g.features.tobytes())
+        (g.graph.row_offsets.tolist(), g.graph.col_indices.tolist(),
+         as_dense(g.features).tobytes())
         for g in ds.graphs
     ]
 
@@ -441,7 +444,7 @@ class TestRoundTrip:
             assert ga.label == gb.label
             assert np.array_equal(ga.graph.row_offsets, gb.graph.row_offsets)
             assert np.array_equal(ga.graph.col_indices, gb.graph.col_indices)
-            assert np.array_equal(ga.features, gb.features)
+            assert np.array_equal(as_dense(ga.features), as_dense(gb.features))
 
     def test_degree_corpus(self, fixtures_dir, tmp_path):
         ds = parse_tu_dataset(fixtures_dir / "MINI", "MINI")

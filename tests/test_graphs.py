@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from conftest import dense_spmm_oracle, random_graph
 from sparsepool import graphs
+from sparsepool.engine import Tape
 from sparsepool.graphs import (
     LabeledGraph,
     SparseGraph,
@@ -23,6 +24,7 @@ from sparsepool.graphs import (
     neighbor_sum,
     spmm_mean,
 )
+from sparsepool.layers import build_model, model_forward
 
 
 def triangle():
@@ -316,18 +318,20 @@ class TestSpmmMean:
 class TestDegreeOnehot:
     def test_path(self):
         out = degree_onehot(path3(), 3)
-        assert out.shape == (3, 4)
-        assert np.array_equal(np.argmax(out, axis=1), [1, 2, 1])
-        assert np.array_equal(out.sum(axis=1), [1, 1, 1])
+        assert out.shape == (3, 4) and out.nbytes == 3 * 8
+        assert np.array_equal(out.codes, [1, 2, 1])
+        dense = out.rows(0, 3)
+        assert np.array_equal(np.argmax(dense, axis=1), [1, 2, 1])
+        assert np.array_equal(dense.sum(axis=1), [1, 1, 1])
 
     def test_isolated_node(self):
         g = from_edge_list(1, [])
-        assert np.array_equal(degree_onehot(g, 2), [[1.0, 0.0, 0.0]])
+        assert np.array_equal(degree_onehot(g, 2).rows(0, 1), [[1.0, 0.0, 0.0]])
 
     def test_clamps_high_degree(self):
         g = from_edge_list(11, [(0, i) for i in range(1, 11)])
         out = degree_onehot(g, 5)
-        assert np.argmax(out[0]) == 5
+        assert out.codes[0] == 5 and np.argmax(out.rows(0, 1)[0]) == 5
 
     def test_empty_graph(self):
         assert degree_onehot(from_edge_list(0, []), 4).shape == (0, 5)
@@ -485,6 +489,26 @@ class TestBatchGraphs:
         assert np.array_equal(batch.graph.row_offsets, g.row_offsets)
         assert np.array_equal(batch.graph.col_indices, g.col_indices)
         assert np.array_equal(batch.features, lg.features)
+
+    @pytest.mark.parametrize("coded", [False, True])
+    def test_a_one_graph_batch_shares_its_graphs_arrays(self, coded):
+        rng = np.random.default_rng(5)
+        members = []
+        for n in (9, 6):
+            g = random_graph(rng, n)
+            features = degree_onehot(g, 3) if coded else rng.standard_normal((n, 4))
+            members.append(LabeledGraph(g, features, 1))
+        lg = members[0]
+        batch = batch_graphs([lg])
+        for shared, own in ((batch.graph.row_offsets, lg.graph.row_offsets),
+                            (batch.graph.col_indices, lg.graph.col_indices),
+                            (batch.features.codes if coded else batch.features,
+                             lg.features.codes if coded else lg.features)):
+            assert np.shares_memory(shared, own)
+        model = build_model(4, 5, 2, seed=1)
+        alone = model_forward(Tape(record=False), batch, model).value
+        merged = model_forward(Tape(record=False), batch_graphs(members), model).value
+        assert alone.tobytes() == merged[:1].tobytes()
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(ValueError):

@@ -444,9 +444,9 @@ class TestModelForward:
         segments_of = {}  # id(graph) -> per-graph node counts, seen by each conv
         real_mpconv, real_sum = Tape.mpconv, graphs_module.neighbor_sum
 
-        def mpconv(self, graph, x, theta, theta_skip, segments=None, codes=None):
+        def mpconv(self, graph, x, theta, theta_skip, segments=None):
             segments_of[id(graph)] = segments
-            return real_mpconv(self, graph, x, theta, theta_skip, segments, codes)
+            return real_mpconv(self, graph, x, theta, theta_skip, segments)
 
         def per_graph_sum(graph, x):
             bounds = np.concatenate([[0], np.cumsum(segments_of[id(graph)])])

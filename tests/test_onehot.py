@@ -1,17 +1,23 @@
-"""Block 0 on one-hot features: label codes, counted aggregation, row gathers.
+"""Block 0 on one-hot features held as label codes: counted aggregation,
+row gathers, and no one-hot matrix built outside block 0's backward.
 
-Every check here is byte for byte against the dense path, which the codes
-path must reproduce exactly.
+Every value check here is byte for byte against the dense path on the
+one-hot matrix, which the codes path must reproduce exactly.
 """
 from __future__ import annotations
+
+import pickle
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sparsepool import layers
+from sparsepool.datasets import parse_tu_dataset
 from sparsepool.engine import Tape, finite_diff_check
 from sparsepool.graphs import (
+    GraphBatch,
+    LabelCodes,
     LabeledGraph,
     _dense_pieces,
     batch_graphs,
@@ -20,12 +26,12 @@ from sparsepool.graphs import (
     from_edge_list,
     neighbor_code_count,
     neighbor_sum,
-    onehot_codes,
     spmm_mean,
 )
 from sparsepool.layers import build_model, model_forward
+from sparsepool.membench import MemoryTracker
 
-from conftest import random_graph
+from conftest import as_dense, random_graph
 
 # (F_in, F_out): aggregate first, theta first with a wide input, square theta
 CONV_ORDERS = [(2, 5), (5, 3), (4, 4)]
@@ -60,45 +66,58 @@ def mixed_case():
     return batch.graph, np.concatenate([[0, 1, 3, 3], codes, [2]]), width
 
 
-class TestOnehotCodes:
-    def test_reads_each_rows_column(self):
-        x = onehot(np.array([2, 0, 1, 2]), 3)
-        assert np.array_equal(onehot_codes(x), [2, 0, 1, 2])
+class TestLabelCodes:
+    def test_reads_like_the_one_hot_matrix(self):
+        codes = np.array([2, 0, 1, 2])
+        features = LabelCodes(codes, 3)
+        assert features.shape == (4, 3) and features.nbytes == codes.nbytes == 32
+        assert features.rows(0, 4).tobytes() == onehot(codes, 3).tobytes()
+        assert features.rows(1, 3).tobytes() == onehot(codes, 3)[1:3].tobytes()
+        assert features.rows(0, 4).flags.c_contiguous
 
-    def test_single_column_of_ones(self):
-        assert np.array_equal(onehot_codes(np.ones((4, 1))), np.zeros(4))
+    def test_pickles_and_takes_weak_references(self, fixtures_dir):
+        features = LabelCodes(np.array([1, 0, 1], dtype=np.int32), 2)
+        ref = weakref.ref(features)
+        assert ref() is features
+        copy = pickle.loads(pickle.dumps(features))
+        assert copy.width == 2 and copy.codes.dtype == np.int64
+        assert np.array_equal(copy.codes, [1, 0, 1])
+        dataset = parse_tu_dataset(fixtures_dir / "TOY24", "TOY24")
+        revived = pickle.loads(pickle.dumps(dataset))
+        for a, b in zip(dataset.graphs, revived.graphs):
+            assert isinstance(b.features, LabelCodes) and b.features.width == a.features.width
+            assert b.features.codes.tobytes() == a.features.codes.tobytes()
 
-    def test_degree_features_are_one_hot(self):
-        g = random_graph(np.random.default_rng(0), 9)
-        x = degree_onehot(g, 4)
-        assert np.array_equal(onehot_codes(x), np.minimum(g.degrees, 4))
-
-    @pytest.mark.parametrize("row", [
-        [0.5, 0.0, 0.0],   # an entry that is not 0 or 1
-        [1.0, 1.0, 0.0],   # two ones in a row
-        [0.0, 0.0, 0.0],   # an all-zero row
-        [1.0, -1.0, 0.0],  # a one beside a nonzero
-        [np.nan, 0.0, 0.0],
-        [2.0, 0.0, 0.0],
+    @pytest.mark.parametrize("codes,width,match", [
+        (np.array([0, 3, 1]), 3, "lie in"),                  # a code past the width
+        (np.array([0, -1, 1]), 3, "lie in"),                 # a negative code
+        (np.array([0.0, 1.0, 1.0]), 3, "integer"),           # not integers
+        (np.array([True, False, True]), 3, "integer"),
+        (np.array([[0, 1, 1]]), 3, "1-D"),
+        (np.array([0, 1, 1]), 0, "width"),
+        (np.array([0, 1, 1]), 2.0, "width"),
+        (np.array([0, 1]), 3, "2 label codes for 3 nodes"),  # wrong length
+        (np.array([0, 1, 1, 0]), 3, "4 label codes for 3 nodes"),
     ])
-    @pytest.mark.parametrize("at", [0, 3])
-    def test_any_bad_row_gives_none(self, row, at):
-        x = onehot(np.array([0, 1, 2, 1, 0]), 3)
-        x[at] = row
-        assert onehot_codes(x) is None
+    def test_labeled_graph_rejects_bad_codes(self, codes, width, match):
+        with pytest.raises(ValueError, match=match):
+            LabeledGraph(from_edge_list(3, [(0, 1)]), LabelCodes(codes, width), 0)
 
-    def test_no_rows_gives_none(self):
-        assert onehot_codes(np.zeros((0, 3))) is None
+    def test_a_batch_concatenates_codes(self):
+        parts = [from_edge_list(3, [(0, 1), (1, 2)]), from_edge_list(2, [(0, 1)])]
+        members = [LabeledGraph(g, degree_onehot(g, 2), 0) for g in parts]
+        batch = batch_graphs(members)
+        assert isinstance(batch.features, LabelCodes) and batch.features.width == 3
+        assert np.array_equal(batch.features.codes, [1, 2, 1, 1, 1])
+        dense = LabeledGraph(parts[1], np.ones((2, 3)), 0)
+        with pytest.raises(ValueError, match="graph 1 holds dense features"):
+            batch_graphs([members[0], dense])
+        with pytest.raises(ValueError, match="graph 1 holds label codes"):
+            batch_graphs([dense, members[0]])
 
-    def test_dense_features_stop_at_the_first_row(self, monkeypatch):
-        # the whole-matrix pass starts with an argmax; a first row that is
-        # not one-hot must decide before it
-        def whole_matrix_pass(*args, **kwargs):
-            raise AssertionError("scanned past the first row")
-
-        x = np.random.default_rng(1).standard_normal((50, 8))
-        monkeypatch.setattr(np, "argmax", whole_matrix_pass)
-        assert onehot_codes(x) is None
+    def test_codes_take_no_gradient(self):
+        with pytest.raises(ValueError, match="no gradient"):
+            Tape().leaf(LabelCodes(np.array([0, 1]), 2), needs_grad=True)
 
 
 class TestCountedAggregation:
@@ -118,7 +137,8 @@ class TestCountedAggregation:
     def test_mean_equals_spmm_mean_bytes(self, case):
         graph, codes, width = case
         x = onehot(codes, width)
-        assert spmm_mean(graph, x, codes).tobytes() == spmm_mean(graph, x).tobytes()
+        coded = spmm_mean(graph, LabelCodes(codes, width))
+        assert coded.tobytes() == spmm_mean(graph, x).tobytes()
 
     def test_the_dense_cases_take_the_dense_path(self):
         assert _dense_pieces(dense_case()[0])[1].tolist() == [True]
@@ -128,7 +148,7 @@ class TestCountedAggregation:
         graph = from_edge_list(4, [])
         codes = np.array([1, 0, 1, 1])
         assert np.array_equal(neighbor_code_count(graph, codes, 2), np.zeros((4, 2)))
-        assert spmm_mean(graph, onehot(codes, 2), codes).tobytes() == onehot(codes, 2).tobytes()
+        assert spmm_mean(graph, LabelCodes(codes, 2)).tobytes() == onehot(codes, 2).tobytes()
 
 
 def conv_case(seed, fin, fout, n=9):
@@ -141,12 +161,13 @@ def conv_case(seed, fin, fout, n=9):
     return graph, codes, theta, skip, labels
 
 
-def run_conv(graph, x, theta, skip, labels, segments=None, codes=None):
-    """mpconv values and the theta, theta_skip gradients under a softmax loss."""
+def run_conv(graph, x, theta, skip, labels, segments=None):
+    """mpconv values and the theta, theta_skip gradients under a softmax loss;
+    ``x`` is a dense array or label codes."""
     tape = Tape()
     t = tape.leaf(theta, needs_grad=True)
     s = tape.leaf(skip, needs_grad=True)
-    out = tape.mpconv(graph, tape.leaf(x), t, s, segments, codes)
+    out = tape.mpconv(graph, tape.leaf(x), t, s, segments)
     tape.backward(tape.softmax_xent(out, labels))
     return out.value, t.slot.grad, s.slot.grad
 
@@ -156,24 +177,23 @@ class TestConvWithCodes:
     @pytest.mark.parametrize("seed", range(4))
     def test_values_and_gradients_equal_the_dense_path(self, fin, fout, seed):
         graph, codes, theta, skip, labels = conv_case(seed, fin, fout)
-        x = onehot(codes, fin)
         for segments in (None, [4, 5]):
-            dense = run_conv(graph, x, theta, skip, labels, segments)
-            coded = run_conv(graph, x, theta, skip, labels, segments, codes)
+            dense = run_conv(graph, onehot(codes, fin), theta, skip, labels, segments)
+            coded = run_conv(graph, LabelCodes(codes, fin), theta, skip, labels, segments)
             for a, b in zip(dense, coded):
                 assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("fin,fout", CONV_ORDERS)
     def test_finite_differences_through_codes(self, fin, fout):
         graph, codes, theta, skip, labels = conv_case(7, fin, fout)
-        x = onehot(codes, fin)
+        x = LabelCodes(codes, fin)
         for which in (1, 2):
             def fn(value):
                 args = [x, theta, skip]
                 args[which] = value
-                _, *grads = run_conv(graph, *args, labels, codes=codes)
+                _, *grads = run_conv(graph, *args, labels)
                 tape = Tape(record=False)
-                out = tape.mpconv(graph, *(tape.leaf(a) for a in args), None, codes)
+                out = tape.mpconv(graph, *(tape.leaf(a) for a in args))
                 return float(tape.softmax_xent(out, labels).value), grads[which - 1]
 
             assert finite_diff_check(fn, [theta, skip][which - 1].copy()) < 1e-6
@@ -181,9 +201,9 @@ class TestConvWithCodes:
     def test_codes_must_cover_every_row(self):
         graph, codes, theta, skip, _ = conv_case(0, 2, 5)
         tape = Tape()
-        with pytest.raises(ValueError, match="codes"):
-            tape.mpconv(graph, tape.leaf(onehot(codes, 2)), tape.leaf(theta),
-                        tape.leaf(skip), None, codes[:-1])
+        with pytest.raises(ValueError, match="label codes"):
+            tape.mpconv(graph, tape.leaf(LabelCodes(codes[:-1], 2)), tape.leaf(theta),
+                        tape.leaf(skip))
 
 
 def onehot_batch(seed, width=4, graphs=5):
@@ -191,9 +211,14 @@ def onehot_batch(seed, width=4, graphs=5):
     members = []
     for _ in range(graphs):
         g = random_graph(rng, int(rng.integers(3, 10)))
-        members.append(LabeledGraph(g, onehot(rng.integers(0, width, g.num_nodes), width),
+        members.append(LabeledGraph(g, LabelCodes(rng.integers(0, width, g.num_nodes), width),
                                     int(rng.integers(2))))
     return batch_graphs(members)
+
+
+def dense_twin(batch):
+    """The batch with its label codes as the dense one-hot matrix."""
+    return GraphBatch(batch.graph, as_dense(batch.features), batch.node_counts, batch.labels)
 
 
 def forward_and_grads(batch, model):
@@ -206,22 +231,34 @@ def forward_and_grads(batch, model):
     return logits.value, grads
 
 
+def spy_block_inputs(monkeypatch):
+    """The X of every mpconv call, in call order."""
+    seen = []
+    orig = Tape.mpconv
+
+    def spy(self, graph, x, *args):
+        seen.append(x.value)
+        return orig(self, graph, x, *args)
+
+    monkeypatch.setattr(Tape, "mpconv", spy)
+    return seen
+
+
 class TestModelOnCodes:
     @pytest.mark.parametrize("width,hidden", [(4, 8), (12, 6)])
     @pytest.mark.parametrize("position", ["pre_pool", "post_pool"])
-    def test_logits_and_gradients_equal_the_dense_path(self, monkeypatch, width, hidden, position):
+    def test_logits_and_gradients_equal_the_dense_path(self, width, hidden, position):
         batch = onehot_batch(3, width)
         model = build_model(width, hidden, 2, readout_position=position, seed=4)
         coded = forward_and_grads(batch, model)
-        monkeypatch.setattr(layers, "onehot_codes", lambda x: None)
-        dense = forward_and_grads(batch, model)
+        dense = forward_and_grads(dense_twin(batch), model)
         assert coded[0].tobytes() == dense[0].tobytes()
         for a, b in zip(coded[1], dense[1]):
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("bad", ["half", "two_ones", "zero_row"])
     def test_features_that_are_not_one_hot_take_the_dense_path(self, monkeypatch, bad):
-        batch = onehot_batch(5)
+        batch = dense_twin(onehot_batch(5))
         features = batch.features.copy()
         if bad == "half":
             features[3, np.argmax(features[3])] = 0.5
@@ -231,27 +268,65 @@ class TestModelOnCodes:
         else:
             features[3] = 0.0
         batch = type(batch)(batch.graph, features, batch.node_counts, batch.labels)
-        seen = []
-        orig = Tape.mpconv
-
-        def spy(self, *args):
-            seen.append(args[5] if len(args) > 5 else None)
-            return orig(self, *args)
-
-        monkeypatch.setattr(Tape, "mpconv", spy)
+        seen = spy_block_inputs(monkeypatch)
         model_forward(Tape(record=False), batch, build_model(4, 8, 2))
-        assert seen == [None, None, None]
+        assert [type(x) for x in seen] == [np.ndarray] * 3
+        assert seen[0] is batch.features
 
     def test_one_hot_features_reach_block_0_only(self, monkeypatch):
         batch = onehot_batch(6)
-        seen = []
-        orig = Tape.mpconv
-
-        def spy(self, *args):
-            seen.append(args[5])
-            return orig(self, *args)
-
-        monkeypatch.setattr(Tape, "mpconv", spy)
+        seen = spy_block_inputs(monkeypatch)
         model_forward(Tape(record=False), batch, build_model(4, 8, 2))
-        assert np.array_equal(seen[0], np.argmax(batch.features, axis=1))
-        assert seen[1:] == [None, None]
+        assert seen[0] is batch.features
+        assert [type(x) for x in seen[1:]] == [np.ndarray] * 2
+
+
+class NotingTracker(MemoryTracker):
+    """A tracker that also lists what it is told about: (tag, shape, weakref)."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def note(self, arr, tag):
+        super().note(arr, tag)
+        self.seen.append((tag, arr.shape, weakref.ref(arr)))
+
+
+class TestCodesStayCodes:
+    """Degree features stay codes on the model path: nothing N x width is
+    built in the forward (other than the theta-last order's counted
+    aggregate, which is dropped at once) or kept for backward."""
+
+    @pytest.mark.parametrize("width,hidden", [(12, 6), (5, 8)])
+    def test_model_path_builds_no_one_hot_matrix(self, width, hidden):
+        rng = np.random.default_rng(8)
+        members = []
+        for _ in range(6):
+            g = random_graph(rng, int(rng.integers(5, 14)))
+            members.append(LabeledGraph(g, degree_onehot(g, width - 1), int(rng.integers(2))))
+        batch = batch_graphs(members)
+        n = batch.graph.num_nodes
+        assert batch.features.shape == (n, width)
+        tracker = NotingTracker()
+        tracker.note(batch.features, "features")
+        assert dict(tracker.peak_breakdown())["features"] == n * np.dtype(np.int64).itemsize
+        model = build_model(width, hidden, 2, seed=2)
+        tape = Tape(tracker=tracker)
+        logits = model_forward(tape, batch, model)
+        wide = [(tag, ref) for tag, shape, ref in tracker.seen if shape == (n, width)]
+        features = wide.pop(0)
+        assert features[0] == "features"
+        if width < hidden:  # aggregate first: the counted aggregate, dropped after its product
+            assert [tag for tag, _ in wide] == ["acts"]
+        else:
+            assert wide == []
+        assert all(ref() is None for _, ref in wide)
+        record = tape._nodes[0][1]
+        kept = [cell.cell_contents for cell in record.__closure__]
+        assert not any(isinstance(v, np.ndarray) and v.shape == (n, width) for v in kept)
+        forward_notes = len(tracker.seen)
+        tape.backward(tape.softmax_xent(logits, batch.labels))
+        transient = [ref for _, shape, ref in tracker.seen[forward_notes:] if shape == (n, width)]
+        assert len(transient) == (2 if width < hidden else 1)  # recount and one-hot block
+        assert all(ref() is None for ref in transient)

@@ -10,9 +10,9 @@ import pytest
 
 from conftest import make_cycle_star_task, random_graph
 from sparsepool import engine
-from sparsepool.datasets import Dataset, parse_tu_dataset, stratified_kfold
+from sparsepool.datasets import Dataset, FoldSplit, parse_tu_dataset, stratified_kfold
 from sparsepool.engine import Tape
-from sparsepool.graphs import LabeledGraph, batch_graphs
+from sparsepool.graphs import LabelCodes, LabeledGraph, batch_graphs, degree_onehot, from_edge_list
 from sparsepool import training
 from sparsepool.layers import build_model, forward_summaries, model_forward
 from sparsepool.training import (
@@ -332,8 +332,8 @@ class TestCrossValidate:
         ds = self.dataset(fixtures_dir)
         result = cross_validate(ds, quick_config(folds=3), jobs=2)
         assert len(tasks) == 3
-        assert len(pickle.dumps(ds)) > 10_000
-        assert all(len(task) < 10_000 for task in tasks)
+        assert len(pickle.dumps(ds)) > 5_000
+        assert all(len(task) < 5_000 for task in tasks)
         assert result.fold_accuracies == cross_validate(ds, quick_config(folds=3)).fold_accuracies
 
     @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (64, 3)])
@@ -383,6 +383,33 @@ class TestCrossValidate:
         assert bound == 7
         assert train[0].features.shape[1] == 8
         assert test[0].features.shape[1] == 8
+
+    def test_features_are_codes(self, fixtures_dir):
+        ds = self.dataset(fixtures_dir)
+        train, test, bound = prepare_fold(ds, stratified_kfold(ds.labels(), 4, seed=0)[0],
+                                          quick_config(folds=4))
+        for lg in train + test:
+            assert isinstance(lg.features, LabelCodes)
+            assert lg.features.shape == (lg.graph.num_nodes, bound + 1)
+            assert np.array_equal(lg.features.codes, np.minimum(lg.graph.degrees, bound))
+
+    def test_max_degree_past_the_largest_degree_is_rejected(self, fixtures_dir):
+        ds = self.dataset(fixtures_dir)
+        split = stratified_kfold(ds.labels(), 4, seed=0)[0]
+        with pytest.raises(ValueError, match="max_degree 9 exceeds 8, the largest degree"):
+            prepare_fold(ds, split, quick_config(folds=4, max_degree=9))
+        _, _, bound = prepare_fold(ds, split, quick_config(folds=4, max_degree=8))
+        assert bound == 8
+
+    def test_max_degree_cap_is_at_least_one(self):
+        # a dataset without edges has largest degree 0, but the cap is never below 1
+        structures = [from_edge_list(2, []) for _ in range(4)]
+        ds = Dataset("EMPTY", [LabeledGraph(g, degree_onehot(g, 1), i % 2)
+                               for i, g in enumerate(structures)], 2, "degree_onehot")
+        split = FoldSplit(0, np.array([0, 1]), np.array([2, 3]))
+        with pytest.raises(ValueError, match="max_degree 2 exceeds 1, the largest degree"):
+            prepare_fold(ds, split, quick_config(max_degree=2))
+        assert prepare_fold(ds, split, quick_config(max_degree=1))[2] == 1
 
     def test_unstratified_folds_still_partition(self, fixtures_dir):
         from sparsepool.training import make_folds

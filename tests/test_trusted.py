@@ -37,9 +37,16 @@ def assert_valid_labeled(labeled) -> None:
     """Everything ``LabeledGraph(...)`` checks or converts, checked directly."""
     assert_valid(labeled.graph)
     feats = labeled.features
-    assert feats.dtype == np.float64 and feats.flags.c_contiguous
-    assert feats.ndim == 2 and feats.shape[0] == labeled.graph.num_nodes
-    assert np.isfinite(feats).all()
+    if isinstance(feats, graphs.LabelCodes):
+        codes = feats.codes
+        assert codes.dtype == np.int64 and codes.flags.c_contiguous and codes.ndim == 1
+        assert type(feats.width) is int and feats.width >= 1
+        assert codes.size == labeled.graph.num_nodes
+        assert codes.size == 0 or (codes.min() >= 0 and codes.max() < feats.width)
+    else:
+        assert feats.dtype == np.float64 and feats.flags.c_contiguous
+        assert feats.ndim == 2 and feats.shape[0] == labeled.graph.num_nodes
+        assert np.isfinite(feats).all()
     assert type(labeled.label) is int
 
 
