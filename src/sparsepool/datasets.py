@@ -173,11 +173,22 @@ def _check_edges(path: Path, pairs: np.ndarray, indicator: np.ndarray) -> None:
     """Reject the first edge line that is out of range, a self-loop or across graphs.
 
     When one line breaks several rules, the first in that order names it.
+    Whole-table reductions clear a valid table; the per-line masks are built
+    only to name the bad line.
     """
     num_nodes = indicator.size
+    graph_of = np.concatenate(([0], indicator))  # indexed by 1-based node
+    if (
+        pairs.size == 0
+        or pairs.min() >= 1
+        and pairs.max() <= num_nodes
+        and not np.any(pairs[:, 0] == pairs[:, 1])
+        and np.array_equal(graph_of[pairs[:, 0]], graph_of[pairs[:, 1]])
+    ):
+        return
     out_of_range = np.any((pairs < 1) | (pairs > num_nodes), axis=1)
     self_loop = pairs[:, 0] == pairs[:, 1]
-    ends = indicator[np.clip(pairs, 1, num_nodes) - 1]
+    ends = graph_of[np.clip(pairs, 1, num_nodes)]
     crossing = ends[:, 0] != ends[:, 1]
     bad = out_of_range | self_loop | crossing
     if not bad.any():
@@ -265,9 +276,10 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
 
     pairs = _read_table(a_path, 2, np.int64)
     _check_edges(a_path, pairs, indicator)
+    pairs -= 1
     # one CSR over the whole dataset; graph i is the diagonal block of its node
     # range, and no edge crosses graphs, so every block is a valid CSR itself
-    whole = from_edge_list(num_nodes, pairs - 1)
+    whole = from_edge_list(num_nodes, pairs)
     del pairs
     offsets, cols = whole.row_offsets, whole.col_indices
     structures = [

@@ -5,10 +5,13 @@ All values are 64-bit floats. A :class:`Tape` records one forward pass;
 leaf slots (parameters keep a persistent gradient buffer). Each record's
 closure captures only the arrays its backward rule needs, and records are
 released as soon as they have run, so activation buffers are freed at the
-earliest point reference counting allows.
+earliest point reference counting allows. Importing the module pins glibc's
+mmap threshold at its 64-bit ceiling (:func:`_pin_mmap_threshold`), so a
+freed N x F panel below 32 MiB is reused instead of mapped afresh.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import struct
 
@@ -30,6 +33,47 @@ __all__ = [
 ]
 
 _NORM_GUARD = 1e-12
+
+# glibc's mallopt parameters (malloc.h) and DEFAULT_MMAP_THRESHOLD_MAX, the
+# ceiling its adaptive rule raises the mmap threshold to (32 MiB on 64-bit)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+
+
+def _c_library():
+    """The running process's C library, with ``mallopt``'s C signature
+    declared where it has one; None where ctypes cannot load it."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+    if hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt.restype = ctypes.c_int
+    return libc
+
+
+def _pin_mmap_threshold(libc) -> bool:
+    """Serve every allocation below 32 MiB from the heap, process-wide.
+
+    glibc maps each block above its mmap threshold afresh and unmaps it on
+    free, so every later panel of that size page-faults in again. The
+    threshold starts at 128 KiB and rises to the largest mapped block freed
+    so far, so which panels fault depends on which temporary happened to be
+    freed first. This sets what that rule sets at its ceiling: the mmap
+    threshold to ``DEFAULT_MMAP_THRESHOLD_MAX`` and the trim threshold to
+    twice that. Where ``libc`` has no ``mallopt`` (not glibc) or ``mallopt``
+    refuses, nothing changes. Returns whether the threshold was pinned.
+    """
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None or not mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX):
+        return False
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+    return True
+
+
+_pin_mmap_threshold(_c_library())
 
 
 class NonFiniteGradientError(RuntimeError):

@@ -231,7 +231,10 @@ def from_edge_list(num_nodes: int, edges, symmetrize: bool = True) -> SparseGrap
 
     Duplicate edges are collapsed. With ``symmetrize`` each pair is mirrored;
     otherwise the input must already contain both directions, and the result
-    goes through the validating constructor.
+    goes through the validating constructor. A list that already is a
+    canonical CSR in pair form (both directions, sorted by row then column,
+    no duplicates: the TU convention) is taken as it is, without the mirror
+    and the sort of twice its length.
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be non-negative")
@@ -240,18 +243,36 @@ def from_edge_list(num_nodes: int, edges, symmetrize: bool = True) -> SparseGrap
         raise ValueError("edge endpoint out of range")
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise ValueError("self-loops are not allowed")
-    if symmetrize:
-        pairs = np.concatenate([pairs, pairs[:, ::-1]])
-    codes = np.sort(pairs[:, 0] * num_nodes + pairs[:, 1])
-    first = np.ones(codes.size, dtype=bool)
-    first[1:] = codes[1:] != codes[:-1]  # keep one copy of each duplicate
-    codes = codes[first]
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(codes // num_nodes, minlength=num_nodes), out=offsets[1:])
+    if _is_canonical(num_nodes, pairs):
+        np.cumsum(np.bincount(pairs[:, 0], minlength=num_nodes), out=offsets[1:])
+        cols = np.ascontiguousarray(pairs[:, 1])
+    else:
+        if symmetrize:
+            pairs = np.concatenate([pairs, pairs[:, ::-1]])
+        codes = np.sort(pairs[:, 0] * num_nodes + pairs[:, 1])
+        first = np.ones(codes.size, dtype=bool)
+        first[1:] = codes[1:] != codes[:-1]  # keep one copy of each duplicate
+        codes = codes[first]
+        np.cumsum(np.bincount(codes // num_nodes, minlength=num_nodes), out=offsets[1:])
+        cols = codes % num_nodes
     if not symmetrize:
-        return SparseGraph(num_nodes, offsets, codes % num_nodes)
-    # in range, loop-free, mirrored and deduplicated: sorted codes are a valid CSR
-    return SparseGraph._trusted(num_nodes, offsets, codes % num_nodes)
+        return SparseGraph(num_nodes, offsets, cols)
+    # in range, loop-free, mirrored (or its own mirror) and deduplicated: a valid CSR
+    return SparseGraph._trusted(num_nodes, offsets, cols)
+
+
+def _is_canonical(num_nodes: int, pairs: np.ndarray) -> bool:
+    """Whether the pairs' linear codes are strictly increasing and equal
+    their own sorted mirror codes."""
+    codes = pairs[:, 0] * num_nodes
+    codes += pairs[:, 1]
+    if not np.all(codes[1:] > codes[:-1]):
+        return False
+    mirror = pairs[:, 1] * num_nodes
+    mirror += pairs[:, 0]
+    mirror.sort()
+    return np.array_equal(codes, mirror)
 
 
 def _dense_pieces(graph: SparseGraph) -> tuple[np.ndarray, np.ndarray]:

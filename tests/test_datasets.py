@@ -104,6 +104,19 @@ class TestParse:
         assert ds.graphs[0].graph.num_edges == 1
         assert ds.graphs[0].label == 0  # labels remapped to [0, C)
 
+    def test_edges_listed_one_way_parse_as_both(self, tmp_path):
+        both = "1, 2\n1, 3\n2, 1\n2, 3\n3, 1\n3, 2\n5, 6\n6, 5\n"
+        one_way = "3, 2\n1, 2\n6, 5\n1, 3\n"
+        parsed = []
+        for name, edges in (("B", both), ("O", one_way)):
+            write_corpus(
+                tmp_path, name,
+                {"A": edges, "graph_indicator": "1\n1\n1\n2\n2\n2\n", "graph_labels": "1\n2\n"},
+            )
+            parsed.append(parse_tu_dataset(tmp_path, name))
+        TestRoundTrip().assert_same(*parsed)
+        assert [g.graph.num_edges for g in parsed[1].graphs] == [3, 1]
+
     def test_zero_edge_graph_kept(self, tmp_path):
         write_corpus(
             tmp_path,

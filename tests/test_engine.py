@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import platform
 import struct
+import subprocess
+import sys
 import tempfile
 import weakref
 from pathlib import Path
@@ -13,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sparsepool
 from sparsepool import engine
 from sparsepool.engine import (
     NonFiniteGradientError,
@@ -1022,3 +1027,65 @@ class TestSerialization:
             save_parameters([Parameter("a", np.zeros(3)), bad], path)
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["model.params"]
+
+
+# Allocates, fills and frees a 5 MiB float64 array twice after importing the
+# package and prints the minor faults of the second round and the page count.
+_REFILL = """
+import resource
+import numpy as np
+import sparsepool
+
+def fill():
+    np.empty((5 << 20) // 8).fill(1.0)
+
+fill()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+fill()
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(after - before, (5 << 20) // resource.getpagesize())
+"""
+
+
+class TestMmapThreshold:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
+    def test_a_freed_panel_is_reused(self):
+        src = str(Path(sparsepool.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _REFILL], env=env, capture_output=True, text=True, check=True
+        )
+        faults, pages = map(int, out.stdout.split())
+        assert faults < 0.1 * pages
+        assert engine._pin_mmap_threshold(engine._c_library()) is True
+
+    def test_no_libc_is_left_alone(self):
+        assert engine._pin_mmap_threshold(None) is False
+
+    def test_a_libc_without_mallopt_is_left_alone(self):
+        class NoMallopt:
+            pass
+
+        assert engine._pin_mmap_threshold(NoMallopt()) is False
+
+    def test_a_refusing_mallopt_is_left_alone(self):
+        calls = []
+
+        class Refusing:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 0
+
+        assert engine._pin_mmap_threshold(Refusing()) is False
+        assert calls == [(engine._M_MMAP_THRESHOLD, 32 << 20)]
+
+    def test_the_pair_set_is_glibcs_ceiling(self):
+        calls = []
+
+        class Accepting:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        assert engine._pin_mmap_threshold(Accepting()) is True
+        assert calls == [(engine._M_MMAP_THRESHOLD, 32 << 20), (engine._M_TRIM_THRESHOLD, 64 << 20)]

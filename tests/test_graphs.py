@@ -89,6 +89,70 @@ class TestSparseGraph:
         assert g.num_nodes == 0 and g.num_edges == 0
 
 
+@st.composite
+def edge_lists(draw):
+    """A node count and an edge list over it: canonical (the CSR in pair
+    form), shuffled, one direction only, with duplicates, or empty; nodes
+    past the largest endpoint are isolated."""
+    n = draw(st.integers(0, 12))
+    upper = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(upper), unique=True)) if upper else []
+    one_way = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    codes = np.unique(np.concatenate([one_way, one_way[:, ::-1]]) @ [n, 1])
+    canonical = np.stack([codes // max(n, 1), codes % max(n, 1)], axis=1)
+    kind = draw(st.sampled_from(["canonical", "shuffled", "one-way", "duplicates"]))
+    if kind == "canonical":
+        return n, canonical, True
+    if kind == "one-way":
+        flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        flip = np.array(flips, dtype=bool).reshape(-1, 1)
+        return n, np.where(flip, one_way[:, ::-1], one_way), False
+    if kind == "duplicates" and len(canonical):
+        repeats = draw(st.lists(st.integers(0, len(canonical) - 1), min_size=1, max_size=6))
+        canonical = np.concatenate([canonical, canonical[repeats]])
+    return n, canonical[list(draw(st.permutations(range(len(canonical)))))], True
+
+
+class TestEdgeListFastPath:
+    @staticmethod
+    def assert_same_bytes(a: SparseGraph, b: SparseGraph):
+        assert a.num_nodes == b.num_nodes
+        for x, y in ((a.row_offsets, b.row_offsets), (a.col_indices, b.col_indices)):
+            assert x.dtype == y.dtype == np.int64
+            assert x.flags.c_contiguous and y.flags.c_contiguous
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    @given(edge_lists(), st.booleans())
+    @example((3, np.array([(0, 1), (0, 1), (1, 0), (1, 0)]), True), False)  # sorted, mirrored twice
+    @example((3, np.array([(0, 1), (0, 1), (1, 0), (1, 0)]), True), True)
+    def test_fast_path_equals_general_path(self, case, symmetrize):
+        n, pairs, both_ways = case
+        if not (symmetrize or both_ways):
+            symmetrize = True  # one direction only is not a valid unmirrored list
+        fast = from_edge_list(n, pairs, symmetrize=symmetrize)
+        with mock.patch.object(graphs, "_is_canonical", return_value=False):
+            general = from_edge_list(n, pairs, symmetrize=symmetrize)
+        self.assert_same_bytes(fast, general)
+
+    @given(edge_lists())
+    @example((3, np.array([(0, 1), (0, 1), (1, 0), (1, 0)]), True))
+    @example((3, np.array([(0, 1), (1, 2)]), False))
+    def test_only_canonical_lists_take_the_fast_path(self, case):
+        n, pairs, _ = case
+        codes = pairs @ np.array([n, 1]) if pairs.size else np.zeros(0, dtype=np.int64)
+        mirrored = np.concatenate([pairs, pairs[:, ::-1]]) @ [n, 1] if pairs.size else codes
+        canonical = np.array_equal(codes, np.unique(mirrored))
+        assert graphs._is_canonical(n, pairs) == canonical
+
+    def test_a_canonical_list_skips_the_mirror(self):
+        g = erdos_renyi(40, 120, seed=3)
+        pairs = np.stack([np.repeat(np.arange(40), g.degrees), g.col_indices], axis=1)
+        with mock.patch.object(np, "concatenate", side_effect=AssertionError("mirrored")):
+            rebuilt = from_edge_list(40, pairs, symmetrize=True)
+        self.assert_same_bytes(rebuilt, g)
+        assert not np.shares_memory(rebuilt.col_indices, pairs)
+
+
 class TestNeighborSum:
     @given(
         n=st.integers(0, 12),
