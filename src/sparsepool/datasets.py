@@ -62,7 +62,6 @@ class Dataset:
     feature_kind: str
     node_labels: list[np.ndarray] | None = None
     node_label_alphabet: np.ndarray | None = None
-    degree_bound: int | None = None
 
     def labels(self) -> np.ndarray:
         return np.array([g.label for g in self.graphs], dtype=np.int64)
@@ -294,7 +293,6 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
     nlab_path = d / f"{name}_node_labels.txt"
     node_labels = None
     alphabet = None
-    degree_bound = None
 
     if attr_path.is_file():
         feature_kind = "node_attributes"
@@ -333,7 +331,6 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
         feature_kind=feature_kind,
         node_labels=node_labels,
         node_label_alphabet=alphabet,
-        degree_bound=degree_bound,
     )
 
 

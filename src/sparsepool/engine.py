@@ -181,7 +181,9 @@ def _acc(slot: Slot | None, g: np.ndarray, fresh: bool, tracker) -> None:
     """Accumulate a gradient contribution into ``slot``.
 
     ``fresh`` marks arrays computed solely for this contribution, which may
-    be adopted without copying.
+    be adopted without copying. An adopted array is noted to ``tracker``; a
+    rule handing on its incoming gradient, noted when it was created, passes
+    None.
     """
     if slot is None:
         return
@@ -189,22 +191,6 @@ def _acc(slot: Slot | None, g: np.ndarray, fresh: bool, tracker) -> None:
         slot.grad = g if fresh else g.copy()
         if tracker is not None:
             tracker.note(slot.grad, "grads")
-    else:
-        slot.grad += g
-
-
-def _hand_over(slot: Slot | None, g: np.ndarray) -> None:
-    """Accumulate a rule's incoming gradient ``g`` into ``slot``, adopting it
-    when the slot is empty.
-
-    ``g`` was noted when it was created and the tape drops it once the rule
-    returns, so it is neither copied nor noted again. The rule must read
-    ``g`` for nothing else after this call.
-    """
-    if slot is None:
-        return
-    if slot.grad is None:
-        slot.grad = g
     else:
         slot.grad += g
 
@@ -280,11 +266,14 @@ class Tape:
     stacked call per run of equal counts, so a batch in node-count order
     costs one call per distinct size rather than one per graph.
 
-    ``tracker`` (optional) must expose ``note(array, tag)`` and is informed
-    of every activation, gradient and CSR buffer the pass allocates.
-    ``probe`` (optional dict) collects stability margins ("relu_margin",
-    "rowmax_gap", "score_boundary_gap", "score_min_gap") so callers can
-    reject inputs too close to a non-differentiable switch. With
+    ``tracker`` (optional) is the tape's one hook. It must expose
+    ``note(array, tag)`` and is informed of every activation, gradient and
+    CSR buffer the pass allocates. It may also expose ``margin(key,
+    value)``, which is then handed each stability margin the pass meets
+    ("relu_margin", "rowmax_gap", "score_boundary_gap", "score_min_gap"),
+    so a caller can keep the smallest and reject inputs too close to a
+    non-differentiable switch. Margins are computed only for a hook that
+    takes them. With
     ``record=False`` the tape keeps no backward closures, so a forward-only
     pass frees each activation once nothing downstream reads it; such a tape
     cannot run :meth:`backward`.
@@ -301,32 +290,22 @@ class Tape:
     ``mpconv`` reading it saves that instead of the pooled array.
     """
 
-    def __init__(self, tracker=None, probe: dict | None = None, record: bool = True):
+    def __init__(self, tracker=None, record: bool = True):
         self._nodes: list = []
         self._consumed = False
         self.tracker = tracker
-        self.probe = probe
         self.record = record
+        self._margin = getattr(tracker, "margin", None)
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def note(self, arr: np.ndarray, tag: str) -> None:
-        if self.tracker is not None:
-            self.tracker.note(arr, tag)
-
     def _out(self, value: np.ndarray, needs_grad: bool = True) -> Var:
-        self.note(value, "acts")
-        return Var(value, Slot() if needs_grad else None)
+        return Var(_noted(value, self.tracker, "acts"), Slot() if needs_grad else None)
 
     def _push(self, out_slot: Slot | None, fn) -> None:
         if self.record and out_slot is not None:
             self._nodes.append((out_slot, fn))
-
-    def probe_min(self, key: str, value: float) -> None:
-        if self.probe is not None:
-            cur = self.probe.get(key)
-            self.probe[key] = value if cur is None else min(cur, value)
 
     def leaf(self, value, needs_grad: bool = False) -> Var:
         """Wrap an input array; gradients are kept only if requested.
@@ -436,8 +415,8 @@ class Tape:
             h = _noted(_graphs.spmm_mean(graph, xt), tr, "acts")
             del xt
         h += _noted(project(sv), tr, "acts")
-        if self.probe is not None and h.size:
-            self.probe_min("relu_margin", float(np.min(np.abs(h))))
+        if self._margin is not None and h.size:
+            self._margin("relu_margin", float(np.min(np.abs(h))))
         np.maximum(h, 0.0, out=h)
         x_slot, t_slot, s_slot = x.slot, theta.slot, theta_skip.slot
         out = Var(h, None if x_slot is None and t_slot is None and s_slot is None else Slot())
@@ -500,11 +479,11 @@ class Tape:
 
         Each row's score is ``x_i . p / max(||p||, guard)``, computed per
         segment of ``counts`` (:func:`_segmented_matmul`); while the guard is
-        active the norm is a constant. ``select(scores)`` returns the kept
-        row indices, strictly increasing, and the kept count of each
-        segment. The output is ``x[idx] * tanh(scores[idx])[:, None]``, so
-        ``p`` gets a gradient through the gate. Returns ``(output, idx, kept
-        counts)``.
+        active the norm is a constant. ``select(scores, margin)`` returns the
+        kept row indices, strictly increasing, and the kept count of each
+        segment; ``margin`` is the hook's ``margin`` callable, or None. The
+        output is ``x[idx] * tanh(scores[idx])[:, None]``, so ``p`` gets a
+        gradient through the gate. Returns ``(output, idx, kept counts)``.
 
         The record saves ``x``, ``idx`` and the kept gates. On a recorded
         tape the output's ``rebuild`` gathers and gates any of its row
@@ -526,7 +505,7 @@ class Tape:
         norm = _NORM_GUARD if guarded else raw_norm
         scores = _noted(raw / norm, tr, "acts")
         gate = _noted(np.tanh(scores), tr, "acts")
-        idx, kept = select(scores)
+        idx, kept = select(scores, self._margin)
         idx = np.asarray(idx, dtype=np.int64)
         n = xv.shape[0]
         if idx.ndim != 1 or (
@@ -575,11 +554,11 @@ class Tape:
             g *= t[:, None]
             _add_outer(g, d_raw, pv)
             if every:
-                _hand_over(x_slot, g)
+                _acc(x_slot, g, True, None)
             else:
                 d_x = _noted(np.zeros((n, g.shape[1])), tr, "grads")
                 d_x[idx] = g
-                _hand_over(x_slot, d_x)
+                _acc(x_slot, d_x, True, None)
 
         self._nodes.append((out.slot, bw))
         return out, idx, kept
@@ -592,7 +571,7 @@ class Tape:
         max gradient goes to the first row attaining each column's maximum.
         Each run of k segments of n rows is reduced as one ``(k, n, F)``
         view along axis 1 (sum, max, first-index argmax and the
-        ``rowmax_gap`` probe), which adds each column's rows in the order a
+        ``rowmax_gap`` margin), which adds each column's rows in the order a
         per-segment ``(n, F)`` reduction does, so the bytes are the same.
         ``np.maximum.reduceat`` along axis 0 was measured several times
         slower than ``max(axis=0)`` on large inputs.
@@ -628,12 +607,12 @@ class Tape:
             np.maximum.reduce(blk, axis=1, out=run_top)
             if wants_grad:
                 first[i : i + k] = np.argmax(blk == run_top[:, None, :], axis=1)
-            if self.probe is not None and n > 1:
+            if self._margin is not None and n > 1:
                 second = np.partition(blk, -2, axis=1)[:, -2]
                 # exact zero-zero ties come from ReLU clamping and are stable
                 live = ~((run_top == 0.0) & (second == 0.0))
                 if np.any(live):
-                    self.probe_min("rowmax_gap", float(np.min((run_top - second)[live])))
+                    self._margin("rowmax_gap", float(np.min((run_top - second)[live])))
         mean /= counts[:, None]  # what blk.mean(axis=0) divides by
         if wants_grad:
             first += (np.cumsum(counts) - counts)[:, None]  # each segment's first row
@@ -659,7 +638,7 @@ class Tape:
                     at_max += share + g[:, f:]
                     _add_rows(grad, share, np.repeat(np.arange(counts.size), counts))
                     grad[first, cols] = at_max
-            _hand_over(s_slot, g)
+            _acc(s_slot, g, True, None)
 
         self._push(out.slot, bw)
         return out
@@ -670,7 +649,7 @@ class Tape:
         Both products run row by row (:func:`_segmented_matmul` with one row
         per segment), so a graph's logits do not depend on the batch it is
         in. The biases are ``(1, width)`` rows added to every row. The
-        ``relu_margin`` probe reads the pre-activation. The record saves
+        ``relu_margin`` is taken on the pre-activation. The record saves
         ``s`` and the hidden activation; backward uses whole-matrix products.
         """
         sv, w1v, b1v, w2v, b2v = s.value, w1.value, b1.value, w2.value, b2.value
@@ -685,8 +664,8 @@ class Tape:
         rows = np.ones(sv.shape[0], dtype=np.int64)
         h = _noted(_segmented_matmul(sv, w1v, rows), tr, "acts")
         h += b1v
-        if self.probe is not None and h.size:
-            self.probe_min("relu_margin", float(np.min(np.abs(h))))
+        if self._margin is not None and h.size:
+            self._margin("relu_margin", float(np.min(np.abs(h))))
         np.maximum(h, 0.0, out=h)
         out = self._out(_segmented_matmul(h, w2v, rows))
         out.value += b2v

@@ -2,7 +2,6 @@
 readout, and their composition into the stacked classifier."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,16 +164,16 @@ def build_model(
 
 
 def kept_count(n: int, ratio: float) -> int:
-    """ceil(ratio * n), clamped to [1, n].
+    """ceil(ratio * n), clamped to [1, n], for n >= 1; see :func:`_kept_counts`."""
+    return int(_kept_counts(np.array([n], dtype=np.int64), ratio)[0])
+
+
+def _kept_counts(counts: np.ndarray, ratio: float) -> np.ndarray:
+    """:func:`kept_count` of every entry of an int64 array of positive counts.
 
     The tiny backoff keeps float noise just above an integer (e.g.
     0.8 * 5 -> 4.0000000000000002) from inflating the count.
     """
-    return max(1, min(n, int(math.ceil(ratio * n - 1e-9))))
-
-
-def _kept_counts(counts: np.ndarray, ratio: float) -> np.ndarray:
-    """:func:`kept_count` of every entry of an int64 array."""
     return np.clip(np.ceil(ratio * counts - 1e-9), 1, counts).astype(np.int64)
 
 
@@ -199,30 +198,32 @@ def mpconv_forward(
     return tape.mpconv(graph, x, tape.param(layer.theta), tape.param(layer.theta_skip), segments)
 
 
-def _select_topk(scores: np.ndarray, counts, ratio: float, probe: dict | None):
+def _select_topk(scores: np.ndarray, counts, ratio: float, margin):
     """Per-segment top-k indices (ties: lower index), re-sorted ascending.
 
     One stable lexsort orders every segment by descending score; a row is
     kept when its rank inside its segment is below that segment's k.
+    ``margin`` (a tape hook's ``margin`` callable, or None) is handed the
+    smallest gap between a segment's last kept and first dropped score
+    ("score_boundary_gap") and between any two scores of one segment
+    ("score_min_gap"), where there is one.
     """
     counts = np.asarray(counts, dtype=np.int64)
     k = _kept_counts(counts, ratio)
-    if probe is None and np.array_equal(k, counts):
+    if margin is None and np.array_equal(k, counts):
         return np.arange(scores.size), k  # every row is kept: nothing to rank
     order = np.lexsort((-scores, np.repeat(np.arange(counts.size), counts)))
     starts = np.cumsum(counts) - counts
     rank = np.arange(scores.size) - np.repeat(starts, counts)
     selected = np.sort(order[rank < np.repeat(k, counts)])
-    if probe is not None:
+    if margin is not None:
         ranked = scores[order]
         gaps = ranked[:-1] - ranked[1:]  # non-negative inside a segment
         boundary = gaps[(starts + k - 1)[k < counts]]  # last kept vs first dropped
         within = gaps[rank[1:] > 0]
         for key, vals in (("score_boundary_gap", boundary), ("score_min_gap", within)):
             if vals.size:
-                gap = float(np.min(vals))
-                cur = probe.get(key)
-                probe[key] = gap if cur is None else min(cur, gap)
+                margin(key, float(np.min(vals)))
     return selected, k
 
 
@@ -237,16 +238,18 @@ def _topk_pool_segments(tape, x, layer, counts):
         x,
         tape.param(layer.p_vec),
         counts,
-        lambda scores: _select_topk(scores, counts, layer.ratio, tape.probe),
+        lambda scores, margin: _select_topk(scores, counts, layer.ratio, margin),
     )
 
 
 def _pooled_graph(tape, graph, idx):
-    """The subgraph on the kept nodes ``idx``, its CSR noted when it is new."""
+    """The subgraph on the kept nodes ``idx``, its CSR noted to the tape's
+    hook when it is new."""
     sub = induced_subgraph(graph, idx)
-    if sub is not graph:  # a graph kept whole is already accounted for
-        tape.note(sub.row_offsets, "graph/csr")
-        tape.note(sub.col_indices, "graph/csr")
+    # a graph kept whole is already accounted for
+    if sub is not graph and tape.tracker is not None:
+        tape.tracker.note(sub.row_offsets, "graph/csr")
+        tape.tracker.note(sub.col_indices, "graph/csr")
     return sub
 
 

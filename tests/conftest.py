@@ -98,6 +98,17 @@ def make_cycle_star_task(bound: int = 6, reps: int = 30):
 # ----------------------------------------------------------------------
 # margin-stable model instances for gradient / invariance tests
 # ----------------------------------------------------------------------
+class Margins(dict):
+    """A tape hook (``Tape(tracker=Margins())``) that keeps the smallest
+    value of each stability margin the pass meets; it notes no buffers."""
+
+    def note(self, arr, tag) -> None:
+        pass
+
+    def margin(self, key: str, value: float) -> None:
+        self[key] = min(self.get(key, value), value)
+
+
 MARGINS = {"relu_margin": 1e-3, "rowmax_gap": 1e-3,
            "score_boundary_gap": 1e-3, "score_min_gap": 1e-6}
 
@@ -115,7 +126,7 @@ def stable_instance(
     """Sample (batch, model) whose forward pass stays clear of every
     non-differentiable switch (ReLU kinks, max ties, top-k boundary ties).
 
-    Resamples until all probed margins exceed their thresholds, so finite
+    Resamples until all tracked margins exceed their thresholds, so finite
     differences and permutations cannot flip a selection.
     """
     margins = dict(MARGINS if margins is None else margins)
@@ -135,9 +146,9 @@ def stable_instance(
             pool_ratio=ratio,
             seed=int(rng.integers(2**31)),
         )
-        probe: dict = {}
-        model_forward(Tape(probe=probe), batch, model)
-        if all(probe.get(key, np.inf) > threshold for key, threshold in margins.items()):
+        seen = Margins()
+        model_forward(Tape(tracker=seen), batch, model)
+        if all(seen.get(key, np.inf) > threshold for key, threshold in margins.items()):
             return batch, model
     raise RuntimeError(f"no margin-stable instance found in {max_tries} tries")
 

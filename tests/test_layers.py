@@ -1,6 +1,7 @@
 """Layer and model-composition tests."""
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    Margins,
     dense_spmm_oracle,
     dense_topk_oracle,
     model_loss_fn,
@@ -64,8 +66,10 @@ class TestKeptCount:
     @pytest.mark.parametrize("ratio", [0.05, 1 / 3, 0.5, 0.8, 0.999999, 1.0, 0.07, 0.55])
     def test_vector_form_matches_kept_count(self, ratio):
         counts = np.arange(1, 20001, dtype=np.int64)
-        expected = [kept_count(n, ratio) for n in counts.tolist()]
+        # the scalar formula in Python floats, as an oracle
+        expected = [max(1, min(n, math.ceil(ratio * n - 1e-9))) for n in counts.tolist()]
         assert np.array_equal(_kept_counts(counts, ratio), expected)
+        assert [kept_count(n, ratio) for n in range(1, 2001)] == expected[:2000]
 
 
 class TestMPConv:
@@ -136,9 +140,9 @@ class TestMPConv:
 
     @staticmethod
     def check_finite_differences(graph, x, layer, labels):
-        probe: dict = {}
-        mpconv_forward(Tape(probe=probe), graph, Tape().leaf(x), layer)
-        assert probe["relu_margin"] > 1e-3  # finite differences cannot cross a kink
+        seen = Margins()
+        mpconv_forward(Tape(tracker=seen), graph, Tape().leaf(x), layer)
+        assert seen["relu_margin"] > 1e-3  # finite differences cannot cross a kink
 
         def loss_and_grads(x_value, needs_grad):
             tape = Tape()
@@ -243,7 +247,7 @@ class TestTopKPool:
         tape = Tape(tracker=tracker)
         p = tape.leaf(rng.standard_normal(5), needs_grad=p_needs_grad)
         out, idx, kept = tape.topk_gate(
-            tape.leaf(x, needs_grad=True), p, [4, 5], lambda s: _select_topk(s, [4, 5], 0.5, None)
+            tape.leaf(x, needs_grad=True), p, [4, 5], lambda s, margin: _select_topk(s, [4, 5], 0.5, margin)
         )
         assert np.array_equal(kept, [2, 3]) and out.value.shape == (5, 5)
         assert tracker.current == 8 * (5 * 5 + 5 * (2 if p_needs_grad else 1))
@@ -265,8 +269,9 @@ class TestTopKPool:
 
 
 def reference_topk(scores, counts, ratio):
-    """Per-segment stable argsort: kept indices, kept counts and probe margins."""
-    idx, kept, probe = [], [], {}
+    """Per-segment stable argsort: kept indices, kept counts and the smallest
+    of each margin."""
+    idx, kept, smallest = [], [], {}
     start = 0
     for n in counts:
         seg = scores[start : start + n]
@@ -280,9 +285,9 @@ def reference_topk(scores, counts, ratio):
         if n > 1:
             margins["score_min_gap"] = float(np.min(np.diff(np.sort(seg))))
         for key, gap in margins.items():
-            probe[key] = min(probe.get(key, gap), gap)
+            smallest[key] = min(smallest.get(key, gap), gap)
         start += n
-    return np.array(idx, dtype=np.int64), np.array(kept, dtype=np.int64), probe
+    return np.array(idx, dtype=np.int64), np.array(kept, dtype=np.int64), smallest
 
 
 class TestSelectTopK:
@@ -295,23 +300,23 @@ class TestSelectTopK:
     def test_matches_per_segment_reference(self, counts, decimals, ratio, seed):
         # rounding to few decimals makes tied scores common
         scores = np.round(np.random.default_rng(seed).standard_normal(sum(counts)), decimals)
-        probe: dict = {}
-        idx, kept = _select_topk(scores, np.array(counts), ratio, probe)
-        ref_idx, ref_kept, ref_probe = reference_topk(scores, counts, ratio)
+        seen = Margins()
+        idx, kept = _select_topk(scores, np.array(counts), ratio, seen.margin)
+        ref_idx, ref_kept, ref_margins = reference_topk(scores, counts, ratio)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(kept, ref_kept)
-        assert probe == ref_probe
+        assert seen == ref_margins
         assert np.array_equal(_select_topk(scores, counts, ratio, None)[0], ref_idx)
 
     @pytest.mark.parametrize("ratio,counts", [(1.0, [3, 1, 4]), (0.2, [1, 1, 1]), (0.9, [5, 2])])
     def test_every_row_kept_with_and_without_probe(self, ratio, counts):
         scores = np.round(np.random.default_rng(0).standard_normal(sum(counts)), 1)
-        probe: dict = {}
-        ref_idx, ref_kept, ref_probe = reference_topk(scores, counts, ratio)
-        for margins in (probe, None):
-            idx, kept = _select_topk(scores, np.array(counts), ratio, margins)
+        seen = Margins()
+        ref_idx, ref_kept, ref_margins = reference_topk(scores, counts, ratio)
+        for margin in (seen.margin, None):
+            idx, kept = _select_topk(scores, np.array(counts), ratio, margin)
             assert np.array_equal(idx, ref_idx) and np.array_equal(kept, ref_kept)
-        assert probe == ref_probe
+        assert seen == ref_margins
 
 
 class TestReadout:
@@ -372,6 +377,46 @@ class TestAggregateSummaries:
         r = [tape.segment_readout(var(tape, x), [3]).value for x in blocks]
         out = summed_readouts(tape, blocks)
         assert out.value.tobytes() == ((r[0] + r[1]) + r[2]).tobytes()
+
+
+class MarginTracker(MemoryTracker):
+    """A tracker hook that also keeps the smallest value of each margin."""
+
+    def __init__(self):
+        super().__init__()
+        self.margins = Margins()
+
+    def margin(self, key, value):
+        self.margins.margin(key, value)
+
+
+class TestTapeHook:
+    """One hook on the tape: ``note`` always, ``margin`` only if it has one."""
+
+    @staticmethod
+    def train_pass(batch, model, hook):
+        tape = Tape(tracker=hook)
+        logits = model_forward(tape, batch, model)
+        tape.backward(tape.softmax_xent(logits, batch.labels))
+        grads = [p.grad.copy() for p in model.parameters()]
+        for p in model.parameters():
+            p.grad[...] = 0.0
+        return logits.value, grads
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_note_only_hook_runs_forward_and_backward(self, seed):
+        batch, model = stable_instance(seed)
+        logits, grads = self.train_pass(batch, model, None)
+        tracker, both, margins = MemoryTracker(), MarginTracker(), Margins()
+        for hook in (tracker, both, margins):
+            got_logits, got_grads = self.train_pass(batch, model, hook)
+            assert got_logits.tobytes() == logits.tobytes()
+            assert all(g.tobytes() == h.tobytes() for g, h in zip(got_grads, grads))
+        assert tracker.peak > 0
+        # the margins are what a margin-only hook sees, and cost no tracked byte
+        assert {"relu_margin", "rowmax_gap", "score_min_gap"} <= set(margins)
+        assert both.margins == margins
+        assert (both.peak, both.total_allocated) == (tracker.peak, tracker.total_allocated)
 
 
 class TestModelForward:
