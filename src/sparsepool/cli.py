@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from . import __version__
 from .datasets import DatasetFormatError, file_checksum, parse_tu_dataset
 from .engine import load_parameters, save_parameters
 from .fileio import atomic_open
-from .layers import build_model, forward_summaries, model_forward
+from .layers import READOUT_POSITIONS, forward_summaries, model_forward
 from .membench import scaling_sweep
 from .training import (
     DATASET_DEFAULTS,
@@ -33,6 +33,7 @@ from .training import (
     format_report,
     forward_batches,
     make_folds,
+    new_model,
     prepare_fold,
     train_one,
 )
@@ -104,30 +105,29 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", type=int, default=None, help="hidden width (default: per-dataset)")
-    p.add_argument("--ratio", type=float, default=0.8, help="pool ratio k")
-    p.add_argument("--lr", type=_LR, default=None, help="learning rate (default: per-dataset)")
-    p.add_argument("--epochs", type=int, default=None, help="epochs (default: per-dataset)")
-    p.add_argument("--batch-size", type=int, default=64, help="mini-batch size")
-    p.add_argument("--seed", type=_SEED, default=0, help="base RNG seed")
-    p.add_argument("--blocks", type=int, default=3, help="number of conv-pool blocks")
-    p.add_argument(
-        "--readout-position",
-        choices=("pre_pool", "post_pool"),
-        default="post_pool",
-        help="take the per-block readout before or after pooling",
-    )
-    p.add_argument(
-        "--max-degree",
-        type=int,
-        default=None,
-        help="degree-feature cap (default: 95th percentile of training degrees)",
-    )
-    p.add_argument(
-        "--no-stratify",
-        action="store_true",
-        help="use plain instead of stratified folds",
-    )
+    """Flags storing into the ``TrainConfig`` field ``dest``, defaulting to the
+    field's default, or to None for a field set per dataset."""
+    default = {f.name: None if f.default is MISSING else f.default for f in fields(TrainConfig)}
+
+    def add(flag: str, dest: str, **kwargs) -> None:
+        p.add_argument(flag, dest=dest, default=default[dest], **kwargs)
+
+    add("--hidden", "hidden_dim", metavar="HIDDEN", type=int,
+        help="hidden width (default: per-dataset)")
+    add("--ratio", "pool_ratio", metavar="RATIO", type=float, help="pool ratio k")
+    add("--lr", "lr", metavar="LR", type=_LR, help="learning rate (default: per-dataset)")
+    add("--epochs", "epochs", metavar="EPOCHS", type=int, help="epochs (default: per-dataset)")
+    add("--batch-size", "batch_size", metavar="BATCH_SIZE", type=int, help="mini-batch size")
+    add("--seed", "seed", metavar="SEED", type=_SEED, help="base RNG seed")
+    add("--blocks", "num_blocks", metavar="BLOCKS", type=int, help="number of conv-pool blocks")
+    add("--readout-position", "readout_position", choices=READOUT_POSITIONS,
+        help="take the per-block readout before or after pooling")
+    add("--max-degree", "max_degree", metavar="MAX_DEGREE", type=int,
+        help="degree-feature cap (default: 95th percentile of training degrees)")
+    # absent unless given; the help shows the flag's own default, not the field's
+    p.add_argument("--no-stratify", dest="stratified", action="store_false",
+                   default=argparse.SUPPRESS,
+                   help="use plain instead of stratified folds (default: False)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,18 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> TrainConfig:
-    explicit = {"hidden_dim": args.hidden, "lr": args.lr, "epochs": args.epochs}
-    config = default_config(
-        args.dataset,
-        **{key: value for key, value in explicit.items() if value is not None},
-        pool_ratio=args.ratio,
-        num_blocks=args.blocks,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        stratified=not args.no_stratify,
-        readout_position=args.readout_position,
-        max_degree=args.max_degree,
-    )
+    config = default_config(args.dataset, **{
+        f.name: getattr(args, f.name)
+        for f in fields(TrainConfig)
+        if getattr(args, f.name, None) is not None
+    })
     config.validate()
     return config
 
@@ -273,10 +266,10 @@ def cmd_train(args) -> int:
 def cmd_cv(args) -> int:
     if args.show_defaults:
         print("dataset   hidden  lr      epochs  ratio  blocks  batch")
-        for name, d in DATASET_DEFAULTS.items():
-            print(
-                f"{name:<9} {d['hidden_dim']:<7} {d['lr']:<7} {d['epochs']:<7} 0.8    3       64"
-            )
+        for name in DATASET_DEFAULTS:
+            c = default_config(name)
+            print(f"{name:<9} {c.hidden_dim:<7} {c.lr:<7} {c.epochs:<7} "
+                  f"{c.pool_ratio:<6} {c.num_blocks:<7} {c.batch_size}")
         return EXIT_OK
     config = _resolve_config(args)
     dataset = parse_tu_dataset(args.data_dir, args.dataset)
@@ -338,16 +331,8 @@ def cmd_export_summaries(args) -> int:
         graphs = train + test
         ids = np.concatenate([split.train_indices, split.test_indices])
 
-    in_dim = graphs[0].features.shape[1] if graphs else dataset.graphs[0].features.shape[1]
-    model = build_model(
-        in_dim=in_dim,
-        hidden_dim=config.hidden_dim,
-        num_classes=dataset.num_classes,
-        pool_ratio=config.pool_ratio,
-        num_blocks=config.num_blocks,
-        seed=config.seed,
-        readout_position=config.readout_position,
-    )
+    # a fold's train and test slices are never empty (n >= folds, and so is each class)
+    model = new_model(config, graphs[0].features.shape[1], dataset.num_classes)
     model.load_state(load_parameters(args.model))
 
     forward = model_forward if args.post_head else forward_summaries

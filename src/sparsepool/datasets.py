@@ -370,22 +370,9 @@ def write_tu_dataset(dataset: Dataset, directory, name: str | None = None) -> No
 
 
 def plain_kfold(num_items: int, folds: int = 10, seed: int = 0) -> list[FoldSplit]:
-    """Round-robin folds over a seeded shuffle, ignoring labels."""
-    if folds < 2:
-        raise ValueError("folds must be >= 2 (a single fold would test on everything)")
-    if num_items < folds:
-        raise ValueError(f"cannot split {num_items} graphs into {folds} folds")
-    order = np.random.default_rng(seed).permutation(num_items)
-    assignment = np.empty(num_items, dtype=np.int64)
-    assignment[order] = np.arange(num_items) % folds
-    return [
-        FoldSplit(
-            fold_index=f,
-            train_indices=np.flatnonzero(assignment != f),
-            test_indices=np.flatnonzero(assignment == f),
-        )
-        for f in range(folds)
-    ]
+    """Round-robin folds over a seeded shuffle, ignoring labels: the
+    stratified split of a single class."""
+    return stratified_kfold(np.zeros(num_items, dtype=np.int64), folds, seed)
 
 
 def stratified_kfold(labels, folds: int = 10, seed: int = 0) -> list[FoldSplit]:

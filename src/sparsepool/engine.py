@@ -177,20 +177,20 @@ def _segmented_matmul(av: np.ndarray, bv: np.ndarray, segments) -> np.ndarray:
     return value
 
 
-def _acc(slot: Slot | None, g: np.ndarray, fresh: bool, tracker) -> None:
+def _acc(slot: Slot | None, g: np.ndarray, tracker) -> None:
     """Accumulate a gradient contribution into ``slot``.
 
-    ``fresh`` marks arrays computed solely for this contribution, which may
-    be adopted without copying. An adopted array is noted to ``tracker``; a
-    rule handing on its incoming gradient, noted when it was created, passes
-    None.
+    A slot with no gradient yet adopts ``g`` without copying, so ``g`` must
+    be an array no other slot holds. An adopted array is noted to
+    ``tracker``; a rule handing on its incoming gradient, or an array it
+    already noted, passes None.
     """
     if slot is None:
         return
     if slot.grad is None:
-        slot.grad = g if fresh else g.copy()
+        slot.grad = g
         if tracker is not None:
-            tracker.note(slot.grad, "grads")
+            tracker.note(g, "grads")
     else:
         slot.grad += g
 
@@ -451,17 +451,17 @@ class Tape:
             if agg_first and t_slot is not None:
                 if codes is not None:
                     agg = _noted(_graphs.spmm_mean(graph, codes), tr, "acts")
-                _acc(t_slot, agg.T @ g, True, tr)
+                _acc(t_slot, agg.T @ g, tr)
                 agg = None
             wanted = [(slot, grad) for slot, grad in ((s_slot, g), (t_slot, d))
                       if slot is not None and grad is not None]
             if wanted:
                 totals = _transposed_products(rows, n, step, [gr for _, gr in wanted])
                 for (slot, _), total in zip(wanted, totals):
-                    _acc(slot, total, True, tr)
+                    _acc(slot, total, tr)
             if x_slot is None:
                 return
-            _acc(x_slot, g @ s_saved.T, True, tr)  # x_slot.grad is set from here on
+            _acc(x_slot, g @ s_saved.T, tr)  # x_slot.grad is set from here on
             if agg_first:
                 d_agg = _noted(g @ t_saved.T, tr, "grads")
                 d_agg *= inv_deg
@@ -547,18 +547,18 @@ class Tape:
                 d_p = d_raw @ rows
                 if not guarded:
                     d_p -= (float(d_score @ r) / norm**3) * pv
-                _acc(p_slot, d_p, True, tr)
+                _acc(p_slot, d_p, tr)
             del rows
             if x_slot is None:
                 return
             g *= t[:, None]
             _add_outer(g, d_raw, pv)
             if every:
-                _acc(x_slot, g, True, None)
+                _acc(x_slot, g, None)
             else:
                 d_x = _noted(np.zeros((n, g.shape[1])), tr, "grads")
                 d_x[idx] = g
-                _acc(x_slot, d_x, True, None)
+                _acc(x_slot, d_x, None)
 
         self._nodes.append((out.slot, bw))
         return out, idx, kept
@@ -629,7 +629,7 @@ class Tape:
                 if x_slot.grad is None:
                     d = np.repeat(share, counts, axis=0)
                     d[first, cols] += g[:, f:]
-                    _acc(x_slot, d, True, tr)
+                    _acc(x_slot, d, tr)
                 else:
                     # add into the gradient in place; the max entries get
                     # grad + (share + max), the bytes of grad += d with d as above
@@ -638,7 +638,7 @@ class Tape:
                     at_max += share + g[:, f:]
                     _add_rows(grad, share, np.repeat(np.arange(counts.size), counts))
                     grad[first, cols] = at_max
-            _acc(s_slot, g, True, None)
+            _acc(s_slot, g, None)
 
         self._push(out.slot, bw)
         return out
@@ -672,18 +672,18 @@ class Tape:
         s_slot, w1_slot, b1_slot, w2_slot, b2_slot = (v.slot for v in (s, w1, b1, w2, b2))
 
         def bw(g):
-            _acc(b2_slot, g.sum(axis=0, keepdims=True), True, tr)
+            _acc(b2_slot, g.sum(axis=0, keepdims=True), tr)
             if w2_slot is not None:
-                _acc(w2_slot, h.T @ g, True, tr)
+                _acc(w2_slot, h.T @ g, tr)
             if s_slot is None and w1_slot is None and b1_slot is None:
                 return
             d = _noted(g @ w2v.T, tr, "grads")  # through the second product
             d *= h > 0.0
-            _acc(b1_slot, d.sum(axis=0, keepdims=True), True, tr)
+            _acc(b1_slot, d.sum(axis=0, keepdims=True), tr)
             if w1_slot is not None:
-                _acc(w1_slot, sv.T @ d, True, tr)
+                _acc(w1_slot, sv.T @ d, tr)
             if s_slot is not None:
-                _acc(s_slot, d @ w1v.T, True, tr)
+                _acc(s_slot, d @ w1v.T, tr)
 
         self._push(out.slot, bw)
         return out
@@ -716,7 +716,7 @@ class Tape:
                 d = probs.copy()
                 d[rows, labels] -= 1.0
                 d *= float(g) / n
-                _acc(l_slot, d[0] if one_d else d, True, tr)
+                _acc(l_slot, d[0] if one_d else d, tr)
 
         self._push(out.slot, bw)
         return out

@@ -5,6 +5,10 @@ arrays, features, activations, tape saves, gradients, optimizer state), not
 process RSS: portable, deterministic, and it captures exactly the quantity
 the scaling comparison is about. Absolute numbers are not comparable to GPU
 readings; only the growth rates are claimed.
+
+The module constants ``FIG_FEATURES``, ``FIG_BLOCKS``, ``SPARSE_RATIO`` and
+``DENSE_RATIO`` fix the benchmark's shape; no function takes it as a
+parameter.
 """
 from __future__ import annotations
 
@@ -29,8 +33,9 @@ __all__ = [
 ]
 
 # Benchmark configuration: 128 input and hidden features, three conv-pool
-# blocks; the sparse model runs with ratio 1.0 (nothing dropped), the dense
-# baseline with assignment ratio 0.25.
+# blocks (three assignment levels for the dense baseline); the sparse model
+# runs with ratio 1.0 (nothing dropped), the dense baseline with assignment
+# ratio 0.25.
 FIG_FEATURES = 128
 FIG_BLOCKS = 3
 SPARSE_RATIO = 1.0
@@ -97,21 +102,13 @@ class MemoryReport:
     total_allocated_bytes: int = 0
 
 
-def measure_sparse(
-    n: int,
-    *,
-    budget_bytes: int | None = None,
-    seed: int = 0,
-    feature_dim: int = FIG_FEATURES,
-    hidden_dim: int = FIG_FEATURES,
-    num_blocks: int = FIG_BLOCKS,
-    pool_ratio: float = SPARSE_RATIO,
-) -> MemoryReport:
+def measure_sparse(n: int, *, budget_bytes: int | None = None, seed: int = 0) -> MemoryReport:
     """Run one real forward+backward of the sparse model on G(n, 2n).
 
-    Every live buffer is registered with the tracker: the CSR arrays, the
-    feature matrix, every activation and tape save, every gradient, and the
-    parameter/optimizer state.
+    The model is ``FIG_FEATURES`` wide, with ``FIG_BLOCKS`` blocks and pool
+    ratio ``SPARSE_RATIO``. Every live buffer is registered with the
+    tracker: the CSR arrays, the feature matrix, every activation and tape
+    save, every gradient, and the parameter/optimizer state.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -120,14 +117,14 @@ def measure_sparse(
     graph = erdos_renyi(n, min(2 * n, n * (n - 1) // 2), seed)
     tracker.note(graph.row_offsets, "graph/csr")
     tracker.note(graph.col_indices, "graph/csr")
-    features = np.random.default_rng(seed).standard_normal((n, feature_dim))
+    features = np.random.default_rng(seed).standard_normal((n, FIG_FEATURES))
     tracker.note(features, "features")
     model = build_model(
-        in_dim=feature_dim,
-        hidden_dim=hidden_dim,
+        in_dim=FIG_FEATURES,
+        hidden_dim=FIG_FEATURES,
         num_classes=2,
-        pool_ratio=pool_ratio,
-        num_blocks=num_blocks,
+        pool_ratio=SPARSE_RATIO,
+        num_blocks=FIG_BLOCKS,
         seed=seed,
     )
     for p in model.parameters():
@@ -158,24 +155,25 @@ def measure_sparse(
     )
 
 
-def _dense_plan(n: int, ratio: float, feature_dim: int, levels: int):
+def _dense_plan(n: int, ratio: float):
     """Buffer inventory of a dense soft-assignment pipeline during training.
 
-    Per level l with N_{l+1} = ceil(ratio * N_l): the assignment matrix
-    S(l) in R^{N_l x N_{l+1}} and its gradient, the dense coarsened adjacency
-    N_{l+1} x N_{l+1}, and the embedding activations N_l x F with their
-    gradients. The level-1 adjacency stays sparse (the input is sparse).
-    This counts the minimal buffers any such variant must hold.
+    Per level l of ``FIG_BLOCKS``, with N_{l+1} = ceil(ratio * N_l): the
+    assignment matrix S(l) in R^{N_l x N_{l+1}} and its gradient, the dense
+    coarsened adjacency N_{l+1} x N_{l+1}, and the embedding activations
+    N_l x F (F = ``FIG_FEATURES``) with their gradients. The level-1
+    adjacency stays sparse (the input is sparse). This counts the minimal
+    buffers any such variant must hold.
     """
     plan: list[tuple[str, int]] = [
         ("input_csr/row_offsets", (n + 1) * 8),
         ("input_csr/col_indices", 4 * n * 8),
     ]
     size = n
-    for level in range(1, levels + 1):
+    for level in range(1, FIG_BLOCKS + 1):
         pooled = kept_count(size, ratio)
-        plan.append((f"level{level}/embeddings", size * feature_dim * 8))
-        plan.append((f"level{level}/embeddings_grad", size * feature_dim * 8))
+        plan.append((f"level{level}/embeddings", size * FIG_FEATURES * 8))
+        plan.append((f"level{level}/embeddings_grad", size * FIG_FEATURES * 8))
         plan.append((f"level{level}/assignment", size * pooled * 8))
         plan.append((f"level{level}/assignment_grad", size * pooled * 8))
         plan.append((f"level{level}/coarse_adjacency", pooled * pooled * 8))
@@ -184,12 +182,7 @@ def _dense_plan(n: int, ratio: float, feature_dim: int, levels: int):
 
 
 def measure_dense_assignment(
-    n: int,
-    k: float = DENSE_RATIO,
-    *,
-    budget_bytes: int | None = None,
-    feature_dim: int = FIG_FEATURES,
-    levels: int = FIG_BLOCKS,
+    n: int, k: float = DENSE_RATIO, *, budget_bytes: int | None = None
 ) -> MemoryReport:
     """Footprint of a dense soft-assignment (cluster-pooling) baseline.
 
@@ -201,7 +194,7 @@ def measure_dense_assignment(
         raise ValueError("n must be >= 1")
     if not 0.0 < k <= 1.0:
         raise ValueError(f"assignment ratio must be in (0, 1], got {k}")
-    plan = _dense_plan(n, k, feature_dim, levels)
+    plan = _dense_plan(n, k)
     total = sum(nbytes for _, nbytes in plan)
     largest_tag, largest = max(plan, key=lambda entry: entry[1])  # first of equal sizes
     return MemoryReport(
@@ -244,13 +237,7 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def scaling_sweep(
-    sizes,
-    budget_bytes: int | None = None,
-    *,
-    seed: int = 0,
-    dense_ratio: float = DENSE_RATIO,
-) -> SweepResult:
+def scaling_sweep(sizes, budget_bytes: int | None = None, *, seed: int = 0) -> SweepResult:
     """Measure both methods at each size and fit log-log scaling slopes."""
     sizes = [int(s) for s in sizes]
     if len(sizes) < 2:
@@ -258,7 +245,5 @@ def scaling_sweep(
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
     sparse = [measure_sparse(n, budget_bytes=budget_bytes, seed=seed) for n in sizes]
-    dense = [
-        measure_dense_assignment(n, dense_ratio, budget_bytes=budget_bytes) for n in sizes
-    ]
+    dense = [measure_dense_assignment(n, budget_bytes=budget_bytes) for n in sizes]
     return SweepResult(sizes=sizes, sparse=sparse, dense=dense)

@@ -26,6 +26,7 @@ __all__ = [
     "NonFiniteLossError",
     "DATASET_DEFAULTS",
     "default_config",
+    "new_model",
     "train_one",
     "evaluate",
     "predict_logits",
@@ -80,6 +81,8 @@ class TrainConfig:
             raise ValueError("hidden_dim, num_blocks and batch_size must be >= 1")
         if self.readout_position not in READOUT_POSITIONS:
             raise ValueError(f"readout_position must be one of {READOUT_POSITIONS}")
+        if self.max_degree is not None and self.max_degree < 1:
+            raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
 
 
 def default_config(dataset_name: str, **overrides) -> TrainConfig:
@@ -118,6 +121,19 @@ def _param_norms(model: HierarchicalModel) -> str:
     )
 
 
+def new_model(config: TrainConfig, in_dim: int, num_classes: int) -> HierarchicalModel:
+    """A freshly initialized model of ``config``'s shape, seeded with ``config.seed``."""
+    return build_model(
+        in_dim=in_dim,
+        hidden_dim=config.hidden_dim,
+        num_classes=num_classes,
+        pool_ratio=config.pool_ratio,
+        num_blocks=config.num_blocks,
+        seed=config.seed,
+        readout_position=config.readout_position,
+    )
+
+
 def train_one(graphs, num_classes: int, config: TrainConfig):
     """Train a fresh model on the given graphs.
 
@@ -129,15 +145,7 @@ def train_one(graphs, num_classes: int, config: TrainConfig):
     if not graphs:
         raise ValueError("training slice is empty")
     config.validate()
-    model = build_model(
-        in_dim=graphs[0].features.shape[1],
-        hidden_dim=config.hidden_dim,
-        num_classes=num_classes,
-        pool_ratio=config.pool_ratio,
-        num_blocks=config.num_blocks,
-        seed=config.seed,
-        readout_position=config.readout_position,
-    )
+    model = new_model(config, graphs[0].features.shape[1], num_classes)
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
     epoch_losses: list[float] = []

@@ -18,6 +18,7 @@ from sparsepool import cli
 from sparsepool.cli import _budget, _sizes, main
 from sparsepool.engine import Parameter, save_parameters
 from sparsepool.membench import measure_sparse
+from sparsepool.training import DATASET_DEFAULTS, default_config
 
 
 def toy_args(fixtures_dir, *extra):
@@ -104,6 +105,37 @@ class TestTrain:
         assert code == 0
         assert "resolved.degree_bound = 8" in (out / "manifest.txt").read_text()
 
+    @pytest.mark.parametrize("features", ["node_labels", "node_attributes"])
+    def test_max_degree_below_one_exits_2_without_degree_features(self, fixtures_dir, tmp_path,
+                                                                  capsys, features):
+        # no degree feature reads the cap here, so only the config check can catch it
+        data = tmp_path / "data"
+        shutil.copytree(fixtures_dir / "TOY24", data)
+        nodes = len((data / "TOY24_graph_indicator.txt").read_text().splitlines())
+        row = "{}\n" if features == "node_labels" else "{}, 0.5\n"
+        text = "".join(row.format(i % 3) for i in range(nodes))
+        (data / f"TOY24_{features}.txt").write_text(text)
+        out = tmp_path / "run"
+        argv = ["train", *toy_args(fixtures_dir), "--data-dir", str(data), "--out", str(out)]
+        assert main([*argv, "--max-degree", "-3"]) == 2
+        assert capsys.readouterr().err == "error: max_degree must be >= 1, got -3\n"
+        assert not out.exists()
+        assert main([*argv, "--max-degree", "1"]) == 0
+
+    def test_each_flag_reaches_its_field(self, fixtures_dir, tmp_path):
+        out = tmp_path / "run"
+        code = main(["train", *toy_args(fixtures_dir), "--ratio", "0.5", "--blocks", "2",
+                     "--batch-size", "5", "--seed", "3", "--readout-position", "pre_pool",
+                     "--no-stratify", "--max-degree", "4", "--out", str(out)])
+        assert code == 0
+        lines = set((out / "manifest.txt").read_text().splitlines())
+        expected = {"hidden_dim": 8, "lr": 0.01, "epochs": 2, "pool_ratio": 0.5,
+                    "num_blocks": 2, "batch_size": 5, "seed": 3,
+                    "readout_position": "pre_pool", "stratified": False, "max_degree": 4,
+                    "folds": 10}
+        for field, value in expected.items():
+            assert f"config.{field} = {value}" in lines
+
     def test_numeric_blowup_exits_3(self, fixtures_dir, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["train", "--dataset", "TOY24",
@@ -127,6 +159,20 @@ class TestCV:
         assert "PROTEINS" in out and "0.005" in out and "40" in out
         assert "ENZYMES" in out and "0.0005" in out and "100" in out
         assert "128" in out and "64" in out
+        rows = out.splitlines()
+        assert rows[0].split() == ["dataset", "hidden", "lr", "epochs", "ratio", "blocks", "batch"]
+        assert len(rows) == 1 + len(DATASET_DEFAULTS)
+        for row, name in zip(rows[1:], DATASET_DEFAULTS):
+            c = default_config(name)
+            assert row.split() == [name, *map(str, (c.hidden_dim, c.lr, c.epochs, c.pool_ratio,
+                                                    c.num_blocks, c.batch_size))]
+
+    def test_no_config_flags_give_the_dataset_defaults(self):
+        parser = cli.build_parser()
+        for name in DATASET_DEFAULTS:
+            for argv in (["train"], ["cv"], ["export-summaries", "--model", "m.params"]):
+                args = parser.parse_args([*argv, "--dataset", name])
+                assert cli._resolve_config(args) == default_config(name)
 
     def test_cv_writes_metrics_report_manifest(self, fixtures_dir, tmp_path):
         out = tmp_path / "cv"

@@ -18,6 +18,7 @@ from sparsepool.datasets import (
     DatasetFormatError,
     degree_feature_bound,
     parse_tu_dataset,
+    plain_kfold,
     stratified_kfold,
     write_tu_dataset,
 )
@@ -545,6 +546,27 @@ class TestDegreeBound:
     def test_rejects_bad_override(self):
         with pytest.raises(ValueError):
             degree_feature_bound([], max_degree=0)
+
+
+class TestPlainKFold:
+    @pytest.mark.parametrize("n, folds, seed", [(2, 2, 0), (23, 5, 7), (100, 10, 1),
+                                                (296, 3, 12345)])
+    def test_round_robin_over_a_seeded_shuffle(self, n, folds, seed):
+        # written out: the item at shuffled position i goes to fold i % folds
+        order = np.random.default_rng(seed).permutation(n)
+        fold_of = np.empty(n, dtype=np.int64)
+        fold_of[order] = np.arange(n) % folds
+        splits = plain_kfold(n, folds, seed)
+        assert [split.fold_index for split in splits] == list(range(folds))
+        for f, split in enumerate(splits):
+            assert np.array_equal(split.test_indices, np.flatnonzero(fold_of == f))
+            assert np.array_equal(split.train_indices, np.flatnonzero(fold_of != f))
+
+    def test_rejects_too_few_items_or_folds(self):
+        with pytest.raises(ValueError, match="cannot split 4 graphs into 5 folds"):
+            plain_kfold(4, folds=5)
+        with pytest.raises(ValueError, match="folds must be >= 2"):
+            plain_kfold(10, folds=1)
 
 
 class TestStratifiedKFold:

@@ -191,10 +191,10 @@ class TestSparse:
         added = []
         orig = engine._acc
 
-        def spy(slot, g, fresh, tracker):
+        def spy(slot, g, tracker):
             if slot is not None and slot.grad is not None:
                 added.append(g.shape)
-            return orig(slot, g, fresh, tracker)
+            return orig(slot, g, tracker)
 
         monkeypatch.setattr(engine, "_acc", spy)
         measure_sparse(n)

@@ -72,6 +72,10 @@ class TestDefaults:
             quick_config(epochs=0).validate()
         with pytest.raises(ValueError):
             quick_config(readout_position="middle").validate()
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match=f"max_degree must be >= 1, got {bad}"):
+                quick_config(max_degree=bad).validate()
+        quick_config(max_degree=1).validate()
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -0.1])
     def test_rejects_non_finite_or_negative_lr(self, lr):
