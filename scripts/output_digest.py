@@ -2,17 +2,19 @@
 """Digest the deterministic outputs of sparsepool on one TU dataset directory.
 
 Usage: python scripts/output_digest.py DATA_DIR NAME [--src SRC] [--work DIR]
-       [train flags...]
+       [config flags...]
 
 Runs ``sparsepool train`` on fold 0, then ``export-summaries`` of the test
 split twice (summaries, and logits with ``--post-head``) from the saved
-model, and prints the sha256 of ``model.params``, ``metrics.csv``,
-``summaries.csv`` and ``logits.csv``, one ``<sha256>  <file>`` line each.
-The commands run as ``python -m sparsepool.cli`` on the package under
-``SRC`` (default: this checkout's ``src``), so the same script digests
-another checkout's outputs: equal lines mean byte-identical outputs.
+model, then ``sparsepool cv``, and prints the sha256 of
+``train/model.params``, ``train/metrics.csv``, ``export/summaries.csv``,
+``export/logits.csv`` and ``cv/metrics.csv``, one ``<sha256>  <file>`` line
+each, named relative to the work directory. The commands run as
+``python -m sparsepool.cli`` on the package under ``SRC`` (default: this
+checkout's ``src``), so the same script digests another checkout's
+outputs: equal lines mean byte-identical outputs.
 
-Any further flags go to both commands (they must agree on the config);
+Any further flags go to every command (they must agree on the config);
 they come after the defaults ``--hidden 16 --lr 0.01 --epochs 2``, so they
 win over them.
 """
@@ -27,7 +29,8 @@ import tempfile
 from pathlib import Path
 
 DEFAULT_FLAGS = ["--hidden", "16", "--lr", "0.01", "--epochs", "2"]
-DIGESTED = ("model.params", "metrics.csv", "summaries.csv", "logits.csv")
+DIGESTED = ("train/model.params", "train/metrics.csv", "export/summaries.csv",
+            "export/logits.csv", "cv/metrics.csv")
 
 
 def run(src: Path, argv: list[str]) -> None:
@@ -39,16 +42,15 @@ def run(src: Path, argv: list[str]) -> None:
 
 
 def digests(data_dir: Path, name: str, src: Path, work: Path, flags: list[str]) -> list[str]:
-    """``<sha256>  <file>`` lines of the four outputs, written under ``work``."""
+    """``<sha256>  <file>`` lines of the five outputs, written under ``work``."""
     common = ["--dataset", name, "--data-dir", str(data_dir), *DEFAULT_FLAGS, *flags]
     run(src, ["train", *common, "--out", str(work / "train")])
     model = str(work / "train" / "model.params")
     run(src, ["export-summaries", *common, "--model", model, "--out", str(work / "export")])
     run(src, ["export-summaries", *common, "--model", model, "--post-head",
               "--out", str(work / "export")])
-    paths = [work / "train" / DIGESTED[0], work / "train" / DIGESTED[1],
-             work / "export" / DIGESTED[2], work / "export" / DIGESTED[3]]
-    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}" for p in paths]
+    run(src, ["cv", *common, "--out", str(work / "cv")])
+    return [f"{hashlib.sha256((work / f).read_bytes()).hexdigest()}  {f}" for f in DIGESTED]
 
 
 def main(argv=None) -> int:

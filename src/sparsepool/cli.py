@@ -1,9 +1,10 @@
 """Command-line interface binding all modules into reproducible experiments.
 
 Exit codes: 0 success, 2 argument/validation/data errors (running out of
-memory included, with the sizing flags named), 3 numeric failures during
-training. Every command writes a run manifest that captures each
-resolved setting, the seeds, and dataset file checksums.
+memory and a dead ``cv`` worker included, with the sizing flags named), 3
+numeric failures during training. Every command writes a run manifest
+that captures each resolved setting, the seeds, and dataset file
+checksums.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import math
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
@@ -373,6 +375,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         detail = str(exc) or "no detail"
         print(f"error: out of memory ({detail}); lower {args.sizing}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenProcessPool as exc:  # a cv worker died, most often killed for memory
+        print(f"error: a worker process died ({exc}); if it ran out of memory, "
+              f"lower {args.sizing}", file=sys.stderr)
         return EXIT_USAGE
 
 

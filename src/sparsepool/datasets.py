@@ -27,10 +27,7 @@ __all__ = [
     "degree_feature_bound",
     "with_degree_features",
     "file_checksum",
-    "FEATURE_KINDS",
 ]
-
-FEATURE_KINDS = ("node_attributes", "node_labels_onehot", "degree_onehot")
 
 DEGREE_BOUND_PERCENTILE = 95.0
 DEGREE_BOUND_MIN = 1

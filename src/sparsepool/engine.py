@@ -282,7 +282,9 @@ class Tape:
     as soon as the rule returns, so the rule may overwrite it in place or
     hand it to one input's slot instead of copying it. It must then read it
     for nothing else, and an input that needs its own copy is served first.
-    A record whose output has no gradient slot is not kept.
+    On a recording tape every primitive's output gets a gradient slot and
+    its record is kept, and every parameter gradient is computed;
+    :func:`_acc` drops a gradient whose input has no slot (a constant leaf).
 
     A record saves no array another record already saves. The output of a
     recorded ``topk_gate`` carries a ``rebuild`` (see :class:`Var`) that
@@ -300,11 +302,11 @@ class Tape:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _out(self, value: np.ndarray, needs_grad: bool = True) -> Var:
-        return Var(_noted(value, self.tracker, "acts"), Slot() if needs_grad else None)
+    def _out(self, value: np.ndarray) -> Var:
+        return Var(_noted(value, self.tracker, "acts"), Slot())
 
-    def _push(self, out_slot: Slot | None, fn) -> None:
-        if self.record and out_slot is not None:
+    def _push(self, out_slot: Slot, fn) -> None:
+        if self.record:
             self._nodes.append((out_slot, fn))
 
     def leaf(self, value, needs_grad: bool = False) -> Var:
@@ -389,7 +391,9 @@ class Tape:
 
         Backward masks its own gradient in place, drops the ReLU output as
         soon as the mask is applied, and writes the theta-path product into
-        the gradient's buffer when theta is square.
+        the gradient's buffer when theta is square. It always computes
+        theta's and theta_skip's gradients, and X's only when X has a slot
+        (block 0's features have none).
         """
         xv, tv, sv = x.value, theta.value, theta_skip.value
         if (len(xv.shape) != 2 or tv.ndim != 2 or sv.shape != tv.shape
@@ -418,24 +422,19 @@ class Tape:
         if self._margin is not None and h.size:
             self._margin("relu_margin", float(np.min(np.abs(h))))
         np.maximum(h, 0.0, out=h)
-        x_slot, t_slot, s_slot = x.slot, theta.slot, theta_skip.slot
-        out = Var(h, None if x_slot is None and t_slot is None and s_slot is None else Slot())
-        if not (self.record and out.slot is not None):
+        out = Var(h, Slot())
+        if not self.record:
             return out
+        x_slot, t_slot, s_slot = x.slot, theta.slot, theta_skip.slot
         n = xv.shape[0]
-        rows = step = None  # X's rows, read by theta's and theta_skip's gradients
-        if t_slot is not None or s_slot is not None:
-            step = max(1, n)
-            if coded:  # the one-hot X, built as one transient block
-                rows = lambda start, stop: _noted(xv.rows(start, stop), tr, "acts")
-            elif x.rebuild is None:  # X itself is saved, and read as one block
-                rows = lambda start, stop: xv[start:stop]
-            else:
-                rows, step = x.rebuild, _block_rows(xv.shape[1])
-        t_saved = tv if x_slot is not None else None
-        s_saved = sv if x_slot is not None else None
-        if t_slot is None:
-            agg = None
+        # X's rows, read by theta's and theta_skip's gradients
+        step = max(1, n)
+        if coded:  # the one-hot X, built as one transient block
+            rows = lambda start, stop: _noted(xv.rows(start, stop), tr, "acts")
+        elif x.rebuild is None:  # X itself is saved, and read as one block
+            rows = lambda start, stop: xv[start:stop]
+        else:
+            rows, step = x.rebuild, _block_rows(xv.shape[1])
         # bw recounts block 0's aggregate from codes; it never reads xv, so keeps no pooled X
         codes = xv if coded else None
         inv_deg = (1.0 / (graph.degrees + 1))[:, None]
@@ -445,31 +444,29 @@ class Tape:
             nonlocal h, agg
             np.multiply(g, h > 0.0, out=g)
             h = None  # read by nothing else
-            d = None  # the gradient of X @ theta, in theta-first order
-            if not agg_first and (x_slot is not None or t_slot is not None):
-                d = _mean_aggregate_grad(graph, _noted(g * inv_deg, tr, "grads"), tr)
-            if agg_first and t_slot is not None:
+            if agg_first:
                 if codes is not None:
                     agg = _noted(_graphs.spmm_mean(graph, codes), tr, "acts")
                 _acc(t_slot, agg.T @ g, tr)
                 agg = None
-            wanted = [(slot, grad) for slot, grad in ((s_slot, g), (t_slot, d))
-                      if slot is not None and grad is not None]
-            if wanted:
-                totals = _transposed_products(rows, n, step, [gr for _, gr in wanted])
-                for (slot, _), total in zip(wanted, totals):
-                    _acc(slot, total, tr)
+                (d_skip,) = _transposed_products(rows, n, step, [g])
+            else:
+                # the gradient of X @ theta
+                d = _mean_aggregate_grad(graph, _noted(g * inv_deg, tr, "grads"), tr)
+                d_skip, d_theta = _transposed_products(rows, n, step, [g, d])
+                _acc(t_slot, d_theta, tr)
+            _acc(s_slot, d_skip, tr)
             if x_slot is None:
                 return
-            _acc(x_slot, g @ s_saved.T, tr)  # x_slot.grad is set from here on
+            _acc(x_slot, g @ sv.T, tr)  # x_slot.grad is set from here on
             if agg_first:
-                d_agg = _noted(g @ t_saved.T, tr, "grads")
+                d_agg = _noted(g @ tv.T, tr, "grads")
                 d_agg *= inv_deg
                 x_slot.grad += _mean_aggregate_grad(graph, d_agg, tr)
             elif square:
-                x_slot.grad += np.matmul(d, t_saved.T, out=g)
+                x_slot.grad += np.matmul(d, tv.T, out=g)
             else:
-                x_slot.grad += _noted(d @ t_saved.T, tr, "grads")
+                x_slot.grad += _noted(d @ tv.T, tr, "grads")
 
         self._nodes.append((out.slot, bw))
         return out
@@ -485,10 +482,12 @@ class Tape:
         output is ``x[idx] * tanh(scores[idx])[:, None]``, so ``p`` gets a
         gradient through the gate. Returns ``(output, idx, kept counts)``.
 
-        The record saves ``x``, ``idx`` and the kept gates. On a recorded
-        tape the output's ``rebuild`` gathers and gates any of its row
-        blocks again from those, with the bytes of the output, so a record
-        that reads the output in backward need not save it.
+        The record saves ``x``, ``idx``, the kept gates and, unless the
+        guard is active, the kept raw scores, which the norm's part of
+        ``p``'s gradient reads. On a recorded tape the output's ``rebuild``
+        gathers and gates any of its row blocks again from those, with the
+        bytes of the output, so a record that reads the output in backward
+        need not save it.
 
         Backward works on the kept rows only: it gathers them once, frees
         the copy before it builds the input gradient and adds the score term
@@ -520,12 +519,12 @@ class Tape:
             t = _noted(gate[idx], tr, "acts")
             value = xv[idx]
             value *= t[:, None]
-        x_slot, p_slot = x.slot, p.slot
-        out = self._out(value, x_slot is not None or p_slot is not None)
-        if not (self.record and out.slot is not None):
+        out = self._out(value)
+        if not self.record:
             return out, idx, kept
+        x_slot, p_slot = x.slot, p.slot
         r = None  # raw scores of the kept rows, for the norm's gradient
-        if p_slot is not None and not guarded:
+        if not guarded:
             r = raw if every else _noted(raw[idx], tr, "acts")
         del raw, scores, gate
 
@@ -543,14 +542,11 @@ class Tape:
             d_score = np.einsum("ij,ij->i", rows, g)
             d_score *= 1.0 - t * t
             d_raw = d_score / norm
-            if p_slot is not None:
-                d_p = d_raw @ rows
-                if not guarded:
-                    d_p -= (float(d_score @ r) / norm**3) * pv
-                _acc(p_slot, d_p, tr)
+            d_p = d_raw @ rows
+            if not guarded:
+                d_p -= (float(d_score @ r) / norm**3) * pv
+            _acc(p_slot, d_p, tr)
             del rows
-            if x_slot is None:
-                return
             g *= t[:, None]
             _add_outer(g, d_raw, pv)
             if every:
@@ -624,7 +620,7 @@ class Tape:
         cols = np.arange(f)
 
         def bw(g):
-            if x_slot is not None:
+            if wants_grad:
                 share = g[:, :f] / counts[:, None]  # each row's part of its mean
                 if x_slot.grad is None:
                     d = np.repeat(share, counts, axis=0)
@@ -673,17 +669,12 @@ class Tape:
 
         def bw(g):
             _acc(b2_slot, g.sum(axis=0, keepdims=True), tr)
-            if w2_slot is not None:
-                _acc(w2_slot, h.T @ g, tr)
-            if s_slot is None and w1_slot is None and b1_slot is None:
-                return
+            _acc(w2_slot, h.T @ g, tr)
             d = _noted(g @ w2v.T, tr, "grads")  # through the second product
             d *= h > 0.0
             _acc(b1_slot, d.sum(axis=0, keepdims=True), tr)
-            if w1_slot is not None:
-                _acc(w1_slot, sv.T @ d, tr)
-            if s_slot is not None:
-                _acc(s_slot, d @ w1v.T, tr)
+            _acc(w1_slot, sv.T @ d, tr)
+            _acc(s_slot, d @ w1v.T, tr)
 
         self._push(out.slot, bw)
         return out
@@ -712,11 +703,10 @@ class Tape:
         one_d = logits.value.ndim == 1
 
         def bw(g):
-            if l_slot is not None:
-                d = probs.copy()
-                d[rows, labels] -= 1.0
-                d *= float(g) / n
-                _acc(l_slot, d[0] if one_d else d, tr)
+            d = probs.copy()
+            d[rows, labels] -= 1.0
+            d *= float(g) / n
+            _acc(l_slot, d[0] if one_d else d, tr)
 
         self._push(out.slot, bw)
         return out

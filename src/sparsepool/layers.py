@@ -25,6 +25,11 @@ __all__ = [
 
 READOUT_POSITIONS = ("pre_pool", "post_pool")
 
+# the paper's model shape; TrainConfig's defaults read these too
+POOL_RATIO = 0.8
+NUM_BLOCKS = 3
+READOUT_POSITION = "post_pool"
+
 
 @dataclass(eq=False)
 class MPConvLayer:
@@ -77,7 +82,7 @@ class HierarchicalModel:
     summed into a single fixed-size vector.
     """
 
-    def __init__(self, blocks, head: MLPHead, readout_position: str = "post_pool"):
+    def __init__(self, blocks, head: MLPHead, readout_position: str = READOUT_POSITION):
         if readout_position not in READOUT_POSITIONS:
             raise ValueError(f"readout_position must be one of {READOUT_POSITIONS}")
         blocks = list(blocks)
@@ -135,10 +140,10 @@ def build_model(
     in_dim: int,
     hidden_dim: int,
     num_classes: int,
-    pool_ratio: float = 0.8,
-    num_blocks: int = 3,
+    pool_ratio: float = POOL_RATIO,
+    num_blocks: int = NUM_BLOCKS,
     seed: int = 0,
-    readout_position: str = "post_pool",
+    readout_position: str = READOUT_POSITION,
 ) -> HierarchicalModel:
     """Glorot-initialized model; biases start at zero. Deterministic per seed."""
     seeds = iter(np.random.SeedSequence(seed).generate_state(3 * num_blocks + 2))
@@ -191,10 +196,6 @@ def mpconv_forward(
     gathers and its aggregation counted, with the bytes of the one-hot
     matrix's dense path, and nothing N x ``in_dim`` is saved.
     """
-    if x.value.shape[1] != layer.in_dim:
-        raise ValueError(
-            f"feature dim {x.value.shape[1]} does not match layer input dim {layer.in_dim}"
-        )
     return tape.mpconv(graph, x, tape.param(layer.theta), tape.param(layer.theta_skip), segments)
 
 
@@ -229,11 +230,6 @@ def _select_topk(scores: np.ndarray, counts, ratio: float, margin):
 
 def _topk_pool_segments(tape, x, layer, counts):
     """Gated kept rows, their indices and the kept count of each segment."""
-    if x.value.shape[1] != layer.p_vec.value.shape[0]:
-        raise ValueError(
-            f"feature dim {x.value.shape[1]} does not match projection length "
-            f"{layer.p_vec.value.shape[0]}"
-        )
     return tape.topk_gate(
         x,
         tape.param(layer.p_vec),

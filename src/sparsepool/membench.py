@@ -92,11 +92,9 @@ class MemoryReport:
 
     graph_size: int
     edge_count: int
-    method: str
     peak_bytes: int
     breakdown: list[tuple[str, int]]
     feasible: bool
-    budget_bytes: int | None
     max_buffer_bytes: int = 0
     max_buffer_tag: str = ""
     total_allocated_bytes: int = 0
@@ -144,21 +142,19 @@ def measure_sparse(n: int, *, budget_bytes: int | None = None, seed: int = 0) ->
     return MemoryReport(
         graph_size=n,
         edge_count=graph.num_edges,
-        method="sparse_topk",
         peak_bytes=tracker.peak,
         breakdown=tracker.peak_breakdown(),
         feasible=budget_bytes is None or tracker.peak <= budget_bytes,
-        budget_bytes=budget_bytes,
         max_buffer_bytes=tracker.max_buffer,
         max_buffer_tag=tracker.max_buffer_tag,
         total_allocated_bytes=tracker.total_allocated,
     )
 
 
-def _dense_plan(n: int, ratio: float):
+def _dense_plan(n: int):
     """Buffer inventory of a dense soft-assignment pipeline during training.
 
-    Per level l of ``FIG_BLOCKS``, with N_{l+1} = ceil(ratio * N_l): the
+    Per level l of ``FIG_BLOCKS``, with N_{l+1} = ceil(``DENSE_RATIO`` * N_l): the
     assignment matrix S(l) in R^{N_l x N_{l+1}} and its gradient, the dense
     coarsened adjacency N_{l+1} x N_{l+1}, and the embedding activations
     N_l x F (F = ``FIG_FEATURES``) with their gradients. The level-1
@@ -171,7 +167,7 @@ def _dense_plan(n: int, ratio: float):
     ]
     size = n
     for level in range(1, FIG_BLOCKS + 1):
-        pooled = kept_count(size, ratio)
+        pooled = kept_count(size, DENSE_RATIO)
         plan.append((f"level{level}/embeddings", size * FIG_FEATURES * 8))
         plan.append((f"level{level}/embeddings_grad", size * FIG_FEATURES * 8))
         plan.append((f"level{level}/assignment", size * pooled * 8))
@@ -181,9 +177,7 @@ def _dense_plan(n: int, ratio: float):
     return plan
 
 
-def measure_dense_assignment(
-    n: int, k: float = DENSE_RATIO, *, budget_bytes: int | None = None
-) -> MemoryReport:
+def measure_dense_assignment(n: int, *, budget_bytes: int | None = None) -> MemoryReport:
     """Footprint of a dense soft-assignment (cluster-pooling) baseline.
 
     Computed from the buffer plan alone, with no allocation: every buffer is
@@ -192,19 +186,15 @@ def measure_dense_assignment(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0.0 < k <= 1.0:
-        raise ValueError(f"assignment ratio must be in (0, 1], got {k}")
-    plan = _dense_plan(n, k)
+    plan = _dense_plan(n)
     total = sum(nbytes for _, nbytes in plan)
     largest_tag, largest = max(plan, key=lambda entry: entry[1])  # first of equal sizes
     return MemoryReport(
         graph_size=n,
         edge_count=2 * n,
-        method="dense_assignment",
         peak_bytes=total,
         breakdown=sorted(plan),
         feasible=budget_bytes is None or total <= budget_bytes,
-        budget_bytes=budget_bytes,
         max_buffer_bytes=largest,
         max_buffer_tag=largest_tag,
         total_allocated_bytes=total,

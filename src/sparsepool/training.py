@@ -18,7 +18,15 @@ from .datasets import (
 )
 from .engine import NonFiniteGradientError, Tape, adam_step
 from .graphs import batch_graphs
-from .layers import READOUT_POSITIONS, HierarchicalModel, build_model, model_forward
+from .layers import (
+    NUM_BLOCKS,
+    POOL_RATIO,
+    READOUT_POSITION,
+    READOUT_POSITIONS,
+    HierarchicalModel,
+    build_model,
+    model_forward,
+)
 
 __all__ = [
     "TrainConfig",
@@ -39,7 +47,7 @@ __all__ = [
 ]
 
 # Per-dataset benchmark settings: hidden width, learning rate, epochs.
-# All datasets use pool ratio 0.8, three blocks, Adam.
+# All datasets share TrainConfig's other defaults and Adam.
 DATASET_DEFAULTS: dict[str, dict] = {
     "ENZYMES": {"hidden_dim": 128, "lr": 0.0005, "epochs": 100},
     "PROTEINS": {"hidden_dim": 64, "lr": 0.005, "epochs": 40},
@@ -59,13 +67,13 @@ class TrainConfig:
     hidden_dim: int
     lr: float
     epochs: int
-    pool_ratio: float = 0.8
-    num_blocks: int = 3
+    pool_ratio: float = POOL_RATIO
+    num_blocks: int = NUM_BLOCKS
     batch_size: int = 64
     seed: int = 0
     folds: int = 10
     stratified: bool = True
-    readout_position: str = "post_pool"
+    readout_position: str = READOUT_POSITION
     max_degree: int | None = None
 
     def validate(self) -> None:

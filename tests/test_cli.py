@@ -4,6 +4,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import multiprocessing
+import os
 import re
 import shutil
 import tempfile
@@ -292,6 +294,23 @@ class TestOutOfMemory:
         err = capsys.readouterr().err
         assert err.rstrip().endswith("lower --sizes") and "Traceback" not in err
         assert not (out / "membench.csv").exists()
+
+
+def die(*args, **kwargs):
+    os._exit(1)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched fold runner reaches the workers only by fork")
+def test_a_dead_cv_worker_exits_2(monkeypatch, fixtures_dir, tmp_path, capsys):
+    # each of the two forked workers dies in its first fold, as when killed for memory
+    monkeypatch.setattr("sparsepool.training._run_fold", die)
+    out = tmp_path / "cv"
+    assert main(["cv", *toy_args(fixtures_dir), "--jobs", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a worker process died (")
+    assert err.rstrip().endswith("lower --hidden, --batch-size, --blocks, --jobs")
+    assert "Traceback" not in err and not (out / "metrics.csv").exists()
 
 
 class TestBenchMemFlagTypes:

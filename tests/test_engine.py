@@ -32,7 +32,7 @@ from sparsepool.engine import (
     save_parameters,
 )
 from sparsepool.engine import _MAGIC, _segmented_matmul
-from sparsepool.graphs import from_edge_list
+from sparsepool.graphs import LabelCodes, from_edge_list
 from sparsepool.layers import _select_topk
 
 PRIMITIVE_TOL = 1e-6
@@ -644,16 +644,29 @@ class TestGradientHandOver:
 
         check_primitive(build, self.x)
 
-    def test_spmm_mean_of_a_constant_input_has_no_gradient_slot(self):
-        tape = Tape()
-        x = tape.leaf(self.x)
-        assert tape.mpconv(self.graph, x, tape.leaf(self.w), tape.leaf(self.w.T)).slot is None
-        assert tape._nodes == []
-        theta = tape.leaf(self.w, needs_grad=True)
-        h = tape.mpconv(self.graph, x, theta, tape.leaf(self.w.T))
-        tape.backward(tape.softmax_xent(h, [1, 0, 2, 1]))
-        assert x.slot is None
-        assert theta.slot.grad.shape == self.w.shape
+    @pytest.mark.parametrize("f_out", [5, 2, 3])  # aggregate first, theta first, square
+    def test_a_conv_of_constant_leaves_gives_them_no_gradient(self, f_out):
+        # the record is kept and runs; its gradients for inputs without a
+        # slot are dropped, and a constant X leaves theta's gradient unchanged
+        rng = np.random.default_rng(f_out)
+        theta, skip = rng.uniform(-1.0, 1.0, size=(2, 3, f_out))
+
+        def grads(x_needs_grad, theta_needs_grad):
+            tape = Tape()
+            x = tape.leaf(self.x, needs_grad=x_needs_grad)
+            t = tape.leaf(theta, needs_grad=theta_needs_grad)
+            s = tape.leaf(skip, needs_grad=theta_needs_grad)
+            h = tape.mpconv(self.graph, x, t, s)
+            tape.backward(tape.softmax_xent(h, [1, 0, 1, 1]))
+            return x, t, s
+
+        x, t, s = grads(False, False)
+        assert x.slot is None and t.slot is None and s.slot is None
+        _, t_const, s_const = grads(False, True)
+        x, t_live, s_live = grads(True, True)
+        assert x.slot.grad.shape == self.x.shape
+        assert t_const.slot.grad.tobytes() == t_live.slot.grad.tobytes()
+        assert s_const.slot.grad.tobytes() == s_live.slot.grad.tobytes()
 
     def test_mpconv_output_consumed_twice(self):
         # a pre-pool readout and the pool both read the conv output
@@ -875,6 +888,31 @@ class TestTapeLifecycle:
         assert value() is None
         tape.backward(tape.softmax_xent(h, np.arange(idx.size) % 4))
         assert np.all(np.isfinite(theta.slot.grad))
+
+    def test_every_primitive_keeps_one_record_with_an_output_slot(self):
+        # on a recording tape, whether or not any input takes a gradient
+        rng = np.random.default_rng(6)
+        graph = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+        tape = Tape()
+
+        def leaf(*shape):
+            return tape.leaf(rng.standard_normal(shape))
+
+        x = leaf(4, 3)
+        codes = tape.leaf(LabelCodes(np.array([0, 2, 1, 2]), 3))
+        calls = [
+            lambda: tape.mpconv(graph, x, leaf(3, 5), leaf(3, 5)),  # aggregate first
+            lambda: tape.mpconv(graph, x, leaf(3, 2), leaf(3, 2)),  # theta first
+            lambda: tape.mpconv(graph, codes, leaf(3, 5), leaf(3, 5)),
+            lambda: gated(tape, x, leaf(3), [0, 2]),
+            lambda: tape.segment_readout(x, [1, 3]),
+            lambda: tape.mlp_head(x, leaf(3, 2), leaf(1, 2), leaf(2, 2), leaf(1, 2)),
+            lambda: tape.softmax_xent(x, [0, 1, 2, 0]),
+        ]
+        for kept, call in enumerate(calls, 1):
+            out = call()
+            assert out.slot is not None
+            assert len(tape._nodes) == kept and tape._nodes[-1][0] is out.slot
 
     def test_a_forward_only_pool_output_has_no_rebuild(self):
         tape = Tape(record=False)

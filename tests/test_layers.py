@@ -213,6 +213,12 @@ class TestTopKPool:
         with pytest.raises(ValueError):
             topk_pool(tape, from_edge_list(0, []), var(tape, np.zeros((0, 1))), layer)
 
+    def test_rejects_wrong_width(self):
+        tape = Tape()
+        layer = TopKPoolLayer(Parameter("p", [1.0, 0.0]), 0.5)
+        with pytest.raises(ValueError, match="topk_gate shape mismatch"):
+            topk_pool(tape, from_edge_list(1, []), var(tape, [[1.0]]), layer)
+
     def test_tie_goes_to_lower_index(self):
         tape = Tape()
         layer = TopKPoolLayer(Parameter("p", [1.0]), 0.5)
@@ -237,20 +243,21 @@ class TestTopKPool:
         assert np.array_equal(pooled.value, o_feats)  # bit-exact
         assert np.array_equal(sub.to_dense(), o_adj)
 
-    @pytest.mark.parametrize("p_needs_grad", [True, False])
-    def test_record_keeps_only_what_backward_reads(self, p_needs_grad):
-        # the pooled rows, the gates of the kept rows and, for p's gradient,
-        # their raw scores; no N-row array stays alive
+    @pytest.mark.parametrize("guarded", [False, True], ids=["live_norm", "guarded_norm"])
+    def test_record_keeps_only_what_backward_reads(self, guarded):
+        # the pooled rows, the gates of the kept rows and, unless the norm
+        # guard holds ||p|| constant, their raw scores for the norm's part of
+        # p's gradient; no N-row array stays alive
         rng = np.random.default_rng(4)
         x = rng.standard_normal((9, 5))
         tracker = MemoryTracker()
         tape = Tape(tracker=tracker)
-        p = tape.leaf(rng.standard_normal(5), needs_grad=p_needs_grad)
+        p = tape.leaf(rng.standard_normal(5) * (1e-14 if guarded else 1.0), needs_grad=True)
         out, idx, kept = tape.topk_gate(
             tape.leaf(x, needs_grad=True), p, [4, 5], lambda s, margin: _select_topk(s, [4, 5], 0.5, margin)
         )
         assert np.array_equal(kept, [2, 3]) and out.value.shape == (5, 5)
-        assert tracker.current == 8 * (5 * 5 + 5 * (2 if p_needs_grad else 1))
+        assert tracker.current == 8 * (5 * 5 + 5 * (1 if guarded else 2))
 
     def test_gradient_flows_to_retained_rows_only(self):
         rng = np.random.default_rng(8)
