@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Digest the deterministic outputs of sparsepool on one TU dataset directory.
 
-Usage: python scripts/output_digest.py DATA_DIR NAME [--src SRC] [--work DIR]
-       [config flags...]
+Usage: python scripts/output_digest.py DATA_DIR NAME [--src SRC]
+       [--against SRC] [--work DIR] [config flags...]
 
 Runs ``sparsepool train`` on fold 0, then ``export-summaries`` of the test
 split twice (summaries, and logits with ``--post-head``) from the saved
@@ -13,6 +13,12 @@ each, named relative to the work directory. The commands run as
 ``python -m sparsepool.cli`` on the package under ``SRC`` (default: this
 checkout's ``src``), so the same script digests another checkout's
 outputs: equal lines mean byte-identical outputs.
+
+With ``--against SRC`` both package trees are digested with the same
+flags (under ``src/`` and ``against/`` of the work directory), both sets
+of lines are printed, each after a ``== <tree>`` line, and the exit status
+is 1 when any hash differs, each differing file named on standard error;
+0 means the two trees' outputs are byte-identical.
 
 Any further flags go to every command (they must agree on the config);
 they come after the defaults ``--hidden 16 --lr 0.01 --epochs 2``, so they
@@ -59,14 +65,27 @@ def main(argv=None) -> int:
     parser.add_argument("name", help="dataset name (file prefix)")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="the src directory of the checkout to run")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="also digest this src directory and compare the two")
     parser.add_argument("--work", type=Path, default=None,
                         help="keep the outputs here (default: a temporary directory)")
     args, flags = parser.parse_known_args(argv)
+    data_dir = args.data_dir.resolve()
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
-        for line in digests(args.data_dir.resolve(), args.name, args.src.resolve(), work, flags):
-            print(line)
-    return 0
+        if args.against is None:
+            for line in digests(data_dir, args.name, args.src.resolve(), work, flags):
+                print(line)
+            return 0
+        runs = []
+        for label, src in (("src", args.src), ("against", args.against)):
+            lines = digests(data_dir, args.name, src.resolve(), work / label, flags)
+            print(f"== {src}", *lines, sep="\n")
+            runs.append(lines)
+    differ = [a.split("  ", 1)[1] for a, b in zip(*runs) if a != b]
+    for name in differ:
+        print(f"differs: {name}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

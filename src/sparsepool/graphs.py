@@ -464,6 +464,14 @@ def induced_subgraph(graph: SparseGraph, keep) -> SparseGraph:
     Node u' of the result is keep[u']; an edge (u', v') exists iff
     (keep[u'], keep[v']) was an edge of the input. When every node is kept
     the input graph itself is returned.
+
+    The kept-edge mask (both ends kept) is built in bool from the node mask
+    repeated over each row's degree, with no E-long array of row ids. The
+    new columns are the kept edges' columns renumbered. A kept row's new
+    degree is one ``np.add.reduceat`` of the mask, started at each kept
+    row that has edges: a dropped row keeps none of its edges and an
+    edgeless row has none, so each such run of the mask ends where the next
+    one starts, and edgeless rows (trailing ones too) keep degree 0.
     """
     keep = np.asarray(keep, dtype=np.int64)
     if keep.ndim != 1:
@@ -479,15 +487,18 @@ def induced_subgraph(graph: SparseGraph, keep) -> SparseGraph:
     mask[keep] = True
     remap = np.full(graph.num_nodes, -1, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
-    row_ids = np.repeat(np.arange(graph.num_nodes), graph.degrees)
-    sel = mask[row_ids] & mask[graph.col_indices]
-    new_src = remap[row_ids[sel]]
-    new_dst = remap[graph.col_indices[sel]]
+    row_offsets, cols, degrees = graph.row_offsets, graph.col_indices, graph.degrees
+    sel = np.repeat(mask, degrees)
+    sel &= mask[cols]
+    new_cols = remap[np.compress(sel, cols)]
+    kept_degrees = degrees[keep]
+    live = kept_degrees > 0
+    kept_degrees[live] = np.add.reduceat(sel, row_offsets[keep[live]], dtype=np.int64)
     offsets = np.zeros(keep.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(new_src, minlength=keep.size), out=offsets[1:])
+    np.cumsum(kept_degrees, out=offsets[1:])
     # keep is sorted and distinct, so remap preserves row order, column
     # order and symmetry, and maps no edge onto a self-loop
-    return SparseGraph._trusted(keep.size, offsets, new_dst)
+    return SparseGraph._trusted(keep.size, offsets, new_cols)
 
 
 def batch_graphs(graphs) -> GraphBatch:

@@ -202,30 +202,44 @@ def mpconv_forward(
 def _select_topk(scores: np.ndarray, counts, ratio: float, margin):
     """Per-segment top-k indices (ties: lower index), re-sorted ascending.
 
-    One stable lexsort orders every segment by descending score; a row is
-    kept when its rank inside its segment is below that segment's k.
+    The negated scores are laid out as a table with one row per segment,
+    as wide as the largest segment, its padding NaN. One stable argsort
+    along the rows ranks every segment by descending score, and a score is
+    kept when its rank in its row is below its segment's k. NaN sorts after
+    every number and a stable sort keeps ties in index order, so the
+    padding ranks after every real score, NaN scores included: NaN and
+    +-inf scores rank as in a per-segment stable argsort, NaN last. (A
+    +inf fill would rank ahead of a segment's NaN scores and be kept.)
+
     ``margin`` (a tape hook's ``margin`` callable, or None) is handed the
     smallest gap between a segment's last kept and first dropped score
     ("score_boundary_gap") and between any two scores of one segment
-    ("score_min_gap"), where there is one.
+    ("score_min_gap"), where there is one, read off the sorted rows' real
+    entries. The table (8 bytes a cell), its argsort (8) and the gathered
+    kept indices (at most 8) are transients no tracker is told about: about
+    24 bytes x segments x the largest segment, and 16 more a cell with
+    ``margin``, for the sorted rows and their gaps.
     """
     counts = np.asarray(counts, dtype=np.int64)
     k = _kept_counts(counts, ratio)
     if margin is None and np.array_equal(k, counts):
         return np.arange(scores.size), k  # every row is kept: nothing to rank
-    order = np.lexsort((-scores, np.repeat(np.arange(counts.size), counts)))
-    starts = np.cumsum(counts) - counts
-    rank = np.arange(scores.size) - np.repeat(starts, counts)
-    selected = np.sort(order[rank < np.repeat(k, counts)])
+    rank = np.arange(counts.max(initial=0))
+    real = rank < counts[:, None]
+    table = np.full(real.shape, np.nan)
+    table[real] = -scores
+    order = np.argsort(table, axis=1, kind="stable")
     if margin is not None:
-        ranked = scores[order]
-        gaps = ranked[:-1] - ranked[1:]  # non-negative inside a segment
-        boundary = gaps[(starts + k - 1)[k < counts]]  # last kept vs first dropped
-        within = gaps[rank[1:] > 0]
+        # negated and ascending, so each gap is a score minus the next lower one
+        gaps = np.diff(np.take_along_axis(table, order, axis=1), axis=1)
+        cut = k < counts
+        boundary = gaps[cut, k[cut] - 1]  # last kept vs first dropped
+        within = gaps[real[:, 1:]]
         for key, vals in (("score_boundary_gap", boundary), ("score_min_gap", within)):
             if vals.size:
                 margin(key, float(np.min(vals)))
-    return selected, k
+    order += (np.cumsum(counts) - counts)[:, None]  # row positions to batch indices
+    return np.sort(order[rank < k[:, None]]), k
 
 
 def _topk_pool_segments(tape, x, layer, counts):
@@ -278,11 +292,6 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
     backward), and a conv output once it has been pooled, so a forward-only
     pass holds neither past its last reader.
     """
-    if batch.features.shape[1] != model.in_dim:
-        raise ValueError(
-            f"batch feature dim {batch.features.shape[1]} does not match "
-            f"model input dim {model.in_dim}"
-        )
     graph = batch.graph
     counts = np.asarray(batch.node_counts, dtype=np.int64)
     x = tape.leaf(batch.features)

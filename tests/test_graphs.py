@@ -529,6 +529,80 @@ class TestInducedSubgraph:
         assert np.array_equal(sub.to_dense(), g.to_dense()[np.ix_(keep, keep)])
 
 
+def row_id_subgraph(graph, keep):
+    """CSR arrays of the induced subgraph through an E-long array of row ids:
+    the reference for :func:`induced_subgraph`."""
+    mask = np.zeros(graph.num_nodes, dtype=bool)
+    mask[keep] = True
+    remap = np.full(graph.num_nodes, -1, dtype=np.int64)
+    remap[keep] = np.arange(keep.size)
+    row_ids = np.repeat(np.arange(graph.num_nodes), graph.degrees)
+    sel = mask[row_ids] & mask[graph.col_indices]
+    offsets = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(remap[row_ids[sel]], minlength=keep.size), out=offsets[1:])
+    return offsets, remap[graph.col_indices[sel]]
+
+
+class TestInducedSubgraphEdgeCases:
+    """Byte-for-byte against the row-id reference, on the cases a per-row
+    reduction can get wrong; every result also passes the public validator."""
+
+    @staticmethod
+    def check(graph, keep):
+        keep = np.asarray(keep, dtype=np.int64)
+        sub = induced_subgraph(graph, keep)
+        offsets, cols = row_id_subgraph(graph, keep)
+        assert sub.row_offsets.dtype == sub.col_indices.dtype == np.int64
+        assert sub.row_offsets.tobytes() == offsets.tobytes()
+        assert sub.col_indices.tobytes() == cols.tobytes()
+        assert np.array_equal(sub.to_dense(), graph.to_dense()[np.ix_(keep, keep)])
+        SparseGraph(sub.num_nodes, sub.row_offsets, sub.col_indices)
+        return sub
+
+    # nodes 4, 6 and 7 are isolated; 6 and 7 trail the last row with edges
+    ISOLATED = from_edge_list(8, [(0, 1), (1, 2), (2, 5), (3, 5), (0, 3)])
+
+    @pytest.mark.parametrize("keep", [
+        [0, 1, 2, 4, 5, 6, 7],  # trailing edgeless rows after the last kept edge
+        [0, 1, 3, 5, 7],
+        [1, 2, 6, 7],
+        [4, 6, 7],  # only edgeless rows
+        [0, 2, 4],  # kept rows whose edges are all dropped
+        [5],
+    ])
+    def test_isolated_and_trailing_edgeless_rows(self, keep):
+        self.check(self.ISOLATED, keep)
+
+    def test_trailing_edgeless_rows_keep_degree_zero(self):
+        sub = self.check(self.ISOLATED, [0, 1, 2, 5, 6, 7])
+        assert sub.degrees.tolist() == [1, 2, 2, 1, 0, 0]
+
+    @pytest.mark.parametrize("keep", [[0], [2, 3], [0, 1, 2, 3]])
+    def test_graph_without_edges(self, keep):
+        sub = self.check(from_edge_list(5, []), keep)
+        assert sub.num_edges == 0
+
+    @given(st.integers(0, 300))
+    def test_one_node_and_all_but_one(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 16))
+        g = random_graph(rng, n)
+        self.check(g, [int(rng.integers(n))])
+        self.check(g, np.delete(np.arange(n), rng.integers(n)))
+
+    @given(st.integers(0, 300))
+    def test_block_diagonal_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        members = []
+        for _ in range(int(rng.integers(1, 6))):
+            n = int(rng.integers(1, 10))
+            g = random_graph(rng, n) if rng.random() < 0.8 else from_edge_list(n, [])
+            members.append(LabeledGraph(g, np.zeros((n, 1)), 0))
+        graph = batch_graphs(members).graph
+        keep = np.flatnonzero(rng.random(graph.num_nodes) < rng.uniform(0.1, 0.9))
+        self.check(graph, keep)
+
+
 class TestBatchGraphs:
     def test_two_singletons(self):
         one = LabeledGraph(from_edge_list(1, []), np.ones((1, 2)), 0)

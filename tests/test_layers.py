@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     Margins,
@@ -20,6 +20,7 @@ from conftest import (
 from sparsepool.engine import Parameter, Tape, finite_diff_check
 from sparsepool import graphs as graphs_module
 from sparsepool.graphs import (
+    LabelCodes,
     LabeledGraph,
     _dense_pieces,
     batch_graphs,
@@ -300,20 +301,33 @@ def reference_topk(scores, counts, ratio):
 class TestSelectTopK:
     @given(
         counts=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+        big=st.booleans(),
         decimals=st.integers(0, 3),
-        ratio=st.floats(0.05, 1.0),
+        special=st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1.0]), max_size=12),
+        ratio=st.floats(0.0, 1.0, exclude_min=True),
         seed=st.integers(0, 2**16),
     )
-    def test_matches_per_segment_reference(self, counts, decimals, ratio, seed):
-        # rounding to few decimals makes tied scores common
-        scores = np.round(np.random.default_rng(seed).standard_normal(sum(counts)), decimals)
+    # all-NaN segments shorter than the widest: a table padded with +inf
+    # ranks its padding ahead of their scores, where NaN must rank last
+    @example(counts=[1, 2], big=False, decimals=0, special=[np.nan] * 3, ratio=1.0, seed=0)
+    @example(counts=[2, 4], big=False, decimals=0, special=[np.nan] * 6, ratio=0.5, seed=0)
+    def test_matches_per_segment_reference(self, counts, big, decimals, special, ratio, seed):
+        # rounding to few decimals and the special values make ties common
+        if big:
+            counts = counts + [30 * max(counts)]  # one segment 30x the rest
+        rng = np.random.default_rng(seed)
+        scores = np.round(rng.standard_normal(sum(counts)), decimals)
+        at = rng.choice(scores.size, size=min(len(special), scores.size), replace=False)
+        scores[at] = special[: at.size]
         seen = Margins()
-        idx, kept = _select_topk(scores, np.array(counts), ratio, seen.margin)
-        ref_idx, ref_kept, ref_margins = reference_topk(scores, counts, ratio)
+        with np.errstate(invalid="ignore"):  # inf - inf in the margins
+            idx, kept = _select_topk(scores, np.array(counts), ratio, seen.margin)
+            ref_idx, ref_kept, ref_margins = reference_topk(scores, counts, ratio)
         assert np.array_equal(idx, ref_idx)
         assert np.array_equal(kept, ref_kept)
-        assert seen == ref_margins
         assert np.array_equal(_select_topk(scores, counts, ratio, None)[0], ref_idx)
+        if np.all(np.isfinite(scores)):
+            assert seen == ref_margins
 
     @pytest.mark.parametrize("ratio,counts", [(1.0, [3, 1, 4]), (0.2, [1, 1, 1]), (0.9, [5, 2])])
     def test_every_row_kept_with_and_without_probe(self, ratio, counts):
@@ -678,10 +692,13 @@ class TestModelForward:
         assert not np.array_equal(out_post, out_pre)
 
     def test_rejects_feature_dim_mismatch(self):
-        batch = batch_graphs([LabeledGraph(from_edge_list(1, []), np.zeros((1, 3)), 0)])
-        model = build_model(4, 4, 2, seed=0)
-        with pytest.raises(ValueError):
-            model_forward(Tape(), batch, model)
+        # block 0's conv checks the width; the layers add no check of their own
+        model = build_model(3, 4, 2, seed=0)
+        for features in (np.zeros((3, 5)), LabelCodes(np.array([0, 4, 1]), 5)):
+            batch = batch_graphs([LabeledGraph(from_edge_list(3, [(0, 1)]), features, 0)])
+            for forward in (forward_summaries, model_forward):
+                with pytest.raises(ValueError, match="mpconv shape mismatch"):
+                    forward(Tape(), batch, model)
 
     def test_summaries_have_double_hidden_width(self):
         rng = np.random.default_rng(2)

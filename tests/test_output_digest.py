@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,11 @@ import pytest
 
 from conftest import FIXTURES
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "output_digest.py"
+SRC = ROOT / "src"
+DIGESTED = ("train/model.params", "train/metrics.csv", "export/summaries.csv",
+            "export/logits.csv", "cv/metrics.csv")
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +54,34 @@ def test_a_failing_command_is_reported(tmp_path):
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert done.returncode != 0
     assert "sparsepool train exited 2" in done.stderr and "NOPE" in done.stderr
+
+
+def run_against(src, other, work):
+    argv = [sys.executable, str(SCRIPT), str(FIXTURES / "TOY24"), "TOY24", "--src", str(src),
+            "--against", str(other), "--work", str(work), "--epochs", "1"]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=240)
+
+
+def test_the_checkout_against_itself_exits_0(tmp_path):
+    done = run_against(SRC, SRC, tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == lines[6] == f"== {SRC}"
+    assert lines[1:6] == lines[7:] == digest_lines(tmp_path / "src", *DIGESTED)
+    assert "differs" not in done.stderr
+
+
+def test_an_edited_tree_exits_1_naming_the_differing_files(tmp_path):
+    edited = tmp_path / "edited"
+    shutil.copytree(SRC, edited, ignore=shutil.ignore_patterns("__pycache__"))
+    layers = edited / "sparsepool" / "layers.py"
+    text = layers.read_text()
+    assert "POOL_RATIO = 0.8\n" in text
+    layers.write_text(text.replace("POOL_RATIO = 0.8\n", "POOL_RATIO = 0.5\n"))
+    done = run_against(SRC, edited, tmp_path / "work")
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == f"== {SRC}" and lines[6] == f"== {edited}"
+    differ = [a.split("  ")[1] for a, b in zip(lines[1:6], lines[7:]) if a != b]
+    assert differ  # a different pool ratio changes what the model computes
+    assert done.stderr.splitlines() == [f"differs: {name}" for name in differ]
