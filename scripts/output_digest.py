@@ -6,10 +6,14 @@ Usage: python scripts/output_digest.py DATA_DIR NAME [--src SRC]
 
 Runs ``sparsepool train`` on fold 0, then ``export-summaries`` of the test
 split twice (summaries, and logits with ``--post-head``) from the saved
-model, then ``sparsepool cv``, and prints the sha256 of
-``train/model.params``, ``train/metrics.csv``, ``export/summaries.csv``,
-``export/logits.csv`` and ``cv/metrics.csv``, one ``<sha256>  <file>`` line
-each, named relative to the work directory. The commands run as
+model, then ``sparsepool cv``, then ``sparsepool bench-mem --sizes
+500,1000,2000 --seed 0`` (its own flags; the config flags do not apply to
+it), and prints the sha256 of ``train/model.params``,
+``train/metrics.csv``, ``export/summaries.csv``, ``export/logits.csv``,
+``cv/metrics.csv`` and ``bench-mem/membench.csv``, one ``<sha256>  <file>``
+line each, named relative to the work directory. The sparse column of
+``membench.csv`` is the exact tracked peak at each size, so equal lines
+also mean equal tracked bytes. The commands run as
 ``python -m sparsepool.cli`` on the package under ``SRC`` (default: this
 checkout's ``src``), so the same script digests another checkout's
 outputs: equal lines mean byte-identical outputs.
@@ -36,7 +40,8 @@ from pathlib import Path
 
 DEFAULT_FLAGS = ["--hidden", "16", "--lr", "0.01", "--epochs", "2"]
 DIGESTED = ("train/model.params", "train/metrics.csv", "export/summaries.csv",
-            "export/logits.csv", "cv/metrics.csv")
+            "export/logits.csv", "cv/metrics.csv", "bench-mem/membench.csv")
+BENCH_MEM_FLAGS = ["--sizes", "500,1000,2000", "--seed", "0"]
 
 
 def run(src: Path, argv: list[str]) -> None:
@@ -48,7 +53,7 @@ def run(src: Path, argv: list[str]) -> None:
 
 
 def digests(data_dir: Path, name: str, src: Path, work: Path, flags: list[str]) -> list[str]:
-    """``<sha256>  <file>`` lines of the five outputs, written under ``work``."""
+    """``<sha256>  <file>`` lines of the six outputs, written under ``work``."""
     common = ["--dataset", name, "--data-dir", str(data_dir), *DEFAULT_FLAGS, *flags]
     run(src, ["train", *common, "--out", str(work / "train")])
     model = str(work / "train" / "model.params")
@@ -56,6 +61,7 @@ def digests(data_dir: Path, name: str, src: Path, work: Path, flags: list[str]) 
     run(src, ["export-summaries", *common, "--model", model, "--post-head",
               "--out", str(work / "export")])
     run(src, ["cv", *common, "--out", str(work / "cv")])
+    run(src, ["bench-mem", *BENCH_MEM_FLAGS, "--out", str(work / "bench-mem")])
     return [f"{hashlib.sha256((work / f).read_bytes()).hexdigest()}  {f}" for f in DIGESTED]
 
 

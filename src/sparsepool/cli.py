@@ -365,7 +365,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        # a blow-up ends in the loss and gradient checks' one error line, not
+        # numpy's warnings; forked cv workers inherit the setting
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except NonFiniteLossError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -58,7 +58,6 @@ class Dataset:
     num_classes: int
     feature_kind: str
     node_labels: list[np.ndarray] | None = None
-    node_label_alphabet: np.ndarray | None = None
 
     def labels(self) -> np.ndarray:
         return np.array([g.label for g in self.graphs], dtype=np.int64)
@@ -289,7 +288,6 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
     attr_path = d / f"{name}_node_attributes.txt"
     nlab_path = d / f"{name}_node_labels.txt"
     node_labels = None
-    alphabet = None
 
     if attr_path.is_file():
         feature_kind = "node_attributes"
@@ -327,7 +325,6 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
         num_classes=int(classes.size),
         feature_kind=feature_kind,
         node_labels=node_labels,
-        node_label_alphabet=alphabet,
     )
 
 

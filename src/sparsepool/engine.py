@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 _NORM_GUARD = 1e-12
+# Adam's moment decay rates and its denominator's guard (adam_step)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 # glibc's mallopt parameters (malloc.h) and DEFAULT_MMAP_THRESHOLD_MAX, the
 # ceiling its adaptive rule raises the mmap threshold to (32 MiB on 64-bit)
@@ -156,8 +160,6 @@ def _segmented_matmul(av: np.ndarray, bv: np.ndarray, segments) -> np.ndarray:
     is a plain 2-D product, so a shuffled training batch, whose runs are
     mostly single graphs, costs what a per-segment loop does.
     """
-    if segments is None:
-        return av @ bv
     counts = np.asarray(segments, dtype=np.int64)
     rows = int(counts.sum())
     if rows != av.shape[0]:
@@ -175,38 +177,6 @@ def _segmented_matmul(av: np.ndarray, bv: np.ndarray, segments) -> np.ndarray:
                 out=value[start:stop].reshape((k, n) + shape[1:]),
             )
     return value
-
-
-def _acc(slot: Slot | None, g: np.ndarray, tracker) -> None:
-    """Accumulate a gradient contribution into ``slot``.
-
-    A slot with no gradient yet adopts ``g`` without copying, so ``g`` must
-    be an array no other slot holds. An adopted array is noted to
-    ``tracker``; a rule handing on its incoming gradient, or an array it
-    already noted, passes None.
-    """
-    if slot is None:
-        return
-    if slot.grad is None:
-        slot.grad = g
-        if tracker is not None:
-            tracker.note(g, "grads")
-    else:
-        slot.grad += g
-
-
-def _noted(arr: np.ndarray, tracker, tag: str) -> np.ndarray:
-    if tracker is not None:
-        tracker.note(arr, tag)
-    return arr
-
-
-def _mean_aggregate_grad(graph, g_scaled: np.ndarray, tracker) -> np.ndarray:
-    """Gradient through mean aggregation, (A + I) g_scaled, of an upstream
-    gradient already divided row-wise by degree + 1."""
-    d = _noted(_graphs.neighbor_sum(graph, g_scaled), tracker, "grads")
-    d += g_scaled
-    return d
 
 
 # a row-blocked loop touches a block of this many elements at a time
@@ -249,6 +219,10 @@ def _add_rows(out: np.ndarray, rows: np.ndarray, index: np.ndarray) -> None:
         out[start : start + step] += rows[index[start : start + step]]
 
 
+def _unnoted(arr: np.ndarray, tag: str) -> None:
+    """The ``note`` of a tape without a hook."""
+
+
 class Tape:
     """Record of one forward pass, replayable in reverse for gradients.
 
@@ -273,10 +247,17 @@ class Tape:
     ("relu_margin", "rowmax_gap", "score_boundary_gap", "score_min_gap"),
     so a caller can keep the smallest and reject inputs too close to a
     non-differentiable switch. Margins are computed only for a hook that
-    takes them. With
-    ``record=False`` the tape keeps no backward closures, so a forward-only
-    pass frees each activation once nothing downstream reads it; such a tape
-    cannot run :meth:`backward`.
+    takes them. With ``record=False`` the tape keeps no backward closures,
+    so a forward-only pass frees each activation once nothing downstream
+    reads it; such a tape cannot run :meth:`backward`.
+
+    The tape alone decides what ``note`` is handed, and hands it each
+    array once. An activation, or a working gradient a rule reads, is
+    noted when it is made. A gradient a slot adopts (:meth:`_acc`) is
+    noted when it is adopted, unless it is the incoming gradient of the
+    running rule: :meth:`backward` hands each rule that array, and its
+    maker has noted it already. A contribution added into a gradient that
+    exists is a transient and is not noted.
 
     A backward rule owns its incoming gradient: :meth:`backward` drops it
     as soon as the rule returns, so the rule may overwrite it in place or
@@ -284,7 +265,7 @@ class Tape:
     for nothing else, and an input that needs its own copy is served first.
     On a recording tape every primitive's output gets a gradient slot and
     its record is kept, and every parameter gradient is computed;
-    :func:`_acc` drops a gradient whose input has no slot (a constant leaf).
+    :meth:`_acc` drops a gradient whose input has no slot (a constant leaf).
 
     A record saves no array another record already saves. The output of a
     recorded ``topk_gate`` carries a ``rebuild`` (see :class:`Var`) that
@@ -295,15 +276,44 @@ class Tape:
     def __init__(self, tracker=None, record: bool = True):
         self._nodes: list = []
         self._consumed = False
-        self.tracker = tracker
         self.record = record
+        self._note = getattr(tracker, "note", _unnoted)
         self._margin = getattr(tracker, "margin", None)
+        self._incoming = None  # the incoming gradient of the running backward rule
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
+    def _noted(self, arr: np.ndarray, tag: str) -> np.ndarray:
+        self._note(arr, tag)
+        return arr
+
+    def _acc(self, slot: Slot | None, g: np.ndarray) -> None:
+        """Accumulate a gradient contribution into ``slot``.
+
+        A slot with no gradient yet adopts ``g`` without copying, so ``g``
+        must be an array no other slot holds. An adopted array is noted,
+        unless it is the running rule's incoming gradient, which its maker
+        has noted already.
+        """
+        if slot is None:
+            return
+        if slot.grad is None:
+            slot.grad = g
+            if g is not self._incoming:
+                self._note(g, "grads")
+        else:
+            slot.grad += g
+
+    def _mean_aggregate_grad(self, graph, g_scaled: np.ndarray) -> np.ndarray:
+        """Gradient through mean aggregation, (A + I) g_scaled, of an upstream
+        gradient already divided row-wise by degree + 1."""
+        d = self._noted(_graphs.neighbor_sum(graph, g_scaled), "grads")
+        d += g_scaled
+        return d
+
     def _out(self, value: np.ndarray) -> Var:
-        return Var(_noted(value, self.tracker, "acts"), Slot())
+        return Var(self._noted(value, "acts"), Slot())
 
     def _push(self, out_slot: Slot, fn) -> None:
         if self.record:
@@ -340,23 +350,19 @@ class Tape:
         nodes = self._nodes
         for i in range(len(nodes) - 1, -1, -1):
             out_slot, fn = nodes[i]
-            g = out_slot.grad
+            g = self._incoming = out_slot.grad
             if g is not None:
                 fn(g)
             out_slot.grad = None  # complete: every consumer has already run
             nodes[i] = None  # release saved activations promptly
         self._nodes = []
+        self._incoming = None
 
     # ------------------------------------------------------------------
     # primitives
     # ------------------------------------------------------------------
     def mpconv(
-        self,
-        graph: _graphs.SparseGraph,
-        x: Var,
-        theta: Var,
-        theta_skip: Var,
-        segments=None,
+        self, graph: _graphs.SparseGraph, x: Var, theta: Var, theta_skip: Var, segments
     ) -> Var:
         """ReLU(mean_aggregate(X) @ theta + X @ theta_skip) as one record.
 
@@ -367,8 +373,9 @@ class Tape:
         columns, and also saves mean_aggregate(X) for theta's gradient. The
         skip product is added into the aggregated buffer and the ReLU is
         applied in place, so the ReLU output is the only other N x F_out
-        array the record saves. With ``segments`` (per-graph row counts) each
-        product runs graph by graph (:func:`_segmented_matmul`).
+        array the record saves. ``segments`` (per-graph row counts; ``[n]``
+        for one graph) makes each product run graph by graph
+        (:func:`_segmented_matmul`).
 
         When X has a ``rebuild`` (X is a pool output), the record saves the
         rebuild instead of X. Backward then forms ``X.T @ g`` and ``X.T @
@@ -402,23 +409,22 @@ class Tape:
                 f"mpconv shape mismatch: X {xv.shape}, theta {tv.shape}, theta_skip {sv.shape}"
             )
         coded = isinstance(xv, _graphs.LabelCodes)  # from a leaf, so without a gradient slot
-        tr = self.tracker
 
         def project(m):  # X @ m
             return m[xv.codes] if coded else _segmented_matmul(xv, m, segments)
 
         agg_first = tv.shape[0] < tv.shape[1]
         if agg_first:
-            agg = _noted(_graphs.spmm_mean(graph, xv), tr, "acts")
-            h = _noted(_segmented_matmul(agg, tv, segments), tr, "acts")
+            agg = self._noted(_graphs.spmm_mean(graph, xv), "acts")
+            h = self._noted(_segmented_matmul(agg, tv, segments), "acts")
             if coded:
                 agg = None  # counted again in backward
         else:
             agg = None
-            xt = _noted(project(tv), tr, "acts")
-            h = _noted(_graphs.spmm_mean(graph, xt), tr, "acts")
+            xt = self._noted(project(tv), "acts")
+            h = self._noted(_graphs.spmm_mean(graph, xt), "acts")
             del xt
-        h += _noted(project(sv), tr, "acts")
+        h += self._noted(project(sv), "acts")
         if self._margin is not None and h.size:
             self._margin("relu_margin", float(np.min(np.abs(h))))
         np.maximum(h, 0.0, out=h)
@@ -430,7 +436,7 @@ class Tape:
         # X's rows, read by theta's and theta_skip's gradients
         step = max(1, n)
         if coded:  # the one-hot X, built as one transient block
-            rows = lambda start, stop: _noted(xv.rows(start, stop), tr, "acts")
+            rows = lambda start, stop: self._noted(xv.rows(start, stop), "acts")
         elif x.rebuild is None:  # X itself is saved, and read as one block
             rows = lambda start, stop: xv[start:stop]
         else:
@@ -446,27 +452,27 @@ class Tape:
             h = None  # read by nothing else
             if agg_first:
                 if codes is not None:
-                    agg = _noted(_graphs.spmm_mean(graph, codes), tr, "acts")
-                _acc(t_slot, agg.T @ g, tr)
+                    agg = self._noted(_graphs.spmm_mean(graph, codes), "acts")
+                self._acc(t_slot, agg.T @ g)
                 agg = None
                 (d_skip,) = _transposed_products(rows, n, step, [g])
             else:
                 # the gradient of X @ theta
-                d = _mean_aggregate_grad(graph, _noted(g * inv_deg, tr, "grads"), tr)
+                d = self._mean_aggregate_grad(graph, self._noted(g * inv_deg, "grads"))
                 d_skip, d_theta = _transposed_products(rows, n, step, [g, d])
-                _acc(t_slot, d_theta, tr)
-            _acc(s_slot, d_skip, tr)
+                self._acc(t_slot, d_theta)
+            self._acc(s_slot, d_skip)
             if x_slot is None:
                 return
-            _acc(x_slot, g @ sv.T, tr)  # x_slot.grad is set from here on
+            self._acc(x_slot, g @ sv.T)  # x_slot.grad is set from here on
             if agg_first:
-                d_agg = _noted(g @ tv.T, tr, "grads")
+                d_agg = self._noted(g @ tv.T, "grads")
                 d_agg *= inv_deg
-                x_slot.grad += _mean_aggregate_grad(graph, d_agg, tr)
+                x_slot.grad += self._mean_aggregate_grad(graph, d_agg)
             elif square:
                 x_slot.grad += np.matmul(d, tv.T, out=g)
             else:
-                x_slot.grad += _noted(d @ tv.T, tr, "grads")
+                x_slot.grad += self._noted(d @ tv.T, "grads")
 
         self._nodes.append((out.slot, bw))
         return out
@@ -497,13 +503,12 @@ class Tape:
         xv, pv = x.value, p.value
         if xv.ndim != 2 or pv.shape != (xv.shape[1],):
             raise ValueError(f"topk_gate shape mismatch: {xv.shape} . {pv.shape}")
-        tr = self.tracker
-        raw = _noted(_segmented_matmul(xv, pv, counts), tr, "acts")
+        raw = self._noted(_segmented_matmul(xv, pv, counts), "acts")
         raw_norm = float(np.linalg.norm(pv))
         guarded = raw_norm < _NORM_GUARD
         norm = _NORM_GUARD if guarded else raw_norm
-        scores = _noted(raw / norm, tr, "acts")
-        gate = _noted(np.tanh(scores), tr, "acts")
+        scores = self._noted(raw / norm, "acts")
+        gate = self._noted(np.tanh(scores), "acts")
         idx, kept = select(scores, self._margin)
         idx = np.asarray(idx, dtype=np.int64)
         n = xv.shape[0]
@@ -516,7 +521,7 @@ class Tape:
             t = gate
             value = xv * t[:, None]
         else:
-            t = _noted(gate[idx], tr, "acts")
+            t = self._noted(gate[idx], "acts")
             value = xv[idx]
             value *= t[:, None]
         out = self._out(value)
@@ -525,36 +530,36 @@ class Tape:
         x_slot, p_slot = x.slot, p.slot
         r = None  # raw scores of the kept rows, for the norm's gradient
         if not guarded:
-            r = raw if every else _noted(raw[idx], tr, "acts")
+            r = raw if every else self._noted(raw[idx], "acts")
         del raw, scores, gate
 
         def kept_rows(start, stop):  # output rows start:stop, the same bytes
             if every:
-                return _noted(xv[start:stop] * t[start:stop, None], tr, "acts")
-            blk = _noted(xv[idx[start:stop]], tr, "acts")
+                return self._noted(xv[start:stop] * t[start:stop, None], "acts")
+            blk = self._noted(xv[idx[start:stop]], "acts")
             blk *= t[start:stop, None]
             return blk
 
         out.rebuild = kept_rows
 
         def bw(g):
-            rows = xv if every else _noted(xv[idx], tr, "acts")
+            rows = xv if every else self._noted(xv[idx], "acts")
             d_score = np.einsum("ij,ij->i", rows, g)
             d_score *= 1.0 - t * t
             d_raw = d_score / norm
             d_p = d_raw @ rows
             if not guarded:
                 d_p -= (float(d_score @ r) / norm**3) * pv
-            _acc(p_slot, d_p, tr)
+            self._acc(p_slot, d_p)
             del rows
             g *= t[:, None]
             _add_outer(g, d_raw, pv)
             if every:
-                _acc(x_slot, g, None)
+                self._acc(x_slot, g)
             else:
-                d_x = _noted(np.zeros((n, g.shape[1])), tr, "grads")
+                d_x = np.zeros((n, g.shape[1]))
                 d_x[idx] = g
-                _acc(x_slot, d_x, None)
+                self._acc(x_slot, d_x)
 
         self._nodes.append((out.slot, bw))
         return out, idx, kept
@@ -591,8 +596,8 @@ class Tape:
         if summary is not None and summary.value.shape != shape:
             raise ValueError(f"segment_readout summary of shape {summary.value.shape}, "
                              f"expected {shape}")
-        x_slot, tr = x.slot, self.tracker
-        value = _noted(np.empty(shape), tr, "acts")
+        x_slot = x.slot
+        value = self._noted(np.empty(shape), "acts")
         mean, top = value[:, :f], value[:, f:]
         wants_grad = self.record and x_slot is not None
         first = np.empty((counts.size, f), dtype=np.int64) if wants_grad else None
@@ -625,7 +630,7 @@ class Tape:
                 if x_slot.grad is None:
                     d = np.repeat(share, counts, axis=0)
                     d[first, cols] += g[:, f:]
-                    _acc(x_slot, d, tr)
+                    self._acc(x_slot, d)
                 else:
                     # add into the gradient in place; the max entries get
                     # grad + (share + max), the bytes of grad += d with d as above
@@ -634,7 +639,7 @@ class Tape:
                     at_max += share + g[:, f:]
                     _add_rows(grad, share, np.repeat(np.arange(counts.size), counts))
                     grad[first, cols] = at_max
-            _acc(s_slot, g, None)
+            self._acc(s_slot, g)
 
         self._push(out.slot, bw)
         return out
@@ -656,9 +661,8 @@ class Tape:
                 f"mlp_head shape mismatch: s {sv.shape}, w1 {w1v.shape}, b1 {b1v.shape}, "
                 f"w2 {w2v.shape}, b2 {b2v.shape}"
             )
-        tr = self.tracker
         rows = np.ones(sv.shape[0], dtype=np.int64)
-        h = _noted(_segmented_matmul(sv, w1v, rows), tr, "acts")
+        h = self._noted(_segmented_matmul(sv, w1v, rows), "acts")
         h += b1v
         if self._margin is not None and h.size:
             self._margin("relu_margin", float(np.min(np.abs(h))))
@@ -668,24 +672,22 @@ class Tape:
         s_slot, w1_slot, b1_slot, w2_slot, b2_slot = (v.slot for v in (s, w1, b1, w2, b2))
 
         def bw(g):
-            _acc(b2_slot, g.sum(axis=0, keepdims=True), tr)
-            _acc(w2_slot, h.T @ g, tr)
-            d = _noted(g @ w2v.T, tr, "grads")  # through the second product
+            self._acc(b2_slot, g.sum(axis=0, keepdims=True))
+            self._acc(w2_slot, h.T @ g)
+            d = self._noted(g @ w2v.T, "grads")  # through the second product
             d *= h > 0.0
-            _acc(b1_slot, d.sum(axis=0, keepdims=True), tr)
-            _acc(w1_slot, sv.T @ d, tr)
-            _acc(s_slot, d @ w1v.T, tr)
+            self._acc(b1_slot, d.sum(axis=0, keepdims=True))
+            self._acc(w1_slot, sv.T @ d)
+            self._acc(s_slot, d @ w1v.T)
 
         self._push(out.slot, bw)
         return out
 
     def softmax_xent(self, logits: Var, labels) -> Var:
-        """Mean softmax cross-entropy over rows; scalar output."""
+        """Mean softmax cross-entropy over the rows of 2-D logits; scalar output."""
         lv = logits.value
-        if lv.ndim == 1:
-            lv = lv[None, :]
         if lv.ndim != 2:
-            raise ValueError(f"logits must be 1-D or 2-D, got shape {logits.value.shape}")
+            raise ValueError(f"logits must be 2-D, got shape {lv.shape}")
         labels = np.asarray(labels, dtype=np.int64).reshape(-1)
         n, c = lv.shape
         if labels.shape != (n,):
@@ -699,14 +701,13 @@ class Tape:
         loss = float(-logp[rows, labels].mean())
         out = self._out(np.array(loss))
         probs = np.exp(logp)
-        l_slot, tr = logits.slot, self.tracker
-        one_d = logits.value.ndim == 1
+        l_slot = logits.slot
 
         def bw(g):
             d = probs.copy()
             d[rows, labels] -= 1.0
             d *= float(g) / n
-            _acc(l_slot, d[0] if one_d else d, tr)
+            self._acc(l_slot, d)
 
         self._push(out.slot, bw)
         return out
@@ -720,27 +721,26 @@ def glorot_init(rows: int, cols: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).uniform(-bound, bound, size=(rows, cols))
 
 
-def adam_step(
-    params,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One bias-corrected Adam update; gradients are zeroed afterwards."""
+def adam_step(params, lr: float) -> None:
+    """One bias-corrected Adam update; gradients are zeroed afterwards.
+
+    The moment decay rates and the denominator's guard are the usual Adam
+    defaults, the module constants ``_BETA1`` (0.9), ``_BETA2`` (0.999) and
+    ``_EPS`` (1e-8).
+    """
     for p in params:
         g = p.grad
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in parameter {p.name!r}")
         p.step_count += 1
         t = p.step_count
-        p.adam_m *= beta1
-        p.adam_m += (1.0 - beta1) * g
-        p.adam_v *= beta2
-        p.adam_v += (1.0 - beta2) * g * g
-        m_hat = p.adam_m / (1.0 - beta1**t)
-        v_hat = p.adam_v / (1.0 - beta2**t)
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.adam_m *= _BETA1
+        p.adam_m += (1.0 - _BETA1) * g
+        p.adam_v *= _BETA2
+        p.adam_v += (1.0 - _BETA2) * g * g
+        m_hat = p.adam_m / (1.0 - _BETA1**t)
+        v_hat = p.adam_v / (1.0 - _BETA2**t)
+        p.value -= lr * m_hat / (np.sqrt(v_hat) + _EPS)
         p.grad[...] = 0.0
 
 

@@ -226,15 +226,14 @@ class GraphBatch:
     labels: np.ndarray
 
 
-def from_edge_list(num_nodes: int, edges, symmetrize: bool = True) -> SparseGraph:
+def from_edge_list(num_nodes: int, edges) -> SparseGraph:
     """Build a canonical CSR graph from (u, v) pairs.
 
-    Duplicate edges are collapsed. With ``symmetrize`` each pair is mirrored;
-    otherwise the input must already contain both directions, and the result
-    goes through the validating constructor. A list that already is a
-    canonical CSR in pair form (both directions, sorted by row then column,
-    no duplicates: the TU convention) is taken as it is, without the mirror
-    and the sort of twice its length.
+    Each pair is mirrored and duplicate edges are collapsed, so a list that
+    already holds both directions gives the same CSR. A list that already
+    is a canonical CSR in pair form (both directions, sorted by row then
+    column, no duplicates: the TU convention) is taken as it is, without
+    the mirror and the sort of twice its length.
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be non-negative")
@@ -248,16 +247,13 @@ def from_edge_list(num_nodes: int, edges, symmetrize: bool = True) -> SparseGrap
         np.cumsum(np.bincount(pairs[:, 0], minlength=num_nodes), out=offsets[1:])
         cols = np.ascontiguousarray(pairs[:, 1])
     else:
-        if symmetrize:
-            pairs = np.concatenate([pairs, pairs[:, ::-1]])
+        pairs = np.concatenate([pairs, pairs[:, ::-1]])
         codes = np.sort(pairs[:, 0] * num_nodes + pairs[:, 1])
         first = np.ones(codes.size, dtype=bool)
         first[1:] = codes[1:] != codes[:-1]  # keep one copy of each duplicate
         codes = codes[first]
         np.cumsum(np.bincount(codes // num_nodes, minlength=num_nodes), out=offsets[1:])
         cols = codes % num_nodes
-    if not symmetrize:
-        return SparseGraph(num_nodes, offsets, cols)
     # in range, loop-free, mirrored (or its own mirror) and deduplicated: a valid CSR
     return SparseGraph._trusted(num_nodes, offsets, cols)
 

@@ -182,19 +182,18 @@ def _kept_counts(counts: np.ndarray, ratio: float) -> np.ndarray:
     return np.clip(np.ceil(ratio * counts - 1e-9), 1, counts).astype(np.int64)
 
 
-def mpconv_forward(
-    tape: Tape, graph: SparseGraph, x: Var, layer: MPConvLayer, segments=None
-) -> Var:
+def mpconv_forward(tape: Tape, graph: SparseGraph, x: Var, layer: MPConvLayer, segments) -> Var:
     """ReLU(mean_aggregate(X) @ theta + X @ theta_skip), one tape record.
 
     The record (:meth:`Tape.mpconv`) aggregates on the narrower side of
     theta and saves X (or, when X is a pool output, the pool's way to
     rebuild it), the ReLU output and, when ``in_dim < out_dim``,
     mean_aggregate(X). ``segments`` (per-graph node counts of a
-    block-diagonal batch) keeps the products bit-identical with per-graph
-    runs. An X of :class:`graphs.LabelCodes` has its products taken as row
-    gathers and its aggregation counted, with the bytes of the one-hot
-    matrix's dense path, and nothing N x ``in_dim`` is saved.
+    block-diagonal batch; ``[n]`` for one graph) keeps the products
+    bit-identical with per-graph runs. An X of :class:`graphs.LabelCodes`
+    has its products taken as row gathers and its aggregation counted, with
+    the bytes of the one-hot matrix's dense path, and nothing N x
+    ``in_dim`` is saved.
     """
     return tape.mpconv(graph, x, tape.param(layer.theta), tape.param(layer.theta_skip), segments)
 
@@ -256,10 +255,9 @@ def _pooled_graph(tape, graph, idx):
     """The subgraph on the kept nodes ``idx``, its CSR noted to the tape's
     hook when it is new."""
     sub = induced_subgraph(graph, idx)
-    # a graph kept whole is already accounted for
-    if sub is not graph and tape.tracker is not None:
-        tape.tracker.note(sub.row_offsets, "graph/csr")
-        tape.tracker.note(sub.col_indices, "graph/csr")
+    if sub is not graph:  # a graph kept whole is already accounted for
+        tape._noted(sub.row_offsets, "graph/csr")
+        tape._noted(sub.col_indices, "graph/csr")
     return sub
 
 

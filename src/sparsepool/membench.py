@@ -91,7 +91,6 @@ class MemoryReport:
     """
 
     graph_size: int
-    edge_count: int
     peak_bytes: int
     breakdown: list[tuple[str, int]]
     feasible: bool
@@ -141,7 +140,6 @@ def measure_sparse(n: int, *, budget_bytes: int | None = None, seed: int = 0) ->
     tape.backward(loss)
     return MemoryReport(
         graph_size=n,
-        edge_count=graph.num_edges,
         peak_bytes=tracker.peak,
         breakdown=tracker.peak_breakdown(),
         feasible=budget_bytes is None or tracker.peak <= budget_bytes,
@@ -191,7 +189,6 @@ def measure_dense_assignment(n: int, *, budget_bytes: int | None = None) -> Memo
     largest_tag, largest = max(plan, key=lambda entry: entry[1])  # first of equal sizes
     return MemoryReport(
         graph_size=n,
-        edge_count=2 * n,
         peak_bytes=total,
         breakdown=sorted(plan),
         feasible=budget_bytes is None or total <= budget_bytes,

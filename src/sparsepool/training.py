@@ -57,6 +57,9 @@ DATASET_DEFAULTS: dict[str, dict] = {
 
 _NAME_ALIASES = {"D&D": "DD"}
 
+# graphs per forward-only batch (on average; see forward_batches)
+EVAL_BATCH_SIZE = 256
+
 
 class NonFiniteLossError(RuntimeError):
     """Training hit a NaN/inf loss; message carries epoch, batch, param norms."""
@@ -185,28 +188,26 @@ def train_one(graphs, num_classes: int, config: TrainConfig):
     return model, epoch_losses
 
 
-def forward_batches(forward, model: HierarchicalModel, graphs, batch_size: int = 256):
+def forward_batches(forward, model: HierarchicalModel, graphs):
     """``forward(tape, batch, model)`` over batches in node-count order; one
     row per graph, in input order.
 
     The graphs are stably sorted by node count and cut into at most
-    ``ceil(len(graphs) / batch_size)`` batches where the running node total
-    crosses equal shares of the whole, so no batch holds more than
-    ``ceil(total / count)`` nodes plus its largest graph; empty parts are
-    dropped. Neighbouring graphs then share sizes, and the per-graph
+    ``ceil(len(graphs) / EVAL_BATCH_SIZE)`` batches (the module constant,
+    256) where the running node total crosses equal shares of the whole, so
+    no batch holds more than ``ceil(total / count)`` nodes plus its largest
+    graph; empty parts are dropped. Neighbouring graphs then share sizes, and the per-graph
     kernels run one stacked call per run of equal sizes (see
     :meth:`Tape.segment_readout`). Each batch runs on a non-recording tape,
     and batched rows equal per-graph rows, so the order changes no byte.
     No graphs give a 0 x 0 array.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     graphs = list(graphs)
     if not graphs:
         return np.zeros((0, 0))
     sizes = np.array([g.graph.num_nodes for g in graphs], dtype=np.int64)
     order = np.argsort(sizes, kind="stable")
-    parts = -(-len(graphs) // batch_size)
+    parts = -(-len(graphs) // EVAL_BATCH_SIZE)
     # part j ends after the last graph whose running total stays within j/parts
     # of all nodes; integers, so no share is rounded
     running = np.cumsum(sizes[order]) * parts
@@ -221,11 +222,11 @@ def forward_batches(forward, model: HierarchicalModel, graphs, batch_size: int =
     return out
 
 
-def predict_logits(model: HierarchicalModel, graphs, batch_size: int = 256) -> np.ndarray:
+def predict_logits(model: HierarchicalModel, graphs) -> np.ndarray:
     """Logits for each graph, stacked (num_graphs x C)."""
     # model_forward is looked up here at call time, so a wrapper installed on
     # this module's global sees every evaluation forward pass
-    return forward_batches(model_forward, model, graphs, batch_size)
+    return forward_batches(model_forward, model, graphs)
 
 
 def evaluate(model: HierarchicalModel, graphs) -> float:

@@ -69,11 +69,20 @@ def star_graph(n: int) -> SparseGraph:
     return from_edge_list(n, [(0, i) for i in range(1, n)])
 
 
+def validated_graph(n: int, pairs) -> SparseGraph:
+    """The graph of ``pairs`` taken as they are (neither mirrored nor
+    de-duplicated), sorted into a CSR and built by the validating constructor."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    codes = np.sort(pairs @ np.array([n, 1]))
+    offsets = np.searchsorted(codes // max(n, 1), np.arange(n + 1))
+    return SparseGraph(n, offsets, codes % max(n, 1))
+
+
 def permute_graph(graph: SparseGraph, x: np.ndarray, sigma: np.ndarray):
     """Relabel node u as sigma[u]; returns the permuted graph and features."""
     row_ids = np.repeat(np.arange(graph.num_nodes), graph.degrees)
     pairs = np.stack([sigma[row_ids], sigma[graph.col_indices]], axis=1)
-    permuted = from_edge_list(graph.num_nodes, pairs, symmetrize=False)
+    permuted = validated_graph(graph.num_nodes, pairs)
     x_new = np.empty_like(x)
     x_new[sigma] = x
     return permuted, x_new

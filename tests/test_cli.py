@@ -8,6 +8,8 @@ import multiprocessing
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -139,13 +141,31 @@ class TestTrain:
             assert f"config.{field} = {value}" in lines
 
     def test_numeric_blowup_exits_3(self, fixtures_dir, tmp_path, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["train", "--dataset", "TOY24",
-                         "--data-dir", str(fixtures_dir / "TOY24"),
-                         "--hidden", "8", "--lr", "1e80", "--epochs", "3",
-                         "--out", str(tmp_path / "x")])
+        code = main(["train", "--dataset", "TOY24",
+                     "--data-dir", str(fixtures_dir / "TOY24"),
+                     "--hidden", "8", "--lr", "1e80", "--epochs", "3",
+                     "--out", str(tmp_path / "x")])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["train"], id="train"),
+    pytest.param(["cv", "--jobs", "2"], id="cv-jobs-2", marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the workers inherit numpy's error state only by fork")),
+])
+def test_a_numeric_blowup_prints_only_its_error_line(fixtures_dir, tmp_path, command):
+    # numpy's overflow warnings stay silent, in the forked cv workers too
+    argv = [sys.executable, "-m", "sparsepool.cli", *command, "--dataset", "TOY24",
+            "--data-dir", str(fixtures_dir / "TOY24"), "--hidden", "4", "--lr", "1e308",
+            "--epochs", "3", "--out", str(tmp_path / "x")]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 3, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: non-finite "), done.stderr
 
 
 class TestCV:

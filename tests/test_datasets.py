@@ -160,7 +160,7 @@ class TestParse:
         )
         ds = parse_tu_dataset(tmp_path, "X")
         assert ds.feature_kind == "node_labels_onehot"
-        assert np.array_equal(ds.node_label_alphabet, [3, 7])
+        # the alphabet {3, 7} remaps label 3 to code 0 and 7 to code 1
         assert [g.features.width for g in ds.graphs] == [2, 2]
         assert np.array_equal(ds.graphs[0].features.codes, [1, 0])
         assert np.array_equal(ds.graphs[1].features.codes, [1])
@@ -486,7 +486,7 @@ class TestRoundTrip:
             onehot[np.arange(g.num_nodes), np.searchsorted(alphabet, raw)] = 1.0
             graphs.append(LabeledGraph(g, onehot, i % 2 if i else 1))
             node_labels.append(raw)
-        ds = Dataset("LAB", graphs, 2, "node_labels_onehot", node_labels, alphabet)
+        ds = Dataset("LAB", graphs, 2, "node_labels_onehot", node_labels)
         write_tu_dataset(ds, tmp_path / "lab")
         self.assert_same(ds, parse_tu_dataset(tmp_path / "lab", "LAB"))
 

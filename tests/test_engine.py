@@ -275,7 +275,7 @@ class TestPrimitiveGradients:
             labels = np.arange(5) % f_out
 
             def conv(t, xv, tv, sv):
-                return t.softmax_xent(t.mpconv(graph, xv, tv, sv), labels)
+                return t.softmax_xent(t.mpconv(graph, xv, tv, sv, [5]), labels)
 
             check_primitive(lambda t, v: conv(t, v, t.leaf(theta), t.leaf(skip)), x.copy())
             check_primitive(lambda t, v: conv(t, t.leaf(x), v, t.leaf(skip)), theta.copy())
@@ -287,7 +287,7 @@ class TestPrimitiveGradients:
             labels = np.arange(5) % f_out
             tape = Tape()
             xv, tv, sv = (tape.leaf(a, needs_grad=True) for a in (x, theta, skip))
-            out = tape.mpconv(graph, xv, tv, sv)
+            out = tape.mpconv(graph, xv, tv, sv, [5])
             mean = mean_aggregation_matrix(graph)
             pre = mean @ x @ theta + x @ skip
             assert np.allclose(out.value, np.maximum(pre, 0.0), rtol=0.0, atol=1e-14)
@@ -524,14 +524,14 @@ class TestPrimitiveGradients:
         theta, skip = self.weights(3, 5), self.weights(3, 5)
 
         def build(t, v):
-            h = t.mpconv(g, v, t.leaf(theta), t.leaf(skip))
+            h = t.mpconv(g, v, t.leaf(theta), t.leaf(skip), [4])
             return t.softmax_xent(t.segment_readout(h, [4]), [1])
 
         check_primitive(build, self.weights(4, 3))
 
     def test_softmax_xent_uniform_is_log2(self):
         tape = Tape()
-        loss = tape.softmax_xent(tape.leaf(np.array([0.0, 0.0])), 0)
+        loss = tape.softmax_xent(tape.leaf(np.array([[0.0, 0.0]])), [0])
         assert abs(float(loss.value) - math.log(2.0)) < 1e-15
 
     def test_softmax_xent_gradient(self):
@@ -560,9 +560,11 @@ class TestPrimitiveGradients:
             tape.topk_gate(a, tape.leaf(np.zeros(4)), [2], keep_rows([0]))
         graph = from_edge_list(2, [(0, 1)])
         with pytest.raises(ValueError):
-            tape.mpconv(graph, a, tape.leaf(np.zeros((3, 2))), tape.leaf(np.zeros((3, 3))))
+            tape.mpconv(graph, a, tape.leaf(np.zeros((3, 2))), tape.leaf(np.zeros((3, 3))), [2])
         with pytest.raises(ValueError):
-            tape.mpconv(graph, a, tape.leaf(np.zeros((2, 2))), tape.leaf(np.zeros((2, 2))))
+            tape.mpconv(graph, a, tape.leaf(np.zeros((2, 2))), tape.leaf(np.zeros((2, 2))), [2])
+        with pytest.raises(ValueError, match="logits must be 2-D"):
+            tape.softmax_xent(tape.leaf(np.zeros(3)), [0])
         with pytest.raises(ValueError, match="segments sum"):
             tape.topk_gate(a, tape.leaf(np.ones(3)), [1], keep_rows([0]))
 
@@ -624,7 +626,7 @@ class TestGradientHandOver:
         assert grad(True, True).tobytes() == expected.tobytes()
 
     def conv(self, t, v, theta, skip):
-        return t.mpconv(self.graph, v, t.leaf(theta), t.leaf(skip))
+        return t.mpconv(self.graph, v, t.leaf(theta), t.leaf(skip), [4])
 
     def test_spmm_mean_input_also_read_by_the_skip_product(self):
         # mpconv reads X in its aggregation and its skip product, in both orders
@@ -656,7 +658,7 @@ class TestGradientHandOver:
             x = tape.leaf(self.x, needs_grad=x_needs_grad)
             t = tape.leaf(theta, needs_grad=theta_needs_grad)
             s = tape.leaf(skip, needs_grad=theta_needs_grad)
-            h = tape.mpconv(self.graph, x, t, s)
+            h = tape.mpconv(self.graph, x, t, s, [4])
             tape.backward(tape.softmax_xent(h, [1, 0, 1, 1]))
             return x, t, s
 
@@ -883,7 +885,8 @@ class TestTapeLifecycle:
             assert np.concatenate(blocks).tobytes() == pooled.value.tobytes()
         value = weakref.ref(pooled.value)
         theta = tape.leaf(rng.standard_normal((4, 4)), needs_grad=True)
-        h = tape.mpconv(from_edge_list(idx.size, edges), pooled, theta, tape.leaf(np.eye(4)))
+        h = tape.mpconv(from_edge_list(idx.size, edges), pooled, theta, tape.leaf(np.eye(4)),
+                        [idx.size])
         del pooled
         assert value() is None
         tape.backward(tape.softmax_xent(h, np.arange(idx.size) % 4))
@@ -901,9 +904,9 @@ class TestTapeLifecycle:
         x = leaf(4, 3)
         codes = tape.leaf(LabelCodes(np.array([0, 2, 1, 2]), 3))
         calls = [
-            lambda: tape.mpconv(graph, x, leaf(3, 5), leaf(3, 5)),  # aggregate first
-            lambda: tape.mpconv(graph, x, leaf(3, 2), leaf(3, 2)),  # theta first
-            lambda: tape.mpconv(graph, codes, leaf(3, 5), leaf(3, 5)),
+            lambda: tape.mpconv(graph, x, leaf(3, 5), leaf(3, 5), [4]),  # aggregate first
+            lambda: tape.mpconv(graph, x, leaf(3, 2), leaf(3, 2), [4]),  # theta first
+            lambda: tape.mpconv(graph, codes, leaf(3, 5), leaf(3, 5), [4]),
             lambda: gated(tape, x, leaf(3), [0, 2]),
             lambda: tape.segment_readout(x, [1, 3]),
             lambda: tape.mlp_head(x, leaf(3, 2), leaf(1, 2), leaf(2, 2), leaf(1, 2)),

@@ -64,14 +64,15 @@ class TestSparseGraph:
         g = from_edge_list(2, [(0, 1), (1, 0), (0, 1)])
         assert g.num_edges == 1
 
-    @pytest.mark.parametrize("symmetrize", [True, False])
-    def test_from_edge_list_matches_unique_reference(self, symmetrize):
+    @pytest.mark.parametrize("mirrored", [True, False])
+    def test_from_edge_list_matches_unique_reference(self, mirrored):
+        # a list that already holds both directions gives the same CSR
         rng = np.random.default_rng(4)
         pairs = rng.integers(0, 30, size=(400, 2))
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        if not symmetrize:
+        if mirrored:
             pairs = np.concatenate([pairs, pairs[:, ::-1]])
-        g = from_edge_list(30, pairs, symmetrize=symmetrize)
+        g = from_edge_list(30, pairs)
         codes = np.unique(np.concatenate([pairs, pairs[:, ::-1]]) @ [30, 1])
         assert np.array_equal(g.col_indices, codes % 30)
         assert np.array_equal(g.row_offsets, np.searchsorted(codes // 30, np.arange(31)))
@@ -102,15 +103,15 @@ def edge_lists(draw):
     canonical = np.stack([codes // max(n, 1), codes % max(n, 1)], axis=1)
     kind = draw(st.sampled_from(["canonical", "shuffled", "one-way", "duplicates"]))
     if kind == "canonical":
-        return n, canonical, True
+        return n, canonical
     if kind == "one-way":
         flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
         flip = np.array(flips, dtype=bool).reshape(-1, 1)
-        return n, np.where(flip, one_way[:, ::-1], one_way), False
+        return n, np.where(flip, one_way[:, ::-1], one_way)
     if kind == "duplicates" and len(canonical):
         repeats = draw(st.lists(st.integers(0, len(canonical) - 1), min_size=1, max_size=6))
         canonical = np.concatenate([canonical, canonical[repeats]])
-    return n, canonical[list(draw(st.permutations(range(len(canonical)))))], True
+    return n, canonical[list(draw(st.permutations(range(len(canonical)))))]
 
 
 class TestEdgeListFastPath:
@@ -122,23 +123,20 @@ class TestEdgeListFastPath:
             assert x.flags.c_contiguous and y.flags.c_contiguous
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
-    @given(edge_lists(), st.booleans())
-    @example((3, np.array([(0, 1), (0, 1), (1, 0), (1, 0)]), True), False)  # sorted, mirrored twice
-    @example((3, np.array([(0, 1), (0, 1), (1, 0), (1, 0)]), True), True)
-    def test_fast_path_equals_general_path(self, case, symmetrize):
-        n, pairs, both_ways = case
-        if not (symmetrize or both_ways):
-            symmetrize = True  # one direction only is not a valid unmirrored list
-        fast = from_edge_list(n, pairs, symmetrize=symmetrize)
+    @given(edge_lists())
+    @example((3, np.array([(0, 1), (0, 1), (1, 0), (1, 0)])))  # sorted, mirrored twice
+    def test_fast_path_equals_general_path(self, case):
+        n, pairs = case
+        fast = from_edge_list(n, pairs)
         with mock.patch.object(graphs, "_is_canonical", return_value=False):
-            general = from_edge_list(n, pairs, symmetrize=symmetrize)
+            general = from_edge_list(n, pairs)
         self.assert_same_bytes(fast, general)
 
     @given(edge_lists())
-    @example((3, np.array([(0, 1), (0, 1), (1, 0), (1, 0)]), True))
-    @example((3, np.array([(0, 1), (1, 2)]), False))
+    @example((3, np.array([(0, 1), (0, 1), (1, 0), (1, 0)])))
+    @example((3, np.array([(0, 1), (1, 2)])))
     def test_only_canonical_lists_take_the_fast_path(self, case):
-        n, pairs, _ = case
+        n, pairs = case
         codes = pairs @ np.array([n, 1]) if pairs.size else np.zeros(0, dtype=np.int64)
         mirrored = np.concatenate([pairs, pairs[:, ::-1]]) @ [n, 1] if pairs.size else codes
         canonical = np.array_equal(codes, np.unique(mirrored))
@@ -148,7 +146,7 @@ class TestEdgeListFastPath:
         g = erdos_renyi(40, 120, seed=3)
         pairs = np.stack([np.repeat(np.arange(40), g.degrees), g.col_indices], axis=1)
         with mock.patch.object(np, "concatenate", side_effect=AssertionError("mirrored")):
-            rebuilt = from_edge_list(40, pairs, symmetrize=True)
+            rebuilt = from_edge_list(40, pairs)
         self.assert_same_bytes(rebuilt, g)
         assert not np.shares_memory(rebuilt.col_indices, pairs)
 

@@ -77,7 +77,7 @@ class TestMPConv:
     def test_identity_theta_single_node(self):
         tape = Tape()
         layer = MPConvLayer(Parameter("t", [[1.0]]), Parameter("s", [[0.0]]))
-        out = mpconv_forward(tape, from_edge_list(1, []), var(tape, [[5.0]]), layer)
+        out = mpconv_forward(tape, from_edge_list(1, []), var(tape, [[5.0]]), layer, [1])
         assert np.array_equal(out.value, [[5.0]])
 
     def test_pure_skip_path_is_relu(self):
@@ -85,14 +85,14 @@ class TestMPConv:
         eye = np.eye(2)
         layer = MPConvLayer(Parameter("t", np.zeros((2, 2))), Parameter("s", eye))
         x = np.array([[1.5, -2.0], [-0.5, 3.0]])
-        out = mpconv_forward(tape, from_edge_list(2, [(0, 1)]), var(tape, x), layer)
+        out = mpconv_forward(tape, from_edge_list(2, [(0, 1)]), var(tape, x), layer, [2])
         assert np.array_equal(out.value, np.maximum(x, 0.0))
 
     def test_k2_hand_value(self):
         tape = Tape()
         layer = MPConvLayer(Parameter("t", [[1.0]]), Parameter("s", [[1.0]]))
         out = mpconv_forward(
-            tape, from_edge_list(2, [(0, 1)]), var(tape, [[2.0], [4.0]]), layer
+            tape, from_edge_list(2, [(0, 1)]), var(tape, [[2.0], [4.0]]), layer, [2]
         )
         assert np.array_equal(out.value, [[5.0], [7.0]])
 
@@ -100,7 +100,7 @@ class TestMPConv:
         tape = Tape()
         layer = MPConvLayer(Parameter("t", np.zeros((3, 2))), Parameter("s", np.zeros((3, 2))))
         with pytest.raises(ValueError):
-            mpconv_forward(tape, from_edge_list(1, []), var(tape, [[1.0]]), layer)
+            mpconv_forward(tape, from_edge_list(1, []), var(tape, [[1.0]]), layer, [1])
 
     # (in_dim, out_dim, widths of the N-row activations a block keeps): with
     # in_dim >= out_dim the aggregation runs after theta and only the ReLU
@@ -122,7 +122,7 @@ class TestMPConv:
     def test_both_orders_match_the_dense_oracle(self, f_in, f_out, kept):
         graph, x, layer, _ = self.conv_case(f_in, f_out)
         tape = Tape()
-        out = mpconv_forward(tape, graph, tape.leaf(x), layer)
+        out = mpconv_forward(tape, graph, tape.leaf(x), layer, [6])
         aggregated = dense_spmm_oracle(graph.to_dense(), x)
         expected = np.maximum(aggregated @ layer.theta.value + x @ layer.theta_skip.value, 0.0)
         assert np.allclose(out.value, expected, rtol=0.0, atol=1e-12)
@@ -142,13 +142,13 @@ class TestMPConv:
     @staticmethod
     def check_finite_differences(graph, x, layer, labels):
         seen = Margins()
-        mpconv_forward(Tape(tracker=seen), graph, Tape().leaf(x), layer)
+        mpconv_forward(Tape(tracker=seen), graph, Tape().leaf(x), layer, [6])
         assert seen["relu_margin"] > 1e-3  # finite differences cannot cross a kink
 
         def loss_and_grads(x_value, needs_grad):
             tape = Tape()
             xv = tape.leaf(x_value, needs_grad=needs_grad)
-            loss = tape.softmax_xent(mpconv_forward(tape, graph, xv, layer), labels)
+            loss = tape.softmax_xent(mpconv_forward(tape, graph, xv, layer, [6]), labels)
             tape.backward(loss)
             theta_grad = layer.theta.grad.copy()
             for p in (layer.theta, layer.theta_skip):
@@ -172,7 +172,7 @@ class TestMPConv:
         graph, x, layer, _ = self.conv_case(f_in, f_out)
         tracker = MemoryTracker()
         tape = Tape(tracker=tracker)
-        out = mpconv_forward(tape, graph, tape.leaf(x, needs_grad=True), layer)
+        out = mpconv_forward(tape, graph, tape.leaf(x, needs_grad=True), layer, [6])
         assert out.value.shape == (6, f_out)
         assert tracker.current == 6 * 8 * sum(kept)
 
@@ -510,7 +510,7 @@ class TestModelForward:
         segments_of = {}  # id(graph) -> per-graph node counts, seen by each conv
         real_mpconv, real_sum = Tape.mpconv, graphs_module.neighbor_sum
 
-        def mpconv(self, graph, x, theta, theta_skip, segments=None):
+        def mpconv(self, graph, x, theta, theta_skip, segments):
             segments_of[id(graph)] = segments
             return real_mpconv(self, graph, x, theta, theta_skip, segments)
 
@@ -671,7 +671,7 @@ class TestModelForward:
         g = graph
         sizes = [n]
         for conv, pool in model.blocks:
-            h = mpconv_forward(tape, g, xv, conv)
+            h = mpconv_forward(tape, g, xv, conv, counts)
             xv, idx, counts = _topk_pool_segments(tape, h, pool, counts)
             g = _pooled_graph(tape, g, idx)
             assert counts[0] == kept_count(sizes[-1], 0.6)

@@ -2,13 +2,28 @@
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from sparsepool import membench
 from sparsepool.engine import Tape
-from sparsepool.graphs import GraphBatch, _dense_pieces, erdos_renyi
-from sparsepool.layers import build_model, forward_summaries, kept_count
+from sparsepool.graphs import (
+    GraphBatch,
+    LabelCodes,
+    LabeledGraph,
+    _dense_pieces,
+    batch_graphs,
+    erdos_renyi,
+)
+from sparsepool.layers import (
+    READOUT_POSITIONS,
+    build_model,
+    forward_summaries,
+    kept_count,
+    model_forward,
+)
 from sparsepool.membench import (
     MemoryTracker,
     measure_dense_assignment,
@@ -179,34 +194,75 @@ class TestSparse:
         # a contribution added into an existing gradient is a temporary the
         # tracker never sees; none may be N x 128 (segment_readout adds its
         # share in bounded row blocks instead)
-        from sparsepool import engine
-
         n = 4000
         added = []
-        orig = engine._acc
+        orig = Tape._acc
 
-        def spy(slot, g, tracker):
+        def spy(tape, slot, g):
             if slot is not None and slot.grad is not None:
                 added.append(g.shape)
-            return orig(slot, g, tracker)
+            return orig(tape, slot, g)
 
-        monkeypatch.setattr(engine, "_acc", spy)
+        monkeypatch.setattr(Tape, "_acc", spy)
         measure_sparse(n)
         assert (n, 128) not in added
 
     def test_a_graph_kept_whole_is_noted_once(self):
-        # ratio 1.0 pools every level onto the input graph itself
+        # ratio 1.0 pools every level onto the input graph itself; G(n, 2n)
+        # stores each of its 2n edges in both directions
         n = 3000
         report = measure_sparse(n)
         csr = dict(report.breakdown)["graph/csr"]
-        assert csr == (n + 1) * 8 + 2 * report.edge_count * 8
+        assert csr == (n + 1) * 8 + 2 * (2 * n) * 8
 
     def test_breakdown_sums_to_peak(self):
         for report in (measure_sparse(1500), measure_dense_assignment(1500)):
             assert sum(b for _, b in report.breakdown) >= report.peak_bytes
 
-    def test_edge_count_matches_generator(self):
-        assert measure_sparse(3000).edge_count == 6000
+
+class OnceTracker(MemoryTracker):
+    """A tracker that fails when it is handed an array it still holds alive.
+
+    It keeps a weak reference to each noted array, keyed by ``id``; an id
+    whose array has been collected may be reused by a new array."""
+
+    def __init__(self):
+        super().__init__()
+        self._alive: dict[int, weakref.ref] = {}
+
+    def note(self, arr, tag):
+        held = self._alive.get(id(arr))
+        assert held is None or held() is not arr, f"a {tag} array of {arr.nbytes} bytes noted twice"
+        self._alive[id(arr)] = weakref.ref(arr)
+        super().note(arr, tag)
+
+
+class TestNotedOnce:
+    def test_the_sweep_pass(self, monkeypatch):
+        monkeypatch.setattr(membench, "MemoryTracker", OnceTracker)
+        assert measure_sparse(2000).peak_bytes > 0
+
+    @pytest.mark.parametrize("position", READOUT_POSITIONS)
+    @pytest.mark.parametrize("coded", [False, True], ids=["dense", "codes"])
+    def test_a_batch_at_ratio_one_half(self, position, coded):
+        rng = np.random.default_rng(5)
+        sizes = [9, 14, 9, 23, 6]
+        features = [LabelCodes(rng.integers(0, 4, n), 4) if coded else rng.standard_normal((n, 4))
+                    for n in sizes]
+        batch = batch_graphs([LabeledGraph(erdos_renyi(n, 2 * n, i), f, i % 2)
+                              for i, (n, f) in enumerate(zip(sizes, features))])
+        model = build_model(4, 8, 2, pool_ratio=0.5, readout_position=position)
+        tracker = OnceTracker()
+        tape = Tape(tracker=tracker)
+        tape.backward(tape.softmax_xent(model_forward(tape, batch, model), batch.labels))
+        assert dict(tracker.peak_breakdown())["grads"] > 0
+
+    def test_a_second_note_fails(self):
+        tracker = OnceTracker()
+        a = np.zeros(3)
+        tracker.note(a, "acts")
+        with pytest.raises(AssertionError, match="noted twice"):
+            tracker.note(a, "grads")
 
 
 class TestSweep:

@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "output_digest.py"
 SRC = ROOT / "src"
 DIGESTED = ("train/model.params", "train/metrics.csv", "export/summaries.csv",
-            "export/logits.csv", "cv/metrics.csv")
+            "export/logits.csv", "cv/metrics.csv", "bench-mem/membench.csv")
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +44,18 @@ def test_digests_the_four_outputs(digest_run):
 
 def test_digests_the_cv_metrics(digest_run):
     lines, work = digest_run
-    assert lines[4:] == digest_lines(work, "cv/metrics.csv")
+    assert lines[4:5] == digest_lines(work, "cv/metrics.csv")
     manifest = (work / "cv" / "manifest.txt").read_text()
     assert "command = cv" in manifest and "config.seed = 2" in manifest
+
+
+def test_digests_the_bench_mem_sweep(digest_run):
+    # bench-mem runs with its own flags: the config flags do not reach it
+    lines, work = digest_run
+    assert lines[5:] == digest_lines(work, "bench-mem/membench.csv")
+    csv = (work / "bench-mem" / "membench.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in csv[1:]] == ["500", "1000", "2000"]
+    assert "seed = 0" in (work / "bench-mem" / "manifest.txt").read_text().splitlines()
 
 
 def test_a_failing_command_is_reported(tmp_path):
@@ -66,8 +75,8 @@ def test_the_checkout_against_itself_exits_0(tmp_path):
     done = run_against(SRC, SRC, tmp_path)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == lines[6] == f"== {SRC}"
-    assert lines[1:6] == lines[7:] == digest_lines(tmp_path / "src", *DIGESTED)
+    assert lines[0] == lines[7] == f"== {SRC}"
+    assert lines[1:7] == lines[8:] == digest_lines(tmp_path / "src", *DIGESTED)
     assert "differs" not in done.stderr
 
 
@@ -81,7 +90,7 @@ def test_an_edited_tree_exits_1_naming_the_differing_files(tmp_path):
     done = run_against(SRC, edited, tmp_path / "work")
     assert done.returncode == 1, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == f"== {SRC}" and lines[6] == f"== {edited}"
-    differ = [a.split("  ")[1] for a, b in zip(lines[1:6], lines[7:]) if a != b]
+    assert lines[0] == f"== {SRC}" and lines[7] == f"== {edited}"
+    differ = [a.split("  ")[1] for a, b in zip(lines[1:7], lines[8:]) if a != b]
     assert differ  # a different pool ratio changes what the model computes
     assert done.stderr.splitlines() == [f"differs: {name}" for name in differ]

@@ -188,15 +188,17 @@ class TestEvaluate:
             return original(tape, batch, m)
 
         monkeypatch.setattr(training, "model_forward", counting)
-        logits = predict_logits(model, task, batch_size=4)
+        monkeypatch.setattr(training, "EVAL_BATCH_SIZE", 4)
+        logits = predict_logits(model, task)
         assert len(seen) == 2 and sum(seen) == len(task)  # node-balanced cut: 3 and 3
         assert logits.shape == (len(task), 2)
 
-    def test_forward_batches_match_one_batch(self):
+    def test_forward_batches_match_one_batch(self, monkeypatch):
         task = make_cycle_star_task(reps=3)
         model = build_model(task[0].features.shape[1], 8, 2, seed=0)
         whole = forward_summaries(Tape(record=False), batch_graphs(task), model).value
-        assert np.array_equal(forward_batches(forward_summaries, model, task, batch_size=4), whole)
+        monkeypatch.setattr(training, "EVAL_BATCH_SIZE", 4)
+        assert np.array_equal(forward_batches(forward_summaries, model, task), whole)
         assert forward_batches(forward_summaries, model, []).shape == (0, 0)
 
 
@@ -221,16 +223,17 @@ class TestForwardBatches:
         return size_shuffled_graphs(), build_model(5, 8, 3, seed=2)
 
     @pytest.mark.parametrize("batch_size", [1, 4, 16, 256])
-    def test_rows_come_back_in_input_order(self, setup, batch_size):
+    def test_rows_come_back_in_input_order(self, setup, batch_size, monkeypatch):
         graphs, model = setup
         single = np.concatenate(
             [model_forward(Tape(record=False), batch_graphs([g]), model).value for g in graphs]
         )
-        batched = forward_batches(model_forward, model, graphs, batch_size)
+        monkeypatch.setattr(training, "EVAL_BATCH_SIZE", batch_size)
+        batched = forward_batches(model_forward, model, graphs)
         assert batched.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("batch_size", [1, 3, 8, 30, 61, 62, 500])
-    def test_batches_are_node_balanced_and_never_empty(self, setup, batch_size):
+    def test_batches_are_node_balanced_and_never_empty(self, setup, batch_size, monkeypatch):
         graphs, model = setup
         seen = []
 
@@ -238,7 +241,8 @@ class TestForwardBatches:
             seen.append(np.asarray(batch.node_counts))
             return forward_summaries(tape, batch, m)
 
-        forward_batches(forward, model, graphs, batch_size)
+        monkeypatch.setattr(training, "EVAL_BATCH_SIZE", batch_size)
+        forward_batches(forward, model, graphs)
         parts = math.ceil(len(graphs) / batch_size)
         share = math.ceil(sum(g.graph.num_nodes for g in graphs) / parts)
         assert 1 <= len(seen) <= parts
@@ -247,12 +251,6 @@ class TestForwardBatches:
             assert counts.size >= 1
             assert np.all(np.diff(counts) >= 0)  # node-count order
             assert counts.sum() <= share + counts.max()
-
-    @pytest.mark.parametrize("batch_size", [0, -3])
-    def test_batch_size_below_one_raises(self, setup, batch_size):
-        graphs, model = setup
-        with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            forward_batches(model_forward, model, graphs, batch_size)
 
     def test_one_product_per_distinct_segment_size(self, monkeypatch):
         # a sorted 256-graph batch: every segmented product makes at most one
@@ -277,7 +275,8 @@ class TestForwardBatches:
 
         monkeypatch.setattr(np, "matmul", counting_matmul)
         monkeypatch.setattr(engine, "_segmented_matmul", segmented)
-        forward_batches(model_forward, model, graphs, batch_size=256)
+        assert training.EVAL_BATCH_SIZE == 256  # the whole list is one batch
+        forward_batches(model_forward, model, graphs)
         assert len(products) >= 3 * 3 + 2  # scores and projections of every block, the head
         assert all(made <= distinct for made, distinct in products)
         assert max(distinct for _, distinct in products) > 1

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import validated_graph
 from sparsepool import graphs
 from sparsepool.datasets import parse_tu_dataset
 from sparsepool.graphs import (
     LabeledGraph,
+    SparseGraph,
     _validate_csr,
     batch_graphs,
     from_edge_list,
@@ -63,7 +65,7 @@ def edge_lists(draw, min_nodes=0, max_nodes=12):
 def reference_graph(n: int, pairs):
     """The same graph through the validating constructor."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return from_edge_list(n, np.concatenate([pairs, pairs[:, ::-1]]), symmetrize=False)
+    return validated_graph(n, np.unique(np.concatenate([pairs, pairs[:, ::-1]]), axis=0))
 
 
 def assert_same_csr(a, b) -> None:
@@ -114,7 +116,7 @@ class TestTrustedConstruction:
                       m.graph.col_indices], axis=1) + b
             for m, b in zip(members, bases)
         ]
-        expected = from_edge_list(sum(sizes), np.concatenate(shifted), symmetrize=False)
+        expected = reference_graph(sum(sizes), np.concatenate(shifted))
         assert_same_csr(batch.graph, expected)
 
 
@@ -179,4 +181,4 @@ def test_no_validation_inside_subgraph_and_batch(monkeypatch):
     sub = induced_subgraph(batch.graph, [0, 1, 3, 4, 5, 9])
     assert (batch.graph.num_nodes, sub.num_nodes, sub.num_edges) == (12, 6, 3)
     with pytest.raises(AssertionError, match="valid by construction"):
-        LabeledGraph(from_edge_list(2, [(0, 1), (1, 0)], symmetrize=False), np.ones((2, 1)), 0)
+        SparseGraph(2, np.array([0, 1, 2]), np.array([1, 0]))
