@@ -199,17 +199,10 @@ def _check_edges(path: Path, pairs: np.ndarray, indicator: np.ndarray) -> None:
     raise DatasetFormatError(path, _line_of_row(path, row), message)
 
 
-def degree_feature_bound(graphs, max_degree: int | None = None) -> int:
-    """Degree cap for one-hot degree features.
-
-    Defaults to the 95th-percentile degree over the given graphs, clamped to
-    [1, 400]; an explicit ``max_degree`` short-circuits the policy.
-    """
-    if max_degree is not None:
-        if max_degree < 1:
-            raise ValueError("max_degree must be >= 1")
-        return int(max_degree)
-    degrees = np.concatenate([g.degrees for g in graphs]) if graphs else np.zeros(1)
+def degree_feature_bound(graphs) -> int:
+    """Degree cap for one-hot degree features: the 95th-percentile degree
+    over the given graphs, clamped to [1, 400]."""
+    degrees = np.concatenate([np.zeros(0, dtype=np.int64), *(g.degrees for g in graphs)])
     if degrees.size == 0:
         degrees = np.zeros(1)
     bound = int(round(float(np.percentile(degrees, DEGREE_BOUND_PERCENTILE))))

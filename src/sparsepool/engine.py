@@ -100,9 +100,10 @@ class Slot:
 class Var:
     """A value on the tape plus the slot its gradient accumulates into.
 
-    ``rebuild`` (optional) is ``rows(start, stop)``, which returns a fresh
-    copy of ``value[start:stop]`` with the same bytes, built from arrays the
-    tape saves anyway. A record whose backward reads this input may save
+    ``rebuild`` is None unless the record that made the value sets it to
+    ``rows(start, stop)``, which returns a fresh copy of
+    ``value[start:stop]`` with the same bytes, built from arrays the tape
+    saves anyway. A record whose backward reads this input may save
     ``rebuild`` instead of ``value``.
 
     The value of an input leaf may be :class:`graphs.LabelCodes` (one-hot
@@ -111,14 +112,10 @@ class Var:
 
     __slots__ = ("value", "slot", "rebuild")
 
-    def __init__(self, value: np.ndarray, slot: Slot | None, rebuild=None):
+    def __init__(self, value: np.ndarray, slot: Slot | None):
         self.value = value
         self.slot = slot
-        self.rebuild = rebuild
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
+        self.rebuild = None
 
 
 class Parameter:

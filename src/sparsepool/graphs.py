@@ -441,16 +441,12 @@ def erdos_renyi(n: int, m: int, seed: int) -> SparseGraph:
         pairs = np.stack([iu[pick], ju[pick]], axis=1)
         return from_edge_list(n, pairs)
     codes = np.sort(_distinct_draws(rng, max_m, m))
-    # Decode linear upper-triangle index: row i starts at i*(2n - i - 1)/2
-    # and holds n - i - 1 entries. The float sqrt can land one row off at
-    # boundaries, so correct in both directions.
-    i = np.floor((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8.0 * codes)) / 2).astype(np.int64)
-    base = i * (2 * n - i - 1) // 2
-    i[base > codes] -= 1
-    base = i * (2 * n - i - 1) // 2
-    i[codes - base >= n - i - 1] += 1
-    base = i * (2 * n - i - 1) // 2
-    j = codes - base + i + 1
+    # Decode linear upper-triangle indices in integers: row i starts at
+    # i*(2n - i - 1)/2, and a code's row is the last start not above it.
+    rows = np.arange(n - 1, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, codes, side="right") - 1
+    j = codes - starts[i] + i + 1
     return from_edge_list(n, np.stack([i, j], axis=1))
 
 

@@ -43,10 +43,6 @@ class MPConvLayer:
             raise ValueError("theta and theta_skip must share one shape")
 
     @property
-    def in_dim(self) -> int:
-        return self.theta.value.shape[0]
-
-    @property
     def out_dim(self) -> int:
         return self.theta.value.shape[1]
 
@@ -98,18 +94,6 @@ class HierarchicalModel:
         self.head = head
         self.readout_position = readout_position
 
-    @property
-    def in_dim(self) -> int:
-        return self.blocks[0][0].in_dim
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.blocks[0][0].out_dim
-
-    @property
-    def num_classes(self) -> int:
-        return self.head.w2.value.shape[1]
-
     def parameters(self) -> list[Parameter]:
         out = []
         for conv, pool in self.blocks:
@@ -142,7 +126,8 @@ def build_model(
     num_classes: int,
     pool_ratio: float = POOL_RATIO,
     num_blocks: int = NUM_BLOCKS,
-    seed: int = 0,
+    *,
+    seed: int,
     readout_position: str = READOUT_POSITION,
 ) -> HierarchicalModel:
     """Glorot-initialized model; biases start at zero. Deterministic per seed."""
@@ -187,8 +172,8 @@ def mpconv_forward(tape: Tape, graph: SparseGraph, x: Var, layer: MPConvLayer, s
 
     The record (:meth:`Tape.mpconv`) aggregates on the narrower side of
     theta and saves X (or, when X is a pool output, the pool's way to
-    rebuild it), the ReLU output and, when ``in_dim < out_dim``,
-    mean_aggregate(X). ``segments`` (per-graph node counts of a
+    rebuild it), the ReLU output and, when theta has fewer rows than
+    columns, mean_aggregate(X). ``segments`` (per-graph node counts of a
     block-diagonal batch; ``[n]`` for one graph) keeps the products
     bit-identical with per-graph runs. An X of :class:`graphs.LabelCodes`
     has its products taken as row gathers and its aggregation counted, with

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Tape
-from .graphs import GraphBatch, erdos_renyi
+from .graphs import LabeledGraph, batch_graphs, erdos_renyi
 from .layers import build_model, kept_count, model_forward
 
 __all__ = [
@@ -94,9 +94,9 @@ class MemoryReport:
     peak_bytes: int
     breakdown: list[tuple[str, int]]
     feasible: bool
-    max_buffer_bytes: int = 0
-    max_buffer_tag: str = ""
-    total_allocated_bytes: int = 0
+    max_buffer_bytes: int
+    max_buffer_tag: str
+    total_allocated_bytes: int
 
 
 def measure_sparse(n: int, *, budget_bytes: int | None = None, seed: int = 0) -> MemoryReport:
@@ -129,12 +129,7 @@ def measure_sparse(n: int, *, budget_bytes: int | None = None, seed: int = 0) ->
         tracker.note(p.grad, "grads")
         tracker.note(p.adam_m, "optimizer")
         tracker.note(p.adam_v, "optimizer")
-    batch = GraphBatch(
-        graph=graph,
-        features=features,
-        node_counts=np.array([n], dtype=np.int64),
-        labels=np.zeros(1, dtype=np.int64),
-    )
+    batch = batch_graphs([LabeledGraph._trusted(graph, features, 0)])
     tape = Tape(tracker=tracker)
     loss = tape.softmax_xent(model_forward(tape, batch, model), batch.labels)
     tape.backward(loss)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -123,7 +123,7 @@ class RunResult:
     fold_seconds: list[float]
     wall_seconds: float
     config: TrainConfig
-    resolved: dict = field(default_factory=dict)
+    resolved: dict
 
 
 def _param_norms(model: HierarchicalModel) -> str:
@@ -269,7 +269,9 @@ def prepare_fold(dataset: Dataset, split: FoldSplit, config: TrainConfig):
                     f"max_degree {config.max_degree} exceeds {largest}, the largest degree "
                     f"in dataset {dataset.name!r}; the columns above it would always be zero"
                 )
-        bound = degree_feature_bound([g.graph for g in train], config.max_degree)
+            bound = int(config.max_degree)
+        else:
+            bound = degree_feature_bound([g.graph for g in train])
         train = with_degree_features(train, bound)
         test = with_degree_features(test, bound)
     return train, test, bound

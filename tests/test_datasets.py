@@ -527,8 +527,9 @@ class TestRoundTrip:
 
 
 class TestDegreeBound:
-    def test_explicit_override(self):
-        assert degree_feature_bound([], max_degree=17) == 17
+    def test_no_degrees_give_the_floor(self):
+        assert degree_feature_bound([]) == 1
+        assert degree_feature_bound([from_edge_list(0, [])]) == 1
 
     def test_percentile_clamped_low(self):
         g = from_edge_list(2, [(0, 1)])
@@ -542,10 +543,6 @@ class TestDegreeBound:
         hub = from_edge_list(41, [(0, i) for i in range(1, 41)])
         # one degree-40 hub among forty leaves: the 95th percentile stays at 1
         assert degree_feature_bound([hub]) == 1
-
-    def test_rejects_bad_override(self):
-        with pytest.raises(ValueError):
-            degree_feature_bound([], max_degree=0)
 
 
 class TestPlainKFold:

@@ -52,6 +52,11 @@ class TestSparseGraph:
         with pytest.raises(ValueError, match="self-loop"):
             SparseGraph(1, np.array([0, 1]), np.array([0]))
 
+    @pytest.mark.parametrize("col", [-1, 2])
+    def test_rejects_column_out_of_range_on_one_side(self, col):
+        with pytest.raises(ValueError, match="col_indices out of range"):
+            SparseGraph(2, np.array([0, 1, 1]), np.array([col]))
+
     def test_rejects_unsorted_row(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             SparseGraph(3, np.array([0, 2, 3, 5]), np.array([2, 1, 0, 0, 0]))

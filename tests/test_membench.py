@@ -168,7 +168,7 @@ class TestSparse:
         tracker = MemoryTracker()
         batch = GraphBatch(erdos_renyi(n, 2 * n, 0), np.random.default_rng(0).standard_normal((n, 8)),
                            np.array([n]), np.zeros(1, dtype=np.int64))
-        model = build_model(8, hidden, 2, pool_ratio=ratio, num_blocks=3)
+        model = build_model(8, hidden, 2, pool_ratio=ratio, num_blocks=3, seed=0)
         tape = Tape(tracker=tracker)
         summary = forward_summaries(tape, batch, model)
         rows = [n]
@@ -251,7 +251,7 @@ class TestNotedOnce:
                     for n in sizes]
         batch = batch_graphs([LabeledGraph(erdos_renyi(n, 2 * n, i), f, i % 2)
                               for i, (n, f) in enumerate(zip(sizes, features))])
-        model = build_model(4, 8, 2, pool_ratio=0.5, readout_position=position)
+        model = build_model(4, 8, 2, pool_ratio=0.5, seed=0, readout_position=position)
         tracker = OnceTracker()
         tape = Tape(tracker=tracker)
         tape.backward(tape.softmax_xent(model_forward(tape, batch, model), batch.labels))

@@ -269,14 +269,14 @@ class TestModelOnCodes:
             features[3] = 0.0
         batch = type(batch)(batch.graph, features, batch.node_counts, batch.labels)
         seen = spy_block_inputs(monkeypatch)
-        model_forward(Tape(record=False), batch, build_model(4, 8, 2))
+        model_forward(Tape(record=False), batch, build_model(4, 8, 2, seed=0))
         assert [type(x) for x in seen] == [np.ndarray] * 3
         assert seen[0] is batch.features
 
     def test_one_hot_features_reach_block_0_only(self, monkeypatch):
         batch = onehot_batch(6)
         seen = spy_block_inputs(monkeypatch)
-        model_forward(Tape(record=False), batch, build_model(4, 8, 2))
+        model_forward(Tape(record=False), batch, build_model(4, 8, 2, seed=0))
         assert seen[0] is batch.features
         assert [type(x) for x in seen[1:]] == [np.ndarray] * 2
 

@@ -382,8 +382,10 @@ class TestCrossValidate:
     def test_degree_bound_respects_override(self, fixtures_dir):
         ds = self.dataset(fixtures_dir)
         splits = stratified_kfold(ds.labels(), 4, seed=0)
+        # the pin replaces the training portion's 95th-percentile bound, 4 here
+        assert prepare_fold(ds, splits[0], quick_config(folds=4))[2] == 4
         train, test, bound = prepare_fold(ds, splits[0], quick_config(folds=4, max_degree=7))
-        assert bound == 7
+        assert bound == 7 and type(bound) is int
         assert train[0].features.shape[1] == 8
         assert test[0].features.shape[1] == 8
 
