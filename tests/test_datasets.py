@@ -20,6 +20,7 @@ from sparsepool.datasets import (
     parse_tu_dataset,
     plain_kfold,
     stratified_kfold,
+    with_degree_features,
     write_tu_dataset,
 )
 from sparsepool.graphs import LabeledGraph, from_edge_list
@@ -543,6 +544,15 @@ class TestDegreeBound:
         hub = from_edge_list(41, [(0, i) for i in range(1, 41)])
         # one degree-40 hub among forty leaves: the 95th percentile stays at 1
         assert degree_feature_bound([hub]) == 1
+
+    def test_explicit_override(self):
+        # an explicit bound goes straight to the featurizer, bypassing the percentile
+        # policy (1 for this hub): one column per degree up to 17, larger degrees clipped
+        hub = from_edge_list(41, [(0, i) for i in range(1, 41)])
+        [lg] = with_degree_features([LabeledGraph(hub, np.ones((41, 1)), 0)], 17)
+        assert lg.features.shape == (41, 18)
+        assert np.array_equal(lg.features.codes, np.minimum(hub.degrees, 17))
+        assert lg.label == 0
 
 
 class TestPlainKFold:
