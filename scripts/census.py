@@ -5,8 +5,8 @@ Usage: python scripts/census.py [--src SRC] [--against SRC]
 
 Prints one row per module of the package tree under SRC (default: this
 checkout's ``src``) and a total row, then the public ``Tape`` methods and
-the tape records of one training step. The columns, all read with the
-stdlib ``ast`` module:
+the tape records of one training step. The static columns, all read with
+the stdlib ``ast`` module:
 
 - ``lines``: physical lines of the file;
 - ``defs``: ``def`` functions and methods (lambdas are not counted here);
@@ -21,10 +21,28 @@ stdlib ``ast`` module:
   ``if``, and one for each ``and``/``or`` operand after the first.
 
 ``Tape methods`` counts the methods of the ``Tape`` class whose names do
-not start with an underscore. ``records per step`` runs one training step
-on the TOY24 fixture (one batch of all 24 graphs, hidden width 8, default
-model shape) in a child process that imports the package from SRC, and
-counts the tape's records when ``backward`` starts.
+not start with an underscore.
+
+``unreached`` counts the statements that no traffic runs. One child
+process imports the package from SRC under ``sys.settrace``, installed
+before ``import sparsepool`` so module-level code counts too, and runs the
+traffic in a temporary directory: on TOY24, the seed-1 ``PROTEINS_SYN`` and
+``COLLAB_SYN`` sets of ``perfbench/gen.py`` and TOY24's graphs with seeded
+5-wide Gaussian node attributes, it calls ``cli.main`` for the
+dataset commands of ``scripts/output_digest.py`` in both readout positions,
+``export-summaries --split train`` and ``--split all --post-head``, and
+``cv --jobs 2 --no-stratify``; then once each ``train --max-degree``, ``cv
+--show-defaults`` and the digest's ``bench-mem`` with and without
+``--budget``. A statement is reached when a line of its own span (its
+header, for a compound statement) fires a trace event. ``raise``
+statements, everything inside an ``except`` body, docstrings and
+``global``/``nonlocal`` declarations are not counted. ``records per step``
+counts the tape's records when the first ``backward`` of the traffic
+(TOY24's post-pool ``train``) starts.
+
+Every function holding unreached statements needs a ``REASONS`` entry
+with their count and why they stay; the census exits 1, naming each
+function, when one has no entry or a different count.
 
 With ``--against SRC`` the second tree is counted too: its totals and the
 deltas (first tree minus second) are printed after the table.
@@ -33,36 +51,62 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import importlib.util
+import io
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOY24 = ROOT / "tests" / "fixtures" / "TOY24"
 STATIC = ("lines", "defs", "params", "defaulted", "fields", "field_defaults", "branches")
+COLUMNS = STATIC + ("unreached",)
+# the child process: imports this script, which runs the traffic
+CHILD = "import sys; sys.path.insert(0, sys.argv[1]); import census; census.traffic(*sys.argv[2:])"
 
-# one training step of the default model; prints the tape's record count
-STEP = """
-import sys
-from sparsepool.datasets import parse_tu_dataset
-from sparsepool.engine import Tape
-from sparsepool.training import TrainConfig, train_one
-
-records = []
-backward = Tape.backward
-
-def counted(self, loss):
-    records.append(len(self._nodes))
-    return backward(self, loss)
-
-Tape.backward = counted
-ds = parse_tu_dataset(sys.argv[1], "TOY24")
-config = TrainConfig(hidden_dim=8, lr=0.01, epochs=1, batch_size=len(ds.graphs))
-train_one(ds.graphs, ds.num_classes, config)
-assert len(records) == 1, records
-print(records[0])
-"""
+# each owner (module name and qualname) of unreached statements: (their count, why they stay)
+MALFORMED = "diagnoses malformed dataset files; the traffic reads only well-formed ones"
+CHECKED = ("the checked public constructor; the package builds through the unchecked "
+           "_trusted path, and tests pin the checks")
+MARGIN = "the margin hook's probe; no command's tape has a hook with margin"
+REASONS: dict[str, tuple[int, str]] = {
+    "sparsepool.cli.<module>": (1, "the __main__ guard; the traffic calls cli.main in-process"),
+    "sparsepool.cli.console_main": (1, "the console-script entry; the traffic calls cli.main"),
+    "sparsepool.datasets.DatasetFormatError.__init__": (4, MALFORMED),
+    "sparsepool.datasets._check_edges": (14, MALFORMED),
+    "sparsepool.datasets._line_of_row": (3, MALFORMED),
+    "sparsepool.datasets._read_lines": (5, MALFORMED + ", after the one-call table load"),
+    "sparsepool.datasets._read_table": (18, MALFORMED + ", after the one-call table load"),
+    "sparsepool.datasets.degree_feature_bound": (1, "the bound of graphs with no nodes at all"),
+    "sparsepool.datasets.parse_tu_dataset": (3, MALFORMED),
+    "sparsepool.engine.Tape.mlp_head": (1, MARGIN),
+    "sparsepool.engine.Tape.mpconv": (1, MARGIN),
+    "sparsepool.engine.Tape.mpconv.<locals>.bw": (
+        4, "X's gradient through a non-square theta: block 0's input has no gradient "
+           "and later thetas are square; the conv's finite-difference and dense-oracle "
+           "tests read it"),
+    "sparsepool.engine.Tape.segment_readout": (4, MARGIN),
+    "sparsepool.engine._pin_mmap_threshold": (1, "the return of a C library with no mallopt, "
+                                             "or one that refuses it; glibc pins"),
+    "sparsepool.engine.finite_diff_check": (16, "the finite-difference oracle of the tests"),
+    "sparsepool.graphs.LabelCodes.__post_init__": (7, CHECKED),
+    "sparsepool.graphs.LabeledGraph.__post_init__": (2, CHECKED),
+    "sparsepool.graphs.SparseGraph.__post_init__": (3, CHECKED),
+    "sparsepool.graphs.SparseGraph.to_dense": (4, "the dense oracle of the tests"),
+    "sparsepool.graphs._validate_csr": (14, CHECKED),
+    "sparsepool.graphs.batch_graphs": (3, "picks the error of a bad batch; commands batch "
+                                          "graphs of one parsed dataset"),
+    "sparsepool.layers._select_topk": (7, MARGIN),
+    "sparsepool.layers.topk_pool": (3, "the per-graph pooling oracle of the tests"),
+    "sparsepool.training._param_norms": (1, "formats a numeric blow-up's message"),
+    "sparsepool.training._run_worker_fold": (1, "runs in a forked cv worker, whose trace is lost"),
+    "sparsepool.training._share_dataset": (1, "runs in a forked cv worker, whose trace is lost"),
+    "sparsepool.training.forward_batches": (1, "the 0 x 0 result of no graphs, which a test pins"),
+}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -132,23 +176,184 @@ def static_census(src: Path) -> tuple[list[tuple[str, dict[str, int]]], dict[str
     return rows, total
 
 
-def records_per_step(src: Path) -> int:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", STEP, str(TOY24)], env=env,
-                          capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"training step under {src} failed: {done.stderr.strip()}")
-    return int(done.stdout)
+def _is_docstring(stmt: ast.stmt) -> bool:
+    return (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+            and isinstance(stmt.value.value, str))
+
+
+def _counted(body: list[ast.stmt], owner: str, prefix: str, found: list, scope: bool) -> None:
+    for index, stmt in enumerate(body):
+        if (scope and index == 0 and _is_docstring(stmt)) or isinstance(
+                stmt, (ast.Raise, ast.Global, ast.Nonlocal)):
+            continue
+        first = min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", ())])
+        inner = getattr(stmt, "body", None)
+        last = stmt.end_lineno if inner is None else max(first, inner[0].lineno - 1)
+        found.append((owner, range(first, last + 1)))
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + stmt.name
+            dot = ".<locals>." if not isinstance(stmt, ast.ClassDef) else "."
+            _counted(stmt.body, name, name + dot, found, True)
+            continue
+        for field in ("body", "orelse", "finalbody"):  # never an except handler's body
+            _counted(getattr(stmt, field, []), owner, prefix, found, False)
+        for case in getattr(stmt, "cases", ()):
+            _counted(case.body, owner, prefix, found, False)
+
+
+def counted_statements(text: str) -> list[tuple[str, range]]:
+    """The statements the reach census counts in one module's source, in
+    source order: the qualname of the function or class owning each
+    (``<module>`` at module level) and the lines of its own span, where a
+    trace event means it ran."""
+    found: list[tuple[str, range]] = []
+    _counted(ast.parse(text).body, "<module>", "", found, True)
+    return found
+
+
+def _module_name(relative: Path) -> str:
+    parts = relative.with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = sys.modules[path.stem] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traffic(src: str, result: str) -> None:
+    """The census's child process: trace the traffic of the package under
+    ``src`` (first on ``sys.path``) and write the lines each of its files
+    ran, and the records per step, to ``result`` as JSON."""
+    prefix = str(Path(src).resolve()) + os.sep
+    hits: dict[str, set[int]] = {}
+    tracers: dict[str, object] = {}
+
+    def lines_of(added):
+        def local(frame, event, arg):
+            if event == "line":
+                added(frame.f_lineno)
+            return local
+        return local
+
+    def tracer(frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in tracers:
+            tracers[name] = (lines_of(hits.setdefault(name, set()).add)
+                             if name.startswith(prefix) else None)
+        return tracers[name]
+
+    sys.settrace(tracer)
+    import numpy as np
+
+    from sparsepool import cli
+    from sparsepool.datasets import Dataset, parse_tu_dataset, write_tu_dataset
+    from sparsepool.engine import Tape
+    from sparsepool.graphs import LabeledGraph
+
+    gen = _load(ROOT / "perfbench" / "gen.py")
+    digest = _load(ROOT / "scripts" / "output_digest.py")
+    records: list[int] = []
+    backward = Tape.backward
+
+    def counted(self, loss):
+        records.append(len(self._nodes))
+        return backward(self, loss)
+
+    Tape.backward = counted
+    work = Path(result).parent
+    toy = parse_tu_dataset(TOY24, "TOY24")
+    rng = np.random.default_rng(0)
+    write_tu_dataset(Dataset("TOY24_ATTR", [
+        LabeledGraph(g.graph, rng.standard_normal((g.graph.num_nodes, 5)), g.label)
+        for g in toy.graphs], toy.num_classes, "node_attributes"), work / "TOY24_ATTR")
+    sets = [(TOY24, "TOY24")]
+    sets += [(path, shape.name) for shape, path in
+             (gen.ensure_dataset(w, 1, work / "perfbench") for w in ("proteins", "collab"))]
+    sets += [(work / "TOY24_ATTR", "TOY24_ATTR")]
+
+    def run(*argv) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([str(a) for a in argv])
+        if code != 0:
+            raise SystemExit(f"sparsepool {' '.join(map(str, argv))} exited {code}")
+
+    dataset_commands = [c for c in digest.COMMANDS if digest.CONFIG in c]
+    for data_dir, name in sets:
+        config = ["--dataset", name, "--data-dir", data_dir, *digest.DEFAULT_FLAGS]
+        for position in ("post_pool", "pre_pool"):
+            out = work / name / position
+            for command in dataset_commands:
+                run(*digest.expand(command, [*config, "--readout-position", position], out))
+        model = work / name / "post_pool" / "train" / "model.params"
+        out = work / name / "more"
+        run("export-summaries", *config, "--model", model, "--split", "train",
+            "--out", out / "train-split")
+        run("export-summaries", *config, "--model", model, "--split", "all",
+            "--post-head", "--out", out / "all-split")
+        run("cv", *config, "--jobs", "2", "--no-stratify", "--out", out / "cv-jobs")
+    run("train", "--dataset", "TOY24", "--data-dir", TOY24, *digest.DEFAULT_FLAGS,
+        "--max-degree", "3", "--out", work / "max-degree")
+    run("cv", "--dataset", "TOY24", "--show-defaults")
+    bench_mem = next(c for c in digest.COMMANDS if c[0] == "bench-mem")
+    run(*digest.expand(bench_mem, [], work / "bench-mem"))
+    run(*digest.expand(bench_mem, [], work / "bench-mem-budget"), "--budget", "1MiB")
+    sys.settrace(None)
+    Path(result).write_text(json.dumps({
+        "records_per_step": records[0],
+        "hits": {name: sorted(lines) for name, lines in hits.items()},
+    }))
+
+
+def _traced(src: Path) -> dict:
+    """Run the traffic on the package under ``src`` in a child process: the
+    lines each of its files ran (``hits``) and ``records_per_step``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        result = Path(tmp) / "reach.json"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", CHILD, str(Path(__file__).parent),
+                               str(src), str(result)], env=env, cwd=tmp,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        if done.returncode != 0:
+            raise SystemExit(f"the traffic under {src} failed: {done.stderr.strip()}")
+        return json.loads(result.read_text())
 
 
 def census(src: Path):
+    """Per-module and total counts, and the first line of each unreached
+    statement by owner (``<module name>.<qualname>``)."""
     rows, total = static_census(src)
-    total["records_per_step"] = records_per_step(src)
-    return rows, total
+    traced = _traced(src)
+    total["records_per_step"] = traced["records_per_step"]
+    total["unreached"] = 0
+    unreached: dict[str, list[int]] = {}
+    for name, counts in rows:
+        path = src / name
+        ran = set(traced["hits"].get(str(path), ()))
+        missed = [(owner, span.start) for owner, span in counted_statements(path.read_text())
+                  if ran.isdisjoint(span)]
+        counts["unreached"] = len(missed)
+        total["unreached"] += len(missed)
+        for owner, line in missed:
+            unreached.setdefault(f"{_module_name(Path(name))}.{owner}", []).append(line)
+    return rows, total, unreached
 
+
+def unexplained(unreached: dict[str, list[int]]) -> list[str]:
+    """One line for each owner whose unreached count ``REASONS`` does not state."""
+    lines = []
+    for owner in sorted(set(unreached) | set(REASONS)):
+        found = unreached.get(owner, [])
+        listed = REASONS.get(owner, (0, ""))[0]
+        if len(found) != listed:
+            where = ", ".join(map(str, found)) or "none"
+            lines.append(f"{owner}: {len(found)} unreached (lines {where}), REASONS lists {listed}")
+    return lines
 
 def _row(name: str, counts: dict) -> str:
-    return f"{name:<26}" + "".join(f"{counts[k]:>{len(k) + 2}}" for k in STATIC)
+    return f"{name:<26}" + "".join(f"{counts[k]:>{len(k) + 2}}" for k in COLUMNS)
 
 
 def _tape_lines(total: dict) -> list[str]:
@@ -163,17 +368,20 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, default=None,
                         help="also count this src directory and print the deltas")
     args = parser.parse_args(argv)
-    rows, total = census(args.src.resolve())
-    print(_row("module", {k: k for k in STATIC}))
+    rows, total, unreached = census(args.src.resolve())
+    print(_row("module", {k: k for k in COLUMNS}))
     for name, counts in rows:
         print(_row(name, counts))
     print(_row("total", total), *_tape_lines(total), sep="\n")
     if args.against is not None:
-        _, other = census(args.against.resolve())
+        _, other, _ = census(args.against.resolve())
         delta = {k: f"{total[k] - other[k]:+d}" for k in total}
         print(f"== {args.against}", _row("total", other), *_tape_lines(other), sep="\n")
         print("== delta", _row("total", delta), *_tape_lines(delta), sep="\n")
-    return 0
+    missing = unexplained(unreached)
+    for line in missing:
+        print(f"no matching reason: {line}", file=sys.stderr)
+    return 1 if missing else 0
 
 
 if __name__ == "__main__":

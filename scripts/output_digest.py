@@ -26,7 +26,8 @@ is 1 when any hash differs, each differing file named on standard error;
 
 Any further flags go to every command (they must agree on the config);
 they come after the defaults ``--hidden 16 --lr 0.01 --epochs 2``, so they
-win over them.
+win over them. The commands are the data in ``COMMANDS``, which
+``scripts/census.py`` runs as well.
 """
 from __future__ import annotations
 
@@ -41,7 +42,25 @@ from pathlib import Path
 DEFAULT_FLAGS = ["--hidden", "16", "--lr", "0.01", "--epochs", "2"]
 DIGESTED = ("train/model.params", "train/metrics.csv", "export/summaries.csv",
             "export/logits.csv", "cv/metrics.csv", "bench-mem/membench.csv")
-BENCH_MEM_FLAGS = ["--sizes", "500,1000,2000", "--seed", "0"]
+CONFIG = "{config}"  # stands for the dataset and config flags
+# the commands, in order; {work} is the work directory
+COMMANDS = (
+    ("train", CONFIG, "--out", "{work}/train"),
+    ("export-summaries", CONFIG, "--model", "{work}/train/model.params",
+     "--out", "{work}/export"),
+    ("export-summaries", CONFIG, "--model", "{work}/train/model.params", "--post-head",
+     "--out", "{work}/export"),
+    ("cv", CONFIG, "--out", "{work}/cv"),
+    ("bench-mem", "--sizes", "500,1000,2000", "--seed", "0", "--out", "{work}/bench-mem"),
+)
+
+
+def expand(command: tuple[str, ...], config: list[str], work: Path) -> list[str]:
+    """A command's argv: ``CONFIG`` replaced by ``config``, ``{work}`` by ``work``."""
+    argv = []
+    for token in command:
+        argv += config if token == CONFIG else [token.format(work=work)]
+    return argv
 
 
 def run(src: Path, argv: list[str]) -> None:
@@ -54,14 +73,9 @@ def run(src: Path, argv: list[str]) -> None:
 
 def digests(data_dir: Path, name: str, src: Path, work: Path, flags: list[str]) -> list[str]:
     """``<sha256>  <file>`` lines of the six outputs, written under ``work``."""
-    common = ["--dataset", name, "--data-dir", str(data_dir), *DEFAULT_FLAGS, *flags]
-    run(src, ["train", *common, "--out", str(work / "train")])
-    model = str(work / "train" / "model.params")
-    run(src, ["export-summaries", *common, "--model", model, "--out", str(work / "export")])
-    run(src, ["export-summaries", *common, "--model", model, "--post-head",
-              "--out", str(work / "export")])
-    run(src, ["cv", *common, "--out", str(work / "cv")])
-    run(src, ["bench-mem", *BENCH_MEM_FLAGS, "--out", str(work / "bench-mem")])
+    config = ["--dataset", name, "--data-dir", str(data_dir), *DEFAULT_FLAGS, *flags]
+    for command in COMMANDS:
+        run(src, expand(command, config, work))
     return [f"{hashlib.sha256((work / f).read_bytes()).hexdigest()}  {f}" for f in DIGESTED]
 
 

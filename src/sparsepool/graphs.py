@@ -122,8 +122,7 @@ class LabelCodes:
     matrix holds its 1.0 in column ``codes[i]`` and zeros elsewhere.
 
     Node labels and clamped degrees are featurized this way. ``shape`` is
-    the one-hot matrix's, ``nbytes`` the codes' (8 bytes a node rather than
-    8 * width), so a caller sizing or accounting features reads either kind
+    the one-hot matrix's, so a caller sizing features reads either kind
     alike. Nothing dense is built until :meth:`rows` asks for a block. The
     public constructor checks that ``codes`` is a 1-D integer array with
     every entry in ``[0, width)``.
@@ -155,10 +154,6 @@ class LabelCodes:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.codes.size, self.width)
-
-    @property
-    def nbytes(self) -> int:
-        return self.codes.nbytes
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows ``start:stop`` of the one-hot matrix, as a fresh float64 array."""
@@ -415,10 +410,9 @@ def _distinct_draws(rng: np.random.Generator, max_m: int, m: int) -> np.ndarray:
     """
     chosen = np.empty(0, dtype=np.int64)
     while chosen.size < m:
-        draw = rng.integers(0, max_m, size=2 * (m - chosen.size) + 8)
-        values, first = np.unique(draw, return_index=True)
-        fresh = np.sort(first[~np.isin(values, chosen, assume_unique=True)])
-        chosen = np.concatenate([chosen, draw[fresh[: m - chosen.size]]])
+        pool = np.concatenate([chosen, rng.integers(0, max_m, size=2 * (m - chosen.size) + 8)])
+        first = np.unique(pool, return_index=True)[1]
+        chosen = pool[np.sort(first)[:m]]
     return chosen
 
 
