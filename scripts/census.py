@@ -33,7 +33,10 @@ dataset commands of ``scripts/output_digest.py`` in both readout positions,
 ``export-summaries --split train`` and ``--split all --post-head``, and
 ``cv --jobs 2 --no-stratify``; then once each ``train --max-degree``, ``cv
 --show-defaults`` and the digest's ``bench-mem`` with and without
-``--budget``. A statement is reached when a line of its own span (its
+``--budget``. Last, for each workload of ``perfbench/bench.py`` (imported
+unchanged) at seed 1 it calls what one end-to-end benchmark run does:
+``setup``, one ``rep`` and its ``check``, ``cli_check``,
+``peak_tracked_bytes`` and ``stats``. A statement is reached when a line of its own span (its
 header, for a compound statement) fires a trace event. ``raise``
 statements, everything inside an ``except`` body, docstrings and
 ``global``/``nonlocal`` declarations are not counted. ``records per step``
@@ -52,7 +55,6 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
-import importlib.util
 import io
 import json
 import os
@@ -216,13 +218,6 @@ def _module_name(relative: Path) -> str:
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
-def _load(path: Path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = sys.modules[path.stem] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def traffic(src: str, result: str) -> None:
     """The census's child process: trace the traffic of the package under
     ``src`` (first on ``sys.path``) and write the lines each of its files
@@ -253,8 +248,10 @@ def traffic(src: str, result: str) -> None:
     from sparsepool.engine import Tape
     from sparsepool.graphs import LabeledGraph
 
-    gen = _load(ROOT / "perfbench" / "gen.py")
-    digest = _load(ROOT / "scripts" / "output_digest.py")
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import bench  # with gen and spans, unchanged
+    import gen
+    import output_digest as digest  # scripts/ is on sys.path too
     records: list[int] = []
     backward = Tape.backward
 
@@ -269,10 +266,9 @@ def traffic(src: str, result: str) -> None:
     write_tu_dataset(Dataset("TOY24_ATTR", [
         LabeledGraph(g.graph, rng.standard_normal((g.graph.num_nodes, 5)), g.label)
         for g in toy.graphs], toy.num_classes, "node_attributes"), work / "TOY24_ATTR")
-    sets = [(TOY24, "TOY24")]
-    sets += [(path, shape.name) for shape, path in
-             (gen.ensure_dataset(w, 1, work / "perfbench") for w in ("proteins", "collab"))]
-    sets += [(work / "TOY24_ATTR", "TOY24_ATTR")]
+    perf = [gen.ensure_dataset(w, 1, work / "perfbench") for w in ("proteins", "collab")]
+    sets = [(TOY24, "TOY24"), *((path, shape.name) for shape, path in perf),
+            (work / "TOY24_ATTR", "TOY24_ATTR")]
 
     def run(*argv) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -280,13 +276,12 @@ def traffic(src: str, result: str) -> None:
         if code != 0:
             raise SystemExit(f"sparsepool {' '.join(map(str, argv))} exited {code}")
 
-    dataset_commands = [c for c in digest.COMMANDS if digest.CONFIG in c]
     for data_dir, name in sets:
-        config = ["--dataset", name, "--data-dir", data_dir, *digest.DEFAULT_FLAGS]
+        config = ["--dataset", name, "--data-dir", str(data_dir), *digest.DEFAULT_FLAGS]
         for position in ("post_pool", "pre_pool"):
-            out = work / name / position
-            for command in dataset_commands:
-                run(*digest.expand(command, [*config, "--readout-position", position], out))
+            for argv in digest.dataset_argvs([*config, "--readout-position", position],
+                                             work / name / position):
+                run(*argv)
         model = work / name / "post_pool" / "train" / "model.params"
         out = work / name / "more"
         run("export-summaries", *config, "--model", model, "--split", "train",
@@ -297,9 +292,20 @@ def traffic(src: str, result: str) -> None:
     run("train", "--dataset", "TOY24", "--data-dir", TOY24, *digest.DEFAULT_FLAGS,
         "--max-degree", "3", "--out", work / "max-degree")
     run("cv", "--dataset", "TOY24", "--show-defaults")
-    bench_mem = next(c for c in digest.COMMANDS if c[0] == "bench-mem")
-    run(*digest.expand(bench_mem, [], work / "bench-mem"))
-    run(*digest.expand(bench_mem, [], work / "bench-mem-budget"), "--budget", "1MiB")
+    run(*digest.bench_mem_argv(work / "plain"))
+    run(*digest.bench_mem_argv(work / "budget"), "--budget", "1MiB")
+    workloads = [bench.DatasetWorkload(1, work / "bench" / shape.name, shape, path)
+                 for shape, path in perf]
+    workloads.append(bench.BenchMemWorkload(1, work / "bench" / "bench_mem"))
+    for w in workloads:  # what one end-to-end benchmark run calls
+        w.out_dir.mkdir(parents=True)
+        w.setup()
+        rep = w.rep(bench._direct)
+        bad = w.check(rep) + w.cli_check(rep)
+        w.peak_tracked_bytes()
+        w.stats()
+        if bad:
+            raise SystemExit(f"perfbench {type(w).__name__}: {'; '.join(bad)}")
     sys.settrace(None)
     Path(result).write_text(json.dumps({
         "records_per_step": records[0],

@@ -26,8 +26,8 @@ is 1 when any hash differs, each differing file named on standard error;
 
 Any further flags go to every command (they must agree on the config);
 they come after the defaults ``--hidden 16 --lr 0.01 --epochs 2``, so they
-win over them. The commands are the data in ``COMMANDS``, which
-``scripts/census.py`` runs as well.
+win over them. ``dataset_argvs`` and ``bench_mem_argv`` give the commands,
+which ``scripts/census.py`` runs as well.
 """
 from __future__ import annotations
 
@@ -42,25 +42,23 @@ from pathlib import Path
 DEFAULT_FLAGS = ["--hidden", "16", "--lr", "0.01", "--epochs", "2"]
 DIGESTED = ("train/model.params", "train/metrics.csv", "export/summaries.csv",
             "export/logits.csv", "cv/metrics.csv", "bench-mem/membench.csv")
-CONFIG = "{config}"  # stands for the dataset and config flags
-# the commands, in order; {work} is the work directory
-COMMANDS = (
-    ("train", CONFIG, "--out", "{work}/train"),
-    ("export-summaries", CONFIG, "--model", "{work}/train/model.params",
-     "--out", "{work}/export"),
-    ("export-summaries", CONFIG, "--model", "{work}/train/model.params", "--post-head",
-     "--out", "{work}/export"),
-    ("cv", CONFIG, "--out", "{work}/cv"),
-    ("bench-mem", "--sizes", "500,1000,2000", "--seed", "0", "--out", "{work}/bench-mem"),
-)
 
 
-def expand(command: tuple[str, ...], config: list[str], work: Path) -> list[str]:
-    """A command's argv: ``CONFIG`` replaced by ``config``, ``{work}`` by ``work``."""
-    argv = []
-    for token in command:
-        argv += config if token == CONFIG else [token.format(work=work)]
-    return argv
+def dataset_argvs(config: list[str], work: Path) -> list[list[str]]:
+    """The dataset commands, in order, with ``config`` (the dataset and
+    config flags) and their outputs under ``work``."""
+    model = str(work / "train" / "model.params")
+    return [["train", *config, "--out", str(work / "train")],
+            ["export-summaries", *config, "--model", model, "--out", str(work / "export")],
+            ["export-summaries", *config, "--model", model, "--post-head",
+             "--out", str(work / "export")],
+            ["cv", *config, "--out", str(work / "cv")]]
+
+
+def bench_mem_argv(work: Path) -> list[str]:
+    """``bench-mem`` with its own flags, its outputs under ``work``."""
+    return ["bench-mem", "--sizes", "500,1000,2000", "--seed", "0",
+            "--out", str(work / "bench-mem")]
 
 
 def run(src: Path, argv: list[str]) -> None:
@@ -74,8 +72,8 @@ def run(src: Path, argv: list[str]) -> None:
 def digests(data_dir: Path, name: str, src: Path, work: Path, flags: list[str]) -> list[str]:
     """``<sha256>  <file>`` lines of the six outputs, written under ``work``."""
     config = ["--dataset", name, "--data-dir", str(data_dir), *DEFAULT_FLAGS, *flags]
-    for command in COMMANDS:
-        run(src, expand(command, config, work))
+    for argv in [*dataset_argvs(config, work), bench_mem_argv(work)]:
+        run(src, argv)
     return [f"{hashlib.sha256((work / f).read_bytes()).hexdigest()}  {f}" for f in DIGESTED]
 
 

@@ -122,7 +122,8 @@ class LabelCodes:
     matrix holds its 1.0 in column ``codes[i]`` and zeros elsewhere.
 
     Node labels and clamped degrees are featurized this way. ``shape`` is
-    the one-hot matrix's, so a caller sizing features reads either kind
+    the one-hot matrix's, ``nbytes`` the codes' (8 bytes a node rather than
+    8 * width), so a caller sizing or accounting features reads either kind
     alike. Nothing dense is built until :meth:`rows` asks for a block. The
     public constructor checks that ``codes`` is a 1-D integer array with
     every entry in ``[0, width)``.
@@ -154,6 +155,10 @@ class LabelCodes:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.codes.size, self.width)
+
+    @property
+    def nbytes(self) -> int:
+        return self.codes.nbytes
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows ``start:stop`` of the one-hot matrix, as a fresh float64 array."""

@@ -385,7 +385,7 @@ class TestSpmmMean:
 class TestDegreeOnehot:
     def test_path(self):
         out = degree_onehot(path3(), 3)
-        assert out.shape == (3, 4) and out.codes.nbytes == 3 * 8
+        assert out.shape == (3, 4) and out.nbytes == 3 * 8
         assert np.array_equal(out.codes, [1, 2, 1])
         dense = out.rows(0, 3)
         assert np.array_equal(np.argmax(dense, axis=1), [1, 2, 1])

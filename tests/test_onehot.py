@@ -70,7 +70,7 @@ class TestLabelCodes:
     def test_reads_like_the_one_hot_matrix(self):
         codes = np.array([2, 0, 1, 2])
         features = LabelCodes(codes, 3)
-        assert features.shape == (4, 3) and codes.nbytes == 32
+        assert features.shape == (4, 3) and features.nbytes == codes.nbytes == 32
         assert features.rows(0, 4).tobytes() == onehot(codes, 3).tobytes()
         assert features.rows(1, 3).tobytes() == onehot(codes, 3)[1:3].tobytes()
         assert features.rows(0, 4).flags.c_contiguous
@@ -309,12 +309,14 @@ class TestCodesStayCodes:
         n = batch.graph.num_nodes
         assert batch.features.shape == (n, width)
         tracker = NotingTracker()
-        tracker.note(batch.features.codes, "features")
+        tracker.note(batch.features, "features")
         assert dict(tracker.peak_breakdown())["features"] == n * np.dtype(np.int64).itemsize
         model = build_model(width, hidden, 2, seed=2)
         tape = Tape(tracker=tracker)
         logits = model_forward(tape, batch, model)
         wide = [(tag, ref) for tag, shape, ref in tracker.seen if shape == (n, width)]
+        features = wide.pop(0)
+        assert features[0] == "features"
         if width < hidden:  # aggregate first: the counted aggregate, dropped after its product
             assert [tag for tag, _ in wide] == ["acts"]
         else:
