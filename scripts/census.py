@@ -95,11 +95,10 @@ REASONS: dict[str, tuple[int, str]] = {
     "sparsepool.engine._pin_mmap_threshold": (1, "the return of a C library with no mallopt, "
                                              "or one that refuses it; glibc pins"),
     "sparsepool.engine.finite_diff_check": (16, "the finite-difference oracle of the tests"),
-    "sparsepool.graphs.LabelCodes.__post_init__": (7, CHECKED),
     "sparsepool.graphs.LabeledGraph.__post_init__": (2, CHECKED),
-    "sparsepool.graphs.SparseGraph.__post_init__": (3, CHECKED),
+    "sparsepool.graphs.SparseGraph.__post_init__": (5, CHECKED),
     "sparsepool.graphs.SparseGraph.to_dense": (4, "the dense oracle of the tests"),
-    "sparsepool.graphs._validate_csr": (14, CHECKED),
+    "sparsepool.graphs._validate_csr": (17, CHECKED),
     "sparsepool.graphs.batch_graphs": (3, "picks the error of a bad batch; commands batch "
                                           "graphs of one parsed dataset"),
     "sparsepool.layers._select_topk": (7, MARGIN),

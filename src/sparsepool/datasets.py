@@ -267,6 +267,7 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
     pairs -= 1
     # one CSR over the whole dataset; graph i is the diagonal block of its node
     # range, and no edge crosses graphs, so every block is a valid CSR itself
+    # (and int32: an int32 array minus an int32 or a Python int stays int32)
     whole = from_edge_list(num_nodes, pairs)
     del pairs
     offsets, cols = whole.row_offsets, whole.col_indices
@@ -298,8 +299,9 @@ def parse_tu_dataset(directory, name: str) -> Dataset:
         raw = _read_table(nlab_path, 1, np.int64)[:, 0]
         _check_count(nlab_path, raw, num_nodes, "node labels")
         alphabet = np.unique(raw)
-        codes = np.searchsorted(alphabet, raw)
-        features = [LabelCodes._trusted(codes[lo:hi], int(alphabet.size)) for lo, hi in blocks]
+        # checked and narrowed once for the whole dataset; each graph slices it
+        coded = LabelCodes(np.searchsorted(alphabet, raw), int(alphabet.size))
+        features = [LabelCodes._trusted(coded.codes[lo:hi], coded.width) for lo, hi in blocks]
         node_labels = [raw[lo:hi] for lo, hi in blocks]
     else:
         feature_kind = "degree_onehot"

@@ -408,7 +408,8 @@ class Tape:
         coded = isinstance(xv, _graphs.LabelCodes)  # from a leaf, so without a gradient slot
 
         def project(m):  # X @ m
-            return m[xv.codes] if coded else _segmented_matmul(xv, m, segments)
+            # np.take gathers rows by the int32 codes without an intp copy of them
+            return np.take(m, xv.codes, axis=0) if coded else _segmented_matmul(xv, m, segments)
 
         agg_first = tv.shape[0] < tv.shape[1]
         if agg_first:

@@ -6,6 +6,11 @@ arrays of shape (num_nodes, num_features) (node attributes) or
 :class:`LabelCodes`, one-hot features (node labels, degrees) held as one
 integer code per node.
 
+Every node-index array (CSR offsets and columns, label codes) is
+C-contiguous int32. Nodes, stored edges (two per undirected edge) and codes
+past ``2**31 - 1`` raise a ``ValueError`` naming the count, checked before
+anything is narrowed (which would wrap) or allocated.
+
 Validation happens where a graph enters. The public ``SparseGraph(...)`` and
 ``LabeledGraph(...)`` constructors check every invariant, and
 ``from_edge_list`` checks its edges' range and self-loops. Graphs derived
@@ -38,9 +43,21 @@ __all__ = [
 ]
 
 
+_INDEX_MAX = int(np.iinfo(np.int32).max)  # the largest node index, edge count or code
+
+
+def _check_index(what: str, count: int) -> None:
+    """Reject a count or value that an int32 index array cannot hold."""
+    if count > _INDEX_MAX:
+        raise ValueError(f"{what} {count} exceeds the int32 index limit {_INDEX_MAX}")
+
+
 def _validate_csr(num_nodes: int, offsets: np.ndarray, cols: np.ndarray) -> None:
     if num_nodes < 0:
         raise ValueError("num_nodes must be non-negative")
+    _check_index("node count", num_nodes)
+    _check_index("stored edge count", cols.size)
+    cols = np.asarray(cols, dtype=np.int64)  # int32 columns times num_nodes would wrap
     if offsets.shape != (num_nodes + 1,):
         raise ValueError(f"row_offsets must have length {num_nodes + 1}, got {offsets.shape}")
     if offsets[0] != 0 or offsets[-1] != cols.size:
@@ -79,17 +96,16 @@ class SparseGraph:
     col_indices: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "row_offsets", np.ascontiguousarray(self.row_offsets, dtype=np.int64)
-        )
-        object.__setattr__(
-            self, "col_indices", np.ascontiguousarray(self.col_indices, dtype=np.int64)
-        )
-        _validate_csr(self.num_nodes, self.row_offsets, self.col_indices)
+        # checked as given, so a value past int32 is rejected, not wrapped
+        offsets = np.asarray(self.row_offsets, dtype=np.int64)
+        cols = np.asarray(self.col_indices, dtype=np.int64)
+        _validate_csr(self.num_nodes, offsets, cols)
+        object.__setattr__(self, "row_offsets", np.ascontiguousarray(offsets, dtype=np.int32))
+        object.__setattr__(self, "col_indices", np.ascontiguousarray(cols, dtype=np.int32))
 
     @classmethod
     def _trusted(cls, num_nodes: int, row_offsets: np.ndarray, col_indices: np.ndarray):
-        """A graph from C-contiguous int64 CSR arrays that are valid by construction.
+        """A graph from C-contiguous int32 CSR arrays that are valid by construction.
 
         No conversion and no :func:`_validate_csr`: the caller guarantees
         every invariant the public constructor checks.
@@ -122,11 +138,11 @@ class LabelCodes:
     matrix holds its 1.0 in column ``codes[i]`` and zeros elsewhere.
 
     Node labels and clamped degrees are featurized this way. ``shape`` is
-    the one-hot matrix's, ``nbytes`` the codes' (8 bytes a node rather than
-    8 * width), so a caller sizing or accounting features reads either kind
-    alike. Nothing dense is built until :meth:`rows` asks for a block. The
-    public constructor checks that ``codes`` is a 1-D integer array with
-    every entry in ``[0, width)``.
+    the one-hot matrix's, ``nbytes`` the codes' (4 bytes a node, int32,
+    rather than 8 * width), so a caller sizing or accounting features reads
+    either kind alike. Nothing dense is built until :meth:`rows` asks for a
+    block. The public constructor checks that ``codes`` is a 1-D integer
+    array with every entry in ``[0, width)`` and at most ``2**31 - 1``.
     """
 
     codes: np.ndarray
@@ -140,14 +156,17 @@ class LabelCodes:
         if not isinstance(self.width, (int, np.integer)) or self.width < 1:
             raise ValueError(f"label code width must be an integer >= 1, got {self.width!r}")
         width = int(self.width)
-        if codes.size and (codes.min() < 0 or codes.max() >= width):
-            raise ValueError(f"label codes must lie in [0, {width})")
-        object.__setattr__(self, "codes", np.ascontiguousarray(codes, dtype=np.int64))
+        if codes.size:
+            if codes.min() < 0 or codes.max() >= width:
+                raise ValueError(f"label codes must lie in [0, {width})")
+            _check_index("label code", int(codes.max()))
+        object.__setattr__(self, "codes", np.ascontiguousarray(codes, dtype=np.int32))
         object.__setattr__(self, "width", width)
 
     @classmethod
     def _trusted(cls, codes: np.ndarray, width: int):
-        """Codes known to be a 1-D int64 array in ``[0, width)``; nothing is checked."""
+        """Codes known to be a C-contiguous 1-D int32 array in ``[0, width)``;
+        nothing is checked."""
         coded = object.__new__(cls)
         vars(coded).update(codes=codes, width=width)
         return coded
@@ -233,29 +252,31 @@ def from_edge_list(num_nodes: int, edges) -> SparseGraph:
     already holds both directions gives the same CSR. A list that already
     is a canonical CSR in pair form (both directions, sorted by row then
     column, no duplicates: the TU convention) is taken as it is, without
-    the mirror and the sort of twice its length.
+    the mirror and the sort of twice its length. The edges are checked and
+    deduplicated as int64, and narrowed once the counts are known to fit.
     """
     if num_nodes < 0:
         raise ValueError("num_nodes must be non-negative")
+    _check_index("node count", num_nodes)
     pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= num_nodes):
         raise ValueError("edge endpoint out of range")
     if np.any(pairs[:, 0] == pairs[:, 1]):
         raise ValueError("self-loops are not allowed")
-    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
     if _is_canonical(num_nodes, pairs):
-        np.cumsum(np.bincount(pairs[:, 0], minlength=num_nodes), out=offsets[1:])
-        cols = np.ascontiguousarray(pairs[:, 1])
+        rows, cols = pairs[:, 0], pairs[:, 1]
     else:
         pairs = np.concatenate([pairs, pairs[:, ::-1]])
         codes = np.sort(pairs[:, 0] * num_nodes + pairs[:, 1])
         first = np.ones(codes.size, dtype=bool)
         first[1:] = codes[1:] != codes[:-1]  # keep one copy of each duplicate
         codes = codes[first]
-        np.cumsum(np.bincount(codes // num_nodes, minlength=num_nodes), out=offsets[1:])
-        cols = codes % num_nodes
+        rows, cols = codes // num_nodes, codes % num_nodes
+    _check_index("stored edge count", cols.size)
+    offsets = np.zeros(num_nodes + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=offsets[1:])
     # in range, loop-free, mirrored (or its own mirror) and deduplicated: a valid CSR
-    return SparseGraph._trusted(num_nodes, offsets, cols)
+    return SparseGraph._trusted(num_nodes, offsets, np.ascontiguousarray(cols, dtype=np.int32))
 
 
 def _is_canonical(num_nodes: int, pairs: np.ndarray) -> bool:
@@ -287,11 +308,12 @@ def _dense_pieces(graph: SparseGraph) -> tuple[np.ndarray, np.ndarray]:
     if cols.size:
         # columns are sorted, so a row's last one is its largest; a row
         # without edges reads another row's column, which is dropped
-        last = np.where(np.diff(offsets) > 0, cols[offsets[1:] - 1], 0)
+        last = np.where(np.diff(offsets) > 0, np.take(cols, offsets[1:] - 1), 0)
         reach = np.maximum.accumulate(np.maximum(rows, last))
     bounds = np.concatenate([np.zeros(1, dtype=np.int64), np.flatnonzero(reach == rows) + 1])
     sizes = np.diff(bounds)
-    return bounds, 2 * np.diff(offsets[bounds]) > sizes * sizes
+    # stored > n^2 / 2 for whole numbers, without doubling an int32 count
+    return bounds, np.diff(offsets[bounds]) > sizes * sizes // 2
 
 
 def _ones_csr(offsets: np.ndarray, cols: np.ndarray, width: int) -> csr_array:
@@ -334,7 +356,8 @@ def neighbor_sum(graph: SparseGraph, x: np.ndarray) -> np.ndarray:
     sizes = np.diff(bounds)
     stored = np.diff(offsets[bounds])
     starts, stops = bounds[:-1][dense], bounds[1:][dense]
-    local_cols = np.repeat(starts, stored[dense])  # each edge's piece start, for now
+    # each edge's piece start, for now
+    local_cols = np.repeat(starts.astype(np.int32), stored[dense])
     width = int(sizes[dense].max())
     if dense.all():
         np.subtract(cols, local_cols, out=local_cols)
@@ -345,10 +368,10 @@ def neighbor_sum(graph: SparseGraph, x: np.ndarray) -> np.ndarray:
         row_dense = np.repeat(dense, sizes)
         edge_dense = np.repeat(row_dense, degrees)
         np.subtract(cols[edge_dense], local_cols, out=local_cols)
-        local_offsets = np.zeros(int(sizes[dense].sum()) + 1, dtype=np.int64)
+        local_offsets = np.zeros(int(sizes[dense].sum()) + 1, dtype=np.int32)
         np.cumsum(degrees[row_dense], out=local_offsets[1:])
         blocks = _ones_csr(local_offsets, local_cols, width).toarray()
-        sparse_offsets = np.zeros(n + 1, dtype=np.int64)
+        sparse_offsets = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.where(row_dense, 0, degrees), out=sparse_offsets[1:])
         # without the dense rows' edges, the CSR product leaves those rows 0
         out = _ones_csr(sparse_offsets, cols[~edge_dense], n) @ x
@@ -374,7 +397,7 @@ def neighbor_code_count(graph: SparseGraph, codes: np.ndarray, width: int) -> np
     if codes.shape != (n,):
         raise ValueError(f"label codes of shape {codes.shape} for {n} nodes")
     counts = csr_array(
-        (np.ones(graph.col_indices.size), codes[graph.col_indices], graph.row_offsets),
+        (np.ones(graph.col_indices.size), np.take(codes, graph.col_indices), graph.row_offsets),
         shape=(n, width),
     )
     return counts.toarray()  # adds up repeated (row, code) entries
@@ -404,7 +427,9 @@ def degree_onehot(graph: SparseGraph, max_degree: int) -> LabelCodes:
     """One-hot node degrees as codes, clamped at ``max_degree`` (width max_degree + 1)."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    return LabelCodes._trusted(np.minimum(graph.degrees, max_degree), int(max_degree) + 1)
+    _check_index("max_degree", max_degree)
+    bound = int(max_degree)  # a Python int keeps the int32 degrees int32
+    return LabelCodes._trusted(np.minimum(graph.degrees, bound), bound + 1)
 
 
 def _distinct_draws(rng: np.random.Generator, max_m: int, m: int) -> np.ndarray:
@@ -429,9 +454,11 @@ def erdos_renyi(n: int, m: int, seed: int) -> SparseGraph:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_index("node count", n)
     max_m = n * (n - 1) // 2
     if m > max_m:
         raise ValueError(f"m={m} exceeds the {max_m} possible edges of {n} nodes")
+    _check_index("stored edge count", 2 * m)
     rng = np.random.default_rng(seed)
     if max_m <= 1 << 22 and m > max_m // 3:
         # Dense regime: enumerate all pairs and sample directly.
@@ -476,16 +503,17 @@ def induced_subgraph(graph: SparseGraph, keep) -> SparseGraph:
         return graph  # every node kept: the input is its own induced subgraph
     mask = np.zeros(graph.num_nodes, dtype=bool)
     mask[keep] = True
-    remap = np.full(graph.num_nodes, -1, dtype=np.int64)
+    remap = np.full(graph.num_nodes, -1, dtype=np.int32)
     remap[keep] = np.arange(keep.size)
     row_offsets, cols, degrees = graph.row_offsets, graph.col_indices, graph.degrees
+    # np.take, not fancy indexing: that first copies an int32 index to intp
     sel = np.repeat(mask, degrees)
-    sel &= mask[cols]
-    new_cols = remap[np.compress(sel, cols)]
+    sel &= np.take(mask, cols)
+    new_cols = np.take(remap, np.compress(sel, cols))
     kept_degrees = degrees[keep]
     live = kept_degrees > 0
-    kept_degrees[live] = np.add.reduceat(sel, row_offsets[keep[live]], dtype=np.int64)
-    offsets = np.zeros(keep.size + 1, dtype=np.int64)
+    kept_degrees[live] = np.add.reduceat(sel, row_offsets[keep[live]], dtype=np.int32)
+    offsets = np.zeros(keep.size + 1, dtype=np.int32)
     np.cumsum(kept_degrees, out=offsets[1:])
     # keep is sorted and distinct, so remap preserves row order, column
     # order and symmetry, and maps no edge onto a self-loop
@@ -497,7 +525,8 @@ def batch_graphs(graphs) -> GraphBatch:
 
     Pooling keeps at least one node per graph, so a graph without nodes is
     rejected here, naming its position; so is a graph whose features differ
-    from the first graph's in width or kind (codes or dense). A batch of one
+    from the first graph's in width or kind (codes or dense), and so are
+    merged node or stored edge totals past ``2**31 - 1``. A batch of one
     graph shares that graph's CSR and feature arrays.
     """
     graphs = list(graphs)
@@ -520,13 +549,15 @@ def batch_graphs(graphs) -> GraphBatch:
         return GraphBatch(graphs[0].graph, graphs[0].features, counts, labels)
     structures = [g.graph for g in graphs]
     edge_counts = np.array([g.col_indices.size for g in structures], dtype=np.int64)
+    _check_index("merged node count", int(counts.sum()))
+    _check_index("merged stored edge count", int(edge_counts.sum()))
     # shift every block's columns by its first node, every block's offsets
     # by its first edge; valid blocks on disjoint node ranges stay valid
     cols = np.concatenate([g.col_indices for g in structures])
-    cols += np.repeat(np.cumsum(counts) - counts, edge_counts)
-    offsets = np.zeros(int(counts.sum()) + 1, dtype=np.int64)
+    cols += np.repeat((np.cumsum(counts) - counts).astype(np.int32), edge_counts)
+    offsets = np.zeros(int(counts.sum()) + 1, dtype=np.int32)
     np.concatenate([g.row_offsets[1:] for g in structures], out=offsets[1:])
-    offsets[1:] += np.repeat(np.cumsum(edge_counts) - edge_counts, counts)
+    offsets[1:] += np.repeat((np.cumsum(edge_counts) - edge_counts).astype(np.int32), counts)
     if coded[0]:
         codes = np.concatenate([g.features.codes for g in graphs])
         features = LabelCodes._trusted(codes, int(dims[0]))

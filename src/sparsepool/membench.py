@@ -152,7 +152,9 @@ def _dense_plan(n: int):
     coarsened adjacency N_{l+1} x N_{l+1}, and the embedding activations
     N_l x F (F = ``FIG_FEATURES``) with their gradients. The level-1
     adjacency stays sparse (the input is sparse). This counts the minimal
-    buffers any such variant must hold.
+    buffers any such variant must hold. Its input CSR keeps 8-byte indices,
+    standing for PyTorch's int64 ``edge_index``, although the sparse model
+    measured by :func:`measure_sparse` stores int32 ones.
     """
     plan: list[tuple[str, int]] = [
         ("input_csr/row_offsets", (n + 1) * 8),

@@ -1,6 +1,7 @@
 """Graph container and structural-operation tests."""
 from __future__ import annotations
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import dense_spmm_oracle, random_graph
 from sparsepool import graphs
 from sparsepool.engine import Tape
 from sparsepool.graphs import (
+    LabelCodes,
     LabeledGraph,
     SparseGraph,
     _dense_pieces,
@@ -119,12 +121,90 @@ def edge_lists(draw):
     return n, canonical[list(draw(st.permutations(range(len(canonical)))))]
 
 
+LIMIT = 2**31 - 1  # the most nodes, stored edges or the largest code an int32 array holds
+
+
+@contextlib.contextmanager
+def no_allocation():
+    """numpy's allocating calls fail inside, so a range check that comes too
+    late fails the test instead of asking for gigabytes."""
+    with contextlib.ExitStack() as stack:
+        for name in ("zeros", "arange", "concatenate", "bincount"):
+            fail = AssertionError(f"np.{name} ran before the int32 range check")
+            stack.enter_context(mock.patch.object(np, name, side_effect=fail))
+        yield
+
+
+class TestInt32Limits:
+    """What an int32 index array cannot hold is rejected, naming the count,
+    before anything is narrowed (which would wrap) or allocated."""
+
+    def test_a_column_past_int32_is_out_of_range_not_wrapped(self):
+        # 2**32 + 1 narrows to 1, a valid column; the wide value is checked
+        with pytest.raises(ValueError, match="col_indices out of range"):
+            SparseGraph(2, [0, 1, 2], [2**32 + 1, 0])
+
+    def test_the_public_constructor_rejects_the_counts(self):
+        with pytest.raises(ValueError, match=f"node count {LIMIT + 1} exceeds"):
+            SparseGraph(LIMIT + 1, [0], [])
+        many = np.broadcast_to(np.int64(0), (LIMIT + 1,))  # no memory behind it
+        with no_allocation(), pytest.raises(ValueError, match=f"stored edge count {LIMIT + 1} "):
+            SparseGraph(1, [0, LIMIT + 1], many)
+
+    def test_the_check_of_int32_columns_does_not_wrap(self):
+        # the mirror code 49_999 * 50_000 passes 2**31 - 1
+        g = from_edge_list(50_000, [(0, 49_999)])
+        _validate_csr(g.num_nodes, g.row_offsets, g.col_indices)
+
+    def test_label_codes_reject_a_code_past_int32(self):
+        with pytest.raises(ValueError, match=f"label code {LIMIT + 1} exceeds"):
+            LabelCodes(np.array([0, LIMIT + 1]), LIMIT + 2)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\)"):
+            LabelCodes(np.array([2**32 + 1, 0]), 2)
+        assert LabelCodes(np.array([LIMIT]), LIMIT + 1).codes.tolist() == [LIMIT]
+
+    def test_from_edge_list_rejects_before_allocating(self):
+        with no_allocation(), pytest.raises(ValueError, match=f"node count {2**31} exceeds"):
+            from_edge_list(2**31, [])
+
+    def test_erdos_renyi_rejects_before_allocating(self):
+        with no_allocation(), pytest.raises(ValueError, match=f"node count {2**31} exceeds"):
+            erdos_renyi(2**31, 1, 0)
+        # 2**30 undirected edges are stored twice
+        with no_allocation(), pytest.raises(ValueError, match=f"stored edge count {2**31} "):
+            erdos_renyi(70_000, 2**30, 0)
+
+    def test_degree_onehot_rejects_a_cap_past_int32(self):
+        with pytest.raises(ValueError, match=f"max_degree {LIMIT + 1} exceeds"):
+            degree_onehot(path3(), LIMIT + 1)
+        assert degree_onehot(path3(), LIMIT).codes.dtype == np.int32
+
+    @pytest.mark.parametrize("nodes,stored,what", [
+        ((2**30, 2**30), (0, 0), f"merged node count {2**31} exceeds"),
+        ((1, 1), (2**30, 2**30), f"merged stored edge count {2**31} exceeds"),
+    ])
+    def test_batch_graphs_rejects_merged_totals(self, nodes, stored, what):
+        # trusted members whose arrays are views of one element: only the
+        # counts are large, and batch_graphs must stop at the counts
+        members = [
+            LabeledGraph._trusted(
+                SparseGraph._trusted(n, np.zeros(2, dtype=np.int32),
+                                     np.broadcast_to(np.int32(0), (e,))),
+                LabelCodes._trusted(np.zeros(0, dtype=np.int32), 1),
+                0,
+            )
+            for n, e in zip(nodes, stored)
+        ]
+        with no_allocation(), pytest.raises(ValueError, match=what):
+            batch_graphs(members)
+
+
 class TestEdgeListFastPath:
     @staticmethod
     def assert_same_bytes(a: SparseGraph, b: SparseGraph):
         assert a.num_nodes == b.num_nodes
         for x, y in ((a.row_offsets, b.row_offsets), (a.col_indices, b.col_indices)):
-            assert x.dtype == y.dtype == np.int64
+            assert x.dtype == y.dtype == np.int32
             assert x.flags.c_contiguous and y.flags.c_contiguous
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
@@ -385,7 +465,7 @@ class TestSpmmMean:
 class TestDegreeOnehot:
     def test_path(self):
         out = degree_onehot(path3(), 3)
-        assert out.shape == (3, 4) and out.nbytes == 3 * 8
+        assert out.shape == (3, 4) and out.nbytes == 3 * 4
         assert np.array_equal(out.codes, [1, 2, 1])
         dense = out.rows(0, 3)
         assert np.array_equal(np.argmax(dense, axis=1), [1, 2, 1])
@@ -555,9 +635,9 @@ class TestInducedSubgraphEdgeCases:
         keep = np.asarray(keep, dtype=np.int64)
         sub = induced_subgraph(graph, keep)
         offsets, cols = row_id_subgraph(graph, keep)
-        assert sub.row_offsets.dtype == sub.col_indices.dtype == np.int64
-        assert sub.row_offsets.tobytes() == offsets.tobytes()
-        assert sub.col_indices.tobytes() == cols.tobytes()
+        assert sub.row_offsets.dtype == sub.col_indices.dtype == np.int32
+        assert sub.row_offsets.tobytes() == offsets.astype(np.int32).tobytes()
+        assert sub.col_indices.tobytes() == cols.astype(np.int32).tobytes()
         assert np.array_equal(sub.to_dense(), graph.to_dense()[np.ix_(keep, keep)])
         SparseGraph(sub.num_nodes, sub.row_offsets, sub.col_indices)
         return sub

@@ -213,7 +213,11 @@ class TestSparse:
         n = 3000
         report = measure_sparse(n)
         csr = dict(report.breakdown)["graph/csr"]
-        assert csr == (n + 1) * 8 + 2 * (2 * n) * 8
+        assert csr == (n + 1) * 4 + 2 * (2 * n) * 4
+
+    def test_the_csr_is_four_bytes_an_index(self):
+        # G(500, 1000): 501 int32 offsets and 2 * 1000 int32 columns
+        assert dict(measure_sparse(500).breakdown)["graph/csr"] == 4 * 501 + 4 * 2000
 
     def test_breakdown_sums_to_peak(self):
         for report in (measure_sparse(1500), measure_dense_assignment(1500)):

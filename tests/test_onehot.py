@@ -70,7 +70,7 @@ class TestLabelCodes:
     def test_reads_like_the_one_hot_matrix(self):
         codes = np.array([2, 0, 1, 2])
         features = LabelCodes(codes, 3)
-        assert features.shape == (4, 3) and features.nbytes == codes.nbytes == 32
+        assert features.shape == (4, 3) and features.nbytes == 4 * 4
         assert features.rows(0, 4).tobytes() == onehot(codes, 3).tobytes()
         assert features.rows(1, 3).tobytes() == onehot(codes, 3)[1:3].tobytes()
         assert features.rows(0, 4).flags.c_contiguous
@@ -80,7 +80,7 @@ class TestLabelCodes:
         ref = weakref.ref(features)
         assert ref() is features
         copy = pickle.loads(pickle.dumps(features))
-        assert copy.width == 2 and copy.codes.dtype == np.int64
+        assert copy.width == 2 and copy.codes.dtype == np.int32
         assert np.array_equal(copy.codes, [1, 0, 1])
         dataset = parse_tu_dataset(fixtures_dir / "TOY24", "TOY24")
         revived = pickle.loads(pickle.dumps(dataset))
@@ -310,7 +310,7 @@ class TestCodesStayCodes:
         assert batch.features.shape == (n, width)
         tracker = NotingTracker()
         tracker.note(batch.features, "features")
-        assert dict(tracker.peak_breakdown())["features"] == n * np.dtype(np.int64).itemsize
+        assert dict(tracker.peak_breakdown())["features"] == n * np.dtype(np.int32).itemsize
         model = build_model(width, hidden, 2, seed=2)
         tape = Tape(tracker=tracker)
         logits = model_forward(tape, batch, model)

@@ -31,7 +31,7 @@ def assert_valid(graph) -> None:
     """Everything ``SparseGraph(...)`` checks or converts, checked directly."""
     assert type(graph.num_nodes) is int
     for arr in (graph.row_offsets, graph.col_indices):
-        assert arr.dtype == np.int64 and arr.flags.c_contiguous
+        assert arr.dtype == np.int32 and arr.flags.c_contiguous
     _validate_csr(graph.num_nodes, graph.row_offsets, graph.col_indices)
 
 
@@ -41,7 +41,7 @@ def assert_valid_labeled(labeled) -> None:
     feats = labeled.features
     if isinstance(feats, graphs.LabelCodes):
         codes = feats.codes
-        assert codes.dtype == np.int64 and codes.flags.c_contiguous and codes.ndim == 1
+        assert codes.dtype == np.int32 and codes.flags.c_contiguous and codes.ndim == 1
         assert type(feats.width) is int and feats.width >= 1
         assert codes.size == labeled.graph.num_nodes
         assert codes.size == 0 or (codes.min() >= 0 and codes.max() < feats.width)
@@ -165,6 +165,30 @@ class TestTrustedParse:
         monkeypatch.setattr(graphs, "_validate_csr", lambda *a: calls.append(a) or checked(*a))
         ds = parse_tu_dataset(fixtures_dir / "TOY24", "TOY24")
         assert len(ds.graphs) == 24 and len(calls) <= 1
+
+
+def construction_paths(toy):
+    """One graph or labeled graph from each way the package builds one."""
+    canonical = [(0, 1), (1, 0), (1, 2), (2, 1)]  # the CSR in pair form
+    assert graphs._is_canonical(3, np.array(canonical))
+    assert not graphs._is_canonical(3, np.array([(1, 2), (0, 1)]))
+    path = from_edge_list(3, canonical)
+    batch = batch_graphs([LabeledGraph(path, graphs.degree_onehot(path, 2), 0)] * 2)
+    return {
+        "public": SparseGraph(3, [0, 1, 3, 4], np.array([1, 0, 2, 1], dtype=np.uint8)),
+        "public codes": LabeledGraph(path, graphs.LabelCodes(np.array([2, 0, 1]), 3), 0),
+        "edge list, canonical": path,
+        "edge list, mirrored": from_edge_list(3, [(1, 2), (0, 1)]),
+        "subgraph": induced_subgraph(path, [0, 1]),
+        "batch of degree codes": LabeledGraph._trusted(batch.graph, batch.features, 0),
+        "parsed, degree codes": parse_tu_dataset(toy, "TOY24").graphs[5],
+    }
+
+
+def test_every_construction_path_stores_int32(fixtures_dir):
+    for name, built in construction_paths(fixtures_dir / "TOY24").items():
+        check = assert_valid_labeled if isinstance(built, LabeledGraph) else assert_valid
+        check(built)
 
 
 def test_no_validation_inside_subgraph_and_batch(monkeypatch):
