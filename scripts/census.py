@@ -96,9 +96,9 @@ REASONS: dict[str, tuple[int, str]] = {
                                              "or one that refuses it; glibc pins"),
     "sparsepool.engine.finite_diff_check": (16, "the finite-difference oracle of the tests"),
     "sparsepool.graphs.LabeledGraph.__post_init__": (2, CHECKED),
-    "sparsepool.graphs.SparseGraph.__post_init__": (5, CHECKED),
+    "sparsepool.graphs.SparseGraph.__post_init__": (3, CHECKED),
     "sparsepool.graphs.SparseGraph.to_dense": (4, "the dense oracle of the tests"),
-    "sparsepool.graphs._validate_csr": (17, CHECKED),
+    "sparsepool.graphs._validate_csr": (19, CHECKED),
     "sparsepool.graphs.batch_graphs": (3, "picks the error of a bad batch; commands batch "
                                           "graphs of one parsed dataset"),
     "sparsepool.layers._select_topk": (7, MARGIN),

@@ -408,7 +408,7 @@ class Tape:
         coded = isinstance(xv, _graphs.LabelCodes)  # from a leaf, so without a gradient slot
 
         def project(m):  # X @ m
-            # np.take gathers rows by the int32 codes without an intp copy of them
+            # np.take gathers rows by the int32 codes faster than fancy indexing
             return np.take(m, xv.codes, axis=0) if coded else _segmented_matmul(xv, m, segments)
 
         agg_first = tv.shape[0] < tv.shape[1]

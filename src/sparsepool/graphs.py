@@ -52,12 +52,18 @@ def _check_index(what: str, count: int) -> None:
         raise ValueError(f"{what} {count} exceeds the int32 index limit {_INDEX_MAX}")
 
 
-def _validate_csr(num_nodes: int, offsets: np.ndarray, cols: np.ndarray) -> None:
+def _validate_csr(num_nodes: int, offsets, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Check a CSR as given and return its arrays widened to int64.
+
+    The checks run on the wide values, so a value past int32 is rejected,
+    not wrapped, and int32 columns times ``num_nodes`` cannot wrap either.
+    """
     if num_nodes < 0:
         raise ValueError("num_nodes must be non-negative")
+    offsets = np.asarray(offsets, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
     _check_index("node count", num_nodes)
     _check_index("stored edge count", cols.size)
-    cols = np.asarray(cols, dtype=np.int64)  # int32 columns times num_nodes would wrap
     if offsets.shape != (num_nodes + 1,):
         raise ValueError(f"row_offsets must have length {num_nodes + 1}, got {offsets.shape}")
     if offsets[0] != 0 or offsets[-1] != cols.size:
@@ -65,7 +71,7 @@ def _validate_csr(num_nodes: int, offsets: np.ndarray, cols: np.ndarray) -> None
     if np.any(np.diff(offsets) < 0):
         raise ValueError("row_offsets must be non-decreasing")
     if cols.size == 0:
-        return
+        return offsets, cols
     if cols.min() < 0 or cols.max() >= num_nodes:
         raise ValueError("col_indices out of range")
     row_ids = np.repeat(np.arange(num_nodes), np.diff(offsets))
@@ -78,6 +84,7 @@ def _validate_csr(num_nodes: int, offsets: np.ndarray, cols: np.ndarray) -> None
     rev = cols * num_nodes + row_ids
     if not np.array_equal(np.sort(code), np.sort(rev)):
         raise ValueError("adjacency is not symmetric")
+    return offsets, cols
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +103,7 @@ class SparseGraph:
     col_indices: np.ndarray
 
     def __post_init__(self) -> None:
-        # checked as given, so a value past int32 is rejected, not wrapped
-        offsets = np.asarray(self.row_offsets, dtype=np.int64)
-        cols = np.asarray(self.col_indices, dtype=np.int64)
-        _validate_csr(self.num_nodes, offsets, cols)
+        offsets, cols = _validate_csr(self.num_nodes, self.row_offsets, self.col_indices)
         object.__setattr__(self, "row_offsets", np.ascontiguousarray(offsets, dtype=np.int32))
         object.__setattr__(self, "col_indices", np.ascontiguousarray(cols, dtype=np.int32))
 
@@ -506,7 +510,7 @@ def induced_subgraph(graph: SparseGraph, keep) -> SparseGraph:
     remap = np.full(graph.num_nodes, -1, dtype=np.int32)
     remap[keep] = np.arange(keep.size)
     row_offsets, cols, degrees = graph.row_offsets, graph.col_indices, graph.degrees
-    # np.take, not fancy indexing: that first copies an int32 index to intp
+    # np.take gathers by an int32 index faster than fancy indexing does
     sel = np.repeat(mask, degrees)
     sel &= np.take(mask, cols)
     new_cols = np.take(remap, np.compress(sel, cols))

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +12,11 @@ from sparsepool.engine import Tape
 from sparsepool.graphs import LabelCodes, LabeledGraph, SparseGraph, degree_onehot, from_edge_list
 from sparsepool.layers import build_model, model_forward
 
-# The suite draws the same inputs on every run. SPARSEPOOL_HYPOTHESIS=explore
+# The suite draws the same inputs on every run. `pytest --hypothesis-profile=explore`
 # draws 400 fresh random examples a property instead, to search for failures.
 settings.register_profile("suite", max_examples=50, deadline=None, derandomize=True)
 settings.register_profile("explore", max_examples=400, deadline=None)
-settings.load_profile(os.environ.get("SPARSEPOOL_HYPOTHESIS", "suite"))
+settings.load_profile("suite")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -209,15 +209,11 @@ class TestSparse:
 
     def test_a_graph_kept_whole_is_noted_once(self):
         # ratio 1.0 pools every level onto the input graph itself; G(n, 2n)
-        # stores each of its 2n edges in both directions
-        n = 3000
-        report = measure_sparse(n)
-        csr = dict(report.breakdown)["graph/csr"]
-        assert csr == (n + 1) * 4 + 2 * (2 * n) * 4
-
-    def test_the_csr_is_four_bytes_an_index(self):
-        # G(500, 1000): 501 int32 offsets and 2 * 1000 int32 columns
-        assert dict(measure_sparse(500).breakdown)["graph/csr"] == 4 * 501 + 4 * 2000
+        # stores each of its 2n edges in both directions, as n + 1 int32
+        # offsets and 2 * 2n int32 columns
+        for n in (500, 3000):
+            csr = dict(measure_sparse(n).breakdown)["graph/csr"]
+            assert csr == (n + 1) * 4 + 2 * (2 * n) * 4
 
     def test_breakdown_sums_to_peak(self):
         for report in (measure_sparse(1500), measure_dense_assignment(1500)):
