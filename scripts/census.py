@@ -21,7 +21,10 @@ the stdlib ``ast`` module:
   ``if``, and one for each ``and``/``or`` operand after the first.
 
 ``Tape methods`` counts the methods of the ``Tape`` class whose names do
-not start with an underscore.
+not start with an underscore. ``public names`` counts the names a package
+``__init__.py`` re-exports: those its module-level imports bind, leaving
+out names that start with an underscore (the submodules an import binds as
+package attributes are not counted).
 
 ``unreached`` counts the statements that no traffic runs. One child
 process imports the package from SRC under ``sys.settrace``, installed
@@ -162,11 +165,20 @@ def tape_methods(text: str) -> int:
     return 0
 
 
+def public_names(text: str) -> int:
+    """Names a package ``__init__`` binds by its module-level imports,
+    leaving out those that start with an underscore."""
+    return sum(not (alias.asname or alias.name.split(".")[0]).startswith("_")
+               for node in ast.parse(text).body
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names)
+
+
 def static_census(src: Path) -> tuple[list[tuple[str, dict[str, int]]], dict[str, int]]:
     """Per-module counts of every ``.py`` file under ``src``, and their sum
-    with the public ``Tape`` methods."""
+    with the public ``Tape`` methods and the names the packages re-export."""
     rows = []
-    total = dict.fromkeys(STATIC + ("tape_methods",), 0)
+    total = dict.fromkeys(STATIC + ("tape_methods", "public_names"), 0)
     for path in sorted(src.rglob("*.py")):
         text = path.read_text()
         counts = count_source(text)
@@ -174,6 +186,8 @@ def static_census(src: Path) -> tuple[list[tuple[str, dict[str, int]]], dict[str
         for key, value in counts.items():
             total[key] += value
         total["tape_methods"] += tape_methods(text)
+        if path.name == "__init__.py":
+            total["public_names"] += public_names(text)
     return rows, total
 
 
@@ -363,6 +377,7 @@ def _row(name: str, counts: dict) -> str:
 
 def _tape_lines(total: dict) -> list[str]:
     return [f"Tape methods: {total['tape_methods']}",
+            f"public names: {total['public_names']}",
             f"records per step: {total['records_per_step']}"]
 
 

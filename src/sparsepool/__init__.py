@@ -25,13 +25,9 @@ from .engine import (
 )
 from .layers import (
     HierarchicalModel,
-    MLPHead,
-    MPConvLayer,
-    TopKPoolLayer,
     build_model,
     forward_summaries,
     model_forward,
-    mpconv_forward,
     topk_pool,
 )
 from .datasets import (

@@ -1,8 +1,9 @@
-"""Model layers: mean-aggregation convolution, gated top-k pooling, mean/max
-readout, and their composition into the stacked classifier."""
+"""The model and its forward pass: mean-aggregation convolution, gated top-k
+pooling and mean/max readout. :class:`HierarchicalModel` holds one ``(theta,
+theta_skip, p)`` tuple of :class:`engine.Parameter` per conv-pool block and the
+head's ``(w1, b1, w2, b2)``; ``parameters()``, and so a parameter file, lists
+them in that order."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,13 +11,9 @@ from .engine import Parameter, Tape, Var, glorot_init
 from .graphs import GraphBatch, SparseGraph, induced_subgraph
 
 __all__ = [
-    "MPConvLayer",
-    "TopKPoolLayer",
-    "MLPHead",
     "HierarchicalModel",
     "build_model",
     "kept_count",
-    "mpconv_forward",
     "topk_pool",
     "forward_summaries",
     "model_forward",
@@ -31,75 +28,41 @@ NUM_BLOCKS = 3
 READOUT_POSITION = "post_pool"
 
 
-@dataclass(eq=False)
-class MPConvLayer:
-    """Mean-aggregation convolution with a skip projection (two F x F' maps)."""
-
-    theta: Parameter
-    theta_skip: Parameter
-
-    def __post_init__(self) -> None:
-        if self.theta.value.shape != self.theta_skip.value.shape:
-            raise ValueError("theta and theta_skip must share one shape")
-
-    @property
-    def out_dim(self) -> int:
-        return self.theta.value.shape[1]
-
-
-@dataclass(eq=False)
-class TopKPoolLayer:
-    """Projection-score pooling that keeps the top ceil(ratio * N) nodes."""
-
-    p_vec: Parameter
-    ratio: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.ratio <= 1.0:
-            raise ValueError(f"pool ratio must be in (0, 1], got {self.ratio}")
-        if self.p_vec.value.ndim != 1:
-            raise ValueError("p_vec must be 1-D")
-
-
-@dataclass(eq=False)
-class MLPHead:
-    """Two-layer classifier head: 2F' -> F' (ReLU) -> C, with biases."""
-
-    w1: Parameter
-    b1: Parameter
-    w2: Parameter
-    b2: Parameter
-
-
 class HierarchicalModel:
     """Stack of conv-pool blocks with per-block readout and an MLP head.
 
-    All blocks share one hidden width so the per-block summaries can be
+    ``blocks`` holds one ``(theta, theta_skip, p)`` tuple per block: the
+    conv's two F x F' maps (aggregated and skip) and the pool's projection
+    vector of length F'. ``head`` is ``(w1, b1, w2, b2)``, the 2F' -> F'
+    (ReLU) -> C classifier. Every block pools with the one ``pool_ratio``.
+    All blocks share one hidden width F' so the per-block summaries can be
     summed into a single fixed-size vector.
     """
 
-    def __init__(self, blocks, head: MLPHead, readout_position: str = READOUT_POSITION):
+    def __init__(self, blocks, head, pool_ratio: float, readout_position: str):
+        if not 0.0 < pool_ratio <= 1.0:
+            raise ValueError(f"pool ratio must be in (0, 1], got {pool_ratio}")
         if readout_position not in READOUT_POSITIONS:
             raise ValueError(f"readout_position must be one of {READOUT_POSITIONS}")
         blocks = list(blocks)
         if not blocks:
             raise ValueError("model needs at least one conv-pool block")
-        hidden = blocks[0][0].out_dim
-        for conv, pool in blocks:
-            if conv.out_dim != hidden:
+        hidden = blocks[0][0].value.shape[1]
+        for theta, theta_skip, p in blocks:
+            if theta.value.shape != theta_skip.value.shape:
+                raise ValueError("theta and theta_skip must share one shape")
+            if theta.value.shape[1] != hidden:
                 raise ValueError("all blocks must share one hidden width")
-            if pool.p_vec.value.shape != (hidden,):
+            if p.value.shape != (hidden,):
                 raise ValueError("pool projection length must equal the hidden width")
         self.blocks = blocks
-        self.head = head
+        self.head = tuple(head)
+        self.pool_ratio = pool_ratio
         self.readout_position = readout_position
 
     def parameters(self) -> list[Parameter]:
-        out = []
-        for conv, pool in self.blocks:
-            out.extend([conv.theta, conv.theta_skip, pool.p_vec])
-        out.extend([self.head.w1, self.head.b1, self.head.w2, self.head.b2])
-        return out
+        """Each block's theta, theta_skip and p, then the head's w1, b1, w2, b2."""
+        return [p for block in self.blocks for p in block] + list(self.head)
 
     def load_state(self, entries) -> None:
         """Assign named parameter values (e.g. from a parameter file)."""
@@ -135,22 +98,18 @@ def build_model(
     blocks = []
     for i in range(num_blocks):
         fin = in_dim if i == 0 else hidden_dim
-        conv = MPConvLayer(
+        blocks.append((
             Parameter(f"block{i}.theta", glorot_init(fin, hidden_dim, int(next(seeds)))),
             Parameter(f"block{i}.theta_skip", glorot_init(fin, hidden_dim, int(next(seeds)))),
-        )
-        pool = TopKPoolLayer(
             Parameter(f"block{i}.p", glorot_init(hidden_dim, 1, int(next(seeds))).ravel()),
-            pool_ratio,
-        )
-        blocks.append((conv, pool))
-    head = MLPHead(
+        ))
+    head = (
         Parameter("head.w1", glorot_init(2 * hidden_dim, hidden_dim, int(next(seeds)))),
         Parameter("head.b1", np.zeros((1, hidden_dim))),
         Parameter("head.w2", glorot_init(hidden_dim, num_classes, int(next(seeds)))),
         Parameter("head.b2", np.zeros((1, num_classes))),
     )
-    return HierarchicalModel(blocks, head, readout_position)
+    return HierarchicalModel(blocks, head, pool_ratio, readout_position)
 
 
 def kept_count(n: int, ratio: float) -> int:
@@ -165,22 +124,6 @@ def _kept_counts(counts: np.ndarray, ratio: float) -> np.ndarray:
     0.8 * 5 -> 4.0000000000000002) from inflating the count.
     """
     return np.clip(np.ceil(ratio * counts - 1e-9), 1, counts).astype(np.int64)
-
-
-def mpconv_forward(tape: Tape, graph: SparseGraph, x: Var, layer: MPConvLayer, segments) -> Var:
-    """ReLU(mean_aggregate(X) @ theta + X @ theta_skip), one tape record.
-
-    The record (:meth:`Tape.mpconv`) aggregates on the narrower side of
-    theta and saves X (or, when X is a pool output, the pool's way to
-    rebuild it), the ReLU output and, when theta has fewer rows than
-    columns, mean_aggregate(X). ``segments`` (per-graph node counts of a
-    block-diagonal batch; ``[n]`` for one graph) keeps the products
-    bit-identical with per-graph runs. An X of :class:`graphs.LabelCodes`
-    has its products taken as row gathers and its aggregation counted, with
-    the bytes of the one-hot matrix's dense path, and nothing N x
-    ``in_dim`` is saved.
-    """
-    return tape.mpconv(graph, x, tape.param(layer.theta), tape.param(layer.theta_skip), segments)
 
 
 def _select_topk(scores: np.ndarray, counts, ratio: float, margin):
@@ -226,14 +169,10 @@ def _select_topk(scores: np.ndarray, counts, ratio: float, margin):
     return np.sort(order[rank < k[:, None]]), k
 
 
-def _topk_pool_segments(tape, x, layer, counts):
+def _topk_pool_segments(tape, x, p, ratio, counts):
     """Gated kept rows, their indices and the kept count of each segment."""
-    return tape.topk_gate(
-        x,
-        tape.param(layer.p_vec),
-        counts,
-        lambda scores, margin: _select_topk(scores, counts, layer.ratio, margin),
-    )
+    return tape.topk_gate(x, tape.param(p), counts,
+                          lambda scores, margin: _select_topk(scores, counts, ratio, margin))
 
 
 def _pooled_graph(tape, graph, idx):
@@ -246,27 +185,30 @@ def _pooled_graph(tape, graph, idx):
     return sub
 
 
-def topk_pool(tape: Tape, graph: SparseGraph, x: Var, layer: TopKPoolLayer):
+def topk_pool(tape: Tape, graph: SparseGraph, x: Var, p: Parameter, ratio: float):
     """Score, gate and slice one graph; returns (graph', X', kept indices).
 
-    Scores are X p / ||p||; kept rows are gated by tanh(score) so the
-    projection vector receives gradient. Gradient flows into retained rows
-    of X only. One record (:meth:`Tape.topk_gate`) gates only the kept
-    rows, so no full-size gated copy of X is made. It saves X and the gates
-    and raw scores of the kept rows. X' is not saved: the next conv
-    rebuilds its rows from those saves in backward.
+    Scores are X p / ||p||, and the top ceil(ratio * N) rows are kept (ties:
+    lower index). Kept rows are gated by tanh(score) so the projection
+    vector receives gradient. Gradient flows into retained rows of X only.
+    One record (:meth:`Tape.topk_gate`) gates only the kept rows, so no
+    full-size gated copy of X is made. It saves X and the gates and raw
+    scores of the kept rows. X' is not saved: the next conv rebuilds its
+    rows from those saves in backward.
     """
     if graph.num_nodes == 0:
         raise ValueError("cannot pool an empty graph")
-    pooled_x, idx, _ = _topk_pool_segments(tape, x, layer, np.array([graph.num_nodes]))
+    pooled_x, idx, _ = _topk_pool_segments(tape, x, p, ratio, np.array([graph.num_nodes]))
     return _pooled_graph(tape, graph, idx), pooled_x, idx
 
 
 def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -> Var:
     """Per-graph summary vectors (num_graphs x 2F'), summed over all blocks.
 
-    Each block's readout adds into the running sum of the earlier blocks'
-    readouts (:meth:`Tape.segment_readout`). Features held as
+    A block is one :meth:`Tape.mpconv` record on its theta and theta_skip
+    and one :meth:`Tape.topk_gate` record on its p. Each block's readout
+    adds into the running sum of the earlier blocks' readouts
+    (:meth:`Tape.segment_readout`). Features held as
     :class:`graphs.LabelCodes` (node labels, degrees) go to block 0 as they
     are; its outputs are the bytes the dense one-hot matrix would give. The
     pooled graph is sliced only when another block reads it, and with
@@ -280,16 +222,16 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
     x = tape.leaf(batch.features)
     summary = None
     last = len(model.blocks) - 1
-    for i, (conv, pool) in enumerate(model.blocks):
+    for i, (theta, theta_skip, p) in enumerate(model.blocks):
         if i:
             graph = _pooled_graph(tape, graph, idx)
-        h = mpconv_forward(tape, graph, x, conv, counts)
+        h = tape.mpconv(graph, x, tape.param(theta), tape.param(theta_skip), counts)
         x = None  # read by nothing else
         if model.readout_position == "pre_pool":
             summary = tape.segment_readout(h, counts, summary)
             if i == last:
                 break  # nothing reads the last pool's output
-        x, idx, counts = _topk_pool_segments(tape, h, pool, counts)
+        x, idx, counts = _topk_pool_segments(tape, h, p, model.pool_ratio, counts)
         h = None  # a recording tape keeps what its backward reads
         if model.readout_position == "post_pool":
             summary = tape.segment_readout(x, counts, summary)
@@ -298,8 +240,5 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
 
 def model_forward(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -> Var:
     """Logits (num_graphs x C) for a batch; bit-equal to per-graph runs stacked."""
-    head = model.head
-    return tape.mlp_head(
-        forward_summaries(tape, batch, model),
-        *(tape.param(p) for p in (head.w1, head.b1, head.w2, head.b2)),
-    )
+    return tape.mlp_head(forward_summaries(tape, batch, model),
+                         *(tape.param(p) for p in model.head))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Tape
-from .graphs import LabeledGraph, batch_graphs, erdos_renyi
+from .graphs import LabeledGraph, _check_index, batch_graphs, erdos_renyi
 from .layers import build_model, kept_count, model_forward
 
 __all__ = [
@@ -228,6 +228,9 @@ def scaling_sweep(sizes, budget_bytes: int | None = None, *, seed: int = 0) -> S
         raise ValueError(f"a slope fit needs at least two sizes, got {len(sizes)}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending")
+    # erdos_renyi's int32 checks, before any pass: the largest n stores at most 4n edges
+    _check_index("node count", sizes[-1])
+    _check_index("stored edge count", 4 * sizes[-1])
     sparse = [measure_sparse(n, budget_bytes=budget_bytes, seed=seed) for n in sizes]
     dense = [measure_dense_assignment(n, budget_bytes=budget_bytes) for n in sizes]
     return SweepResult(sizes=sizes, sparse=sparse, dense=dense)

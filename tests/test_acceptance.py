@@ -28,7 +28,7 @@ from sparsepool.cli import main as cli_main
 from sparsepool.datasets import parse_tu_dataset
 from sparsepool.engine import Parameter, Tape, finite_diff_check
 from sparsepool.graphs import LabeledGraph, batch_graphs
-from sparsepool.layers import TopKPoolLayer, model_forward, topk_pool
+from sparsepool.layers import model_forward, topk_pool
 from sparsepool.membench import scaling_sweep
 from sparsepool.training import TrainConfig, cross_validate, evaluate, train_one
 
@@ -79,8 +79,7 @@ def test_criterion_2_pooling_matches_dense_oracle():
             x = rng.standard_normal((n, f))
             p = rng.standard_normal(f)
             ratio = float(rng.uniform(0.05, 1.0))
-            layer = TopKPoolLayer(Parameter("p", p), ratio)
-            sub, pooled, idx = topk_pool(Tape(), graph, Tape().leaf(x), layer)
+            sub, pooled, idx = topk_pool(Tape(), graph, Tape().leaf(x), Parameter("p", p), ratio)
             o_idx, o_feats, o_adj = dense_topk_oracle(graph.to_dense(), x, p, ratio)
             assert np.array_equal(idx, o_idx)
             assert np.array_equal(pooled.value, o_feats)

@@ -56,6 +56,32 @@ def test_counts_each_kind_once():
         "branches": 10,
     }
     assert census.tape_methods(SOURCE) == 1
+    assert census.public_names(SOURCE) == 2  # dataclass, field
+
+
+INIT_SOURCE = '''\
+"""A package."""
+from .graphs import (
+    SparseGraph,
+    batch_graphs as batch,
+    _check_index,
+)
+from .engine import Tape as _Tape, Var
+from numpy import ndarray
+import os.path
+
+__all__ = [name for name in dir() if not name.startswith("_")]
+
+
+def later():
+    from .layers import build_model
+'''
+
+
+def test_public_names_counts_the_module_level_imports():
+    # SparseGraph, batch, Var, ndarray, os; not the private names or the
+    # import inside a function
+    assert census.public_names(INIT_SOURCE) == 5
 
 
 def test_src_totals_are_the_sum_of_the_module_rows():
@@ -65,6 +91,8 @@ def test_src_totals_are_the_sum_of_the_module_rows():
     for key in census.STATIC:
         assert total[key] == sum(counts[key] for _, counts in rows)
     assert total["tape_methods"] >= 1
+    init = (ROOT / "src" / "sparsepool" / "__init__.py").read_text()
+    assert total["public_names"] == census.public_names(init) >= 1
 
 
 REACH_SOURCE = '''\

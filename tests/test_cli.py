@@ -257,13 +257,20 @@ class TestBenchMem:
         assert "a slope fit needs at least two sizes" in capsys.readouterr().err
         assert not (out / "membench.csv").exists()
 
-    def test_a_size_past_int32_exits_2(self, tmp_path, capsys):
+    def test_a_size_past_int32_exits_2(self, tmp_path, capsys, monkeypatch):
+        from sparsepool import membench
+
+        passes = []
+        measure = membench.measure_sparse
+        monkeypatch.setattr(membench, "measure_sparse",
+                            lambda n, **kw: passes.append(n) or measure(n, **kw))
         out = tmp_path / "mem"
         assert main(["bench-mem", "--sizes", "1000,3000000000", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: node count 3000000000 exceeds the int32 index limit 2147483647\n"
         )
         assert not (out / "membench.csv").exists()
+        assert passes == []  # no size was measured before the rejection
 
     def test_negative_seed_exits_2(self, capsys):
         assert main(["bench-mem", "--sizes", "50,100", "--seed", "-1"]) == 2

@@ -30,15 +30,12 @@ from sparsepool.graphs import (
 )
 from sparsepool.layers import (
     HierarchicalModel,
-    MPConvLayer,
-    TopKPoolLayer,
     _kept_counts,
     _select_topk,
     build_model,
     forward_summaries,
     kept_count,
     model_forward,
-    mpconv_forward,
     topk_pool,
 )
 from sparsepool.membench import MemoryTracker
@@ -76,31 +73,33 @@ class TestKeptCount:
 class TestMPConv:
     def test_identity_theta_single_node(self):
         tape = Tape()
-        layer = MPConvLayer(Parameter("t", [[1.0]]), Parameter("s", [[0.0]]))
-        out = mpconv_forward(tape, from_edge_list(1, []), var(tape, [[5.0]]), layer, [1])
+        theta, skip = Parameter("t", [[1.0]]), Parameter("s", [[0.0]])
+        graph, x = from_edge_list(1, []), var(tape, [[5.0]])
+        out = tape.mpconv(graph, x, tape.param(theta), tape.param(skip), [1])
         assert np.array_equal(out.value, [[5.0]])
 
     def test_pure_skip_path_is_relu(self):
         tape = Tape()
         eye = np.eye(2)
-        layer = MPConvLayer(Parameter("t", np.zeros((2, 2))), Parameter("s", eye))
+        theta, skip = Parameter("t", np.zeros((2, 2))), Parameter("s", eye)
         x = np.array([[1.5, -2.0], [-0.5, 3.0]])
-        out = mpconv_forward(tape, from_edge_list(2, [(0, 1)]), var(tape, x), layer, [2])
+        graph = from_edge_list(2, [(0, 1)])
+        out = tape.mpconv(graph, var(tape, x), tape.param(theta), tape.param(skip), [2])
         assert np.array_equal(out.value, np.maximum(x, 0.0))
 
     def test_k2_hand_value(self):
         tape = Tape()
-        layer = MPConvLayer(Parameter("t", [[1.0]]), Parameter("s", [[1.0]]))
-        out = mpconv_forward(
-            tape, from_edge_list(2, [(0, 1)]), var(tape, [[2.0], [4.0]]), layer, [2]
-        )
+        theta, skip = Parameter("t", [[1.0]]), Parameter("s", [[1.0]])
+        graph, x = from_edge_list(2, [(0, 1)]), var(tape, [[2.0], [4.0]])
+        out = tape.mpconv(graph, x, tape.param(theta), tape.param(skip), [2])
         assert np.array_equal(out.value, [[5.0], [7.0]])
 
     def test_rejects_wrong_width(self):
         tape = Tape()
-        layer = MPConvLayer(Parameter("t", np.zeros((3, 2))), Parameter("s", np.zeros((3, 2))))
-        with pytest.raises(ValueError):
-            mpconv_forward(tape, from_edge_list(1, []), var(tape, [[1.0]]), layer, [1])
+        theta, skip = Parameter("t", np.zeros((3, 2))), Parameter("s", np.zeros((3, 2)))
+        graph, x = from_edge_list(1, []), var(tape, [[1.0]])
+        with pytest.raises(ValueError, match="mpconv shape mismatch"):
+            tape.mpconv(graph, x, tape.param(theta), tape.param(skip), [1])
 
     # (in_dim, out_dim, widths of the N-row activations a block keeps): with
     # in_dim >= out_dim the aggregation runs after theta and only the ReLU
@@ -112,19 +111,17 @@ class TestMPConv:
         rng = np.random.default_rng(10 * f_in + f_out)
         graph = random_graph(rng, 6)
         x = rng.standard_normal((6, f_in))
-        layer = MPConvLayer(
-            Parameter("t", rng.standard_normal((f_in, f_out))),
-            Parameter("s", rng.standard_normal((f_in, f_out))),
-        )
-        return graph, x, layer, rng.integers(f_out, size=6)
+        theta = Parameter("t", rng.standard_normal((f_in, f_out)))
+        skip = Parameter("s", rng.standard_normal((f_in, f_out)))
+        return graph, x, (theta, skip), rng.integers(f_out, size=6)
 
     @pytest.mark.parametrize("f_in,f_out,kept", ORDERS)
     def test_both_orders_match_the_dense_oracle(self, f_in, f_out, kept):
-        graph, x, layer, _ = self.conv_case(f_in, f_out)
+        graph, x, (theta, skip), _ = self.conv_case(f_in, f_out)
         tape = Tape()
-        out = mpconv_forward(tape, graph, tape.leaf(x), layer, [6])
+        out = tape.mpconv(graph, tape.leaf(x), tape.param(theta), tape.param(skip), [6])
         aggregated = dense_spmm_oracle(graph.to_dense(), x)
-        expected = np.maximum(aggregated @ layer.theta.value + x @ layer.theta_skip.value, 0.0)
+        expected = np.maximum(aggregated @ theta.value + x @ skip.value, 0.0)
         assert np.allclose(out.value, expected, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("f_in,f_out,kept", ORDERS)
@@ -134,24 +131,27 @@ class TestMPConv:
     @pytest.mark.parametrize("f_in,f_out,kept", ORDERS)
     def test_finite_differences_on_a_dense_graph(self, f_in, f_out, kept):
         # 13 of 15 possible edges: one dense piece, aggregated by a BLAS product
-        _, x, layer, labels = self.conv_case(f_in, f_out)
+        _, x, params, labels = self.conv_case(f_in, f_out)
         graph = erdos_renyi(6, 13, seed=f_in + f_out)
         assert _dense_pieces(graph)[1].tolist() == [True]
-        self.check_finite_differences(graph, x, layer, labels)
+        self.check_finite_differences(graph, x, params, labels)
 
     @staticmethod
-    def check_finite_differences(graph, x, layer, labels):
+    def check_finite_differences(graph, x, params, labels):
+        theta, skip = params
         seen = Margins()
-        mpconv_forward(Tape(tracker=seen), graph, Tape().leaf(x), layer, [6])
+        probe = Tape(tracker=seen)
+        probe.mpconv(graph, Tape().leaf(x), probe.param(theta), probe.param(skip), [6])
         assert seen["relu_margin"] > 1e-3  # finite differences cannot cross a kink
 
         def loss_and_grads(x_value, needs_grad):
             tape = Tape()
             xv = tape.leaf(x_value, needs_grad=needs_grad)
-            loss = tape.softmax_xent(mpconv_forward(tape, graph, xv, layer, [6]), labels)
+            out = tape.mpconv(graph, xv, tape.param(theta), tape.param(skip), [6])
+            loss = tape.softmax_xent(out, labels)
             tape.backward(loss)
-            theta_grad = layer.theta.grad.copy()
-            for p in (layer.theta, layer.theta_skip):
+            theta_grad = theta.grad.copy()
+            for p in (theta, skip):
                 p.grad[...] = 0.0
             return float(loss.value), (xv.slot.grad if needs_grad else None), theta_grad
 
@@ -160,19 +160,20 @@ class TestMPConv:
             return value, grad
 
         def wrt_theta(t):
-            layer.theta.value[...] = t
+            theta.value[...] = t
             value, _, grad = loss_and_grads(x, False)  # X without a gradient slot
             return value, grad
 
         assert finite_diff_check(wrt_x, x.copy()) < 1e-6
-        assert finite_diff_check(wrt_theta, layer.theta.value.copy()) < 1e-6
+        assert finite_diff_check(wrt_theta, theta.value.copy()) < 1e-6
 
     @pytest.mark.parametrize("f_in,f_out,kept", ORDERS)
     def test_records_keep_only_what_backward_reads(self, f_in, f_out, kept):
-        graph, x, layer, _ = self.conv_case(f_in, f_out)
+        graph, x, (theta, skip), _ = self.conv_case(f_in, f_out)
         tracker = MemoryTracker()
         tape = Tape(tracker=tracker)
-        out = mpconv_forward(tape, graph, tape.leaf(x, needs_grad=True), layer, [6])
+        xv = tape.leaf(x, needs_grad=True)
+        out = tape.mpconv(graph, xv, tape.param(theta), tape.param(skip), [6])
         assert out.value.shape == (6, f_out)
         assert tracker.current == 6 * 8 * sum(kept)
 
@@ -180,9 +181,9 @@ class TestMPConv:
 class TestTopKPool:
     def test_hand_example(self):
         tape = Tape()
-        layer = TopKPoolLayer(Parameter("p", [2.0]), 0.5)
         graph = from_edge_list(3, [(0, 1), (1, 2)])
-        sub, pooled, idx = topk_pool(tape, graph, var(tape, [[1.0], [2.0], [3.0]]), layer)
+        x = var(tape, [[1.0], [2.0], [3.0]])
+        sub, pooled, idx = topk_pool(tape, graph, x, Parameter("p", [2.0]), 0.5)
         assert np.array_equal(idx, [1, 2])
         assert np.allclose(pooled.value, [[2 * np.tanh(2.0)], [3 * np.tanh(3.0)]])
         assert np.array_equal(sub.to_dense(), [[0, 1], [1, 0]])
@@ -192,40 +193,37 @@ class TestTopKPool:
         rng = np.random.default_rng(5)
         graph = random_graph(rng, 7)
         x = rng.standard_normal((7, 3))
-        layer = TopKPoolLayer(Parameter("p", rng.standard_normal(3)), 1.0)
-        sub, pooled, idx = topk_pool(tape, graph, var(tape, x), layer)
+        p = Parameter("p", rng.standard_normal(3))
+        sub, pooled, idx = topk_pool(tape, graph, var(tape, x), p, 1.0)
         assert np.array_equal(idx, np.arange(7))
         assert np.array_equal(sub.row_offsets, graph.row_offsets)
         assert np.array_equal(sub.col_indices, graph.col_indices)
-        y = (x @ layer.p_vec.value) / np.linalg.norm(layer.p_vec.value)
+        y = (x @ p.value) / np.linalg.norm(p.value)
         assert np.array_equal(pooled.value, x * np.tanh(y)[:, None])
 
     def test_single_node_always_kept(self):
         tape = Tape()
-        layer = TopKPoolLayer(Parameter("p", [1.0, 0.0]), 0.1)
-        sub, pooled, idx = topk_pool(
-            tape, from_edge_list(1, []), var(tape, [[3.0, 1.0]]), layer
-        )
+        sub, pooled, idx = topk_pool(tape, from_edge_list(1, []), var(tape, [[3.0, 1.0]]),
+                                     Parameter("p", [1.0, 0.0]), 0.1)
         assert np.array_equal(idx, [0]) and sub.num_nodes == 1
 
     def test_rejects_empty_graph(self):
         tape = Tape()
-        layer = TopKPoolLayer(Parameter("p", [1.0]), 0.5)
-        with pytest.raises(ValueError):
-            topk_pool(tape, from_edge_list(0, []), var(tape, np.zeros((0, 1))), layer)
+        with pytest.raises(ValueError, match="cannot pool an empty graph"):
+            topk_pool(tape, from_edge_list(0, []), var(tape, np.zeros((0, 1))),
+                      Parameter("p", [1.0]), 0.5)
 
     def test_rejects_wrong_width(self):
         tape = Tape()
-        layer = TopKPoolLayer(Parameter("p", [1.0, 0.0]), 0.5)
         with pytest.raises(ValueError, match="topk_gate shape mismatch"):
-            topk_pool(tape, from_edge_list(1, []), var(tape, [[1.0]]), layer)
+            topk_pool(tape, from_edge_list(1, []), var(tape, [[1.0]]),
+                      Parameter("p", [1.0, 0.0]), 0.5)
 
     def test_tie_goes_to_lower_index(self):
         tape = Tape()
-        layer = TopKPoolLayer(Parameter("p", [1.0]), 0.5)
         graph = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
         x = np.array([[2.0], [2.0], [2.0], [2.0]])
-        _, _, idx = topk_pool(tape, graph, var(tape, x), layer)
+        _, _, idx = topk_pool(tape, graph, var(tape, x), Parameter("p", [1.0]), 0.5)
         assert np.array_equal(idx, [0, 1])
 
     @pytest.mark.parametrize("seed", range(40))
@@ -237,8 +235,7 @@ class TestTopKPool:
         p = rng.standard_normal(x.shape[1])
         ratio = float(rng.uniform(0.05, 1.0))
         tape = Tape()
-        layer = TopKPoolLayer(Parameter("p", p), ratio)
-        sub, pooled, idx = topk_pool(tape, graph, var(tape, x), layer)
+        sub, pooled, idx = topk_pool(tape, graph, var(tape, x), Parameter("p", p), ratio)
         o_idx, o_feats, o_adj = dense_topk_oracle(graph.to_dense(), x, p, ratio)
         assert np.array_equal(idx, o_idx)
         assert np.array_equal(pooled.value, o_feats)  # bit-exact
@@ -264,16 +261,16 @@ class TestTopKPool:
         rng = np.random.default_rng(8)
         graph = from_edge_list(4, [(0, 1), (2, 3)])
         x = np.array([[4.0, 0.1], [3.0, -0.2], [2.0, 0.3], [1.0, 0.4]])
-        layer = TopKPoolLayer(Parameter("p", np.array([1.0, 0.0])), 0.5)
+        p = Parameter("p", np.array([1.0, 0.0]))
         tape = Tape()
         xv = tape.leaf(x, needs_grad=True)
-        sub, pooled, idx = topk_pool(tape, graph, xv, layer)
+        sub, pooled, idx = topk_pool(tape, graph, xv, p, 0.5)
         loss = tape.softmax_xent(pooled, [0, 1])
         tape.backward(loss)
         assert np.array_equal(idx, [0, 1])
         assert np.any(xv.slot.grad[:2] != 0.0)
         assert np.all(xv.slot.grad[2:] == 0.0)
-        assert np.any(layer.p_vec.grad != 0.0)  # gating keeps p differentiable
+        assert np.any(p.grad != 0.0)  # gating keeps p differentiable
 
 
 def reference_topk(scores, counts, ratio):
@@ -670,9 +667,9 @@ class TestModelForward:
         counts = np.array([n])
         g = graph
         sizes = [n]
-        for conv, pool in model.blocks:
-            h = mpconv_forward(tape, g, xv, conv, counts)
-            xv, idx, counts = _topk_pool_segments(tape, h, pool, counts)
+        for theta, theta_skip, p in model.blocks:
+            h = tape.mpconv(g, xv, tape.param(theta), tape.param(theta_skip), counts)
+            xv, idx, counts = _topk_pool_segments(tape, h, p, model.pool_ratio, counts)
             g = _pooled_graph(tape, g, idx)
             assert counts[0] == kept_count(sizes[-1], 0.6)
             assert idx.size == counts[0]
@@ -741,20 +738,47 @@ class TestModelForward:
 
 
 class TestModelValidation:
+    @staticmethod
+    def block(fin, fout, p_len=None):
+        return (Parameter("t", np.zeros((fin, fout))), Parameter("s", np.zeros((fin, fout))),
+                Parameter("p", np.zeros(fout if p_len is None else p_len)))
+
     def test_rejects_mixed_hidden_widths(self):
-        conv_a = MPConvLayer(Parameter("t", np.zeros((3, 4))), Parameter("s", np.zeros((3, 4))))
-        conv_b = MPConvLayer(Parameter("t", np.zeros((4, 5))), Parameter("s", np.zeros((4, 5))))
-        pool_a = TopKPoolLayer(Parameter("p", np.zeros(4)), 0.8)
-        pool_b = TopKPoolLayer(Parameter("p", np.zeros(5)), 0.8)
         head = build_model(3, 4, 2, seed=0).head
         with pytest.raises(ValueError, match="hidden width"):
-            HierarchicalModel([(conv_a, pool_a), (conv_b, pool_b)], head)
+            HierarchicalModel([self.block(3, 4), self.block(4, 5)], head, 0.8, "post_pool")
+
+    def test_rejects_theta_and_skip_of_different_shapes(self):
+        theta, _, p = self.block(3, 4)
+        skip = Parameter("s", np.zeros((3, 5)))
+        head = build_model(3, 4, 2, seed=0).head
+        with pytest.raises(ValueError, match="theta and theta_skip must share one shape"):
+            HierarchicalModel([(theta, skip, p)], head, 0.8, "post_pool")
+
+    @pytest.mark.parametrize("p_len", [3, 5])
+    def test_rejects_a_pool_vector_off_the_hidden_width(self, p_len):
+        head = build_model(3, 4, 2, seed=0).head
+        with pytest.raises(ValueError, match="pool projection length"):
+            HierarchicalModel([self.block(3, 4, p_len)], head, 0.8, "post_pool")
+
+    def test_rejects_no_blocks(self):
+        head = build_model(3, 4, 2, seed=0).head
+        with pytest.raises(ValueError, match="at least one conv-pool block"):
+            HierarchicalModel([], head, 0.8, "post_pool")
 
     def test_rejects_bad_ratio(self):
-        with pytest.raises(ValueError):
-            TopKPoolLayer(Parameter("p", np.zeros(3)), 0.0)
-        with pytest.raises(ValueError):
-            TopKPoolLayer(Parameter("p", np.zeros(3)), 1.5)
+        for ratio in (0.0, 1.5, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="pool ratio must be in"):
+                build_model(3, 4, 2, pool_ratio=ratio, seed=0)
+
+    def test_parameter_order(self):
+        # a parameter file's bytes follow this order
+        assert [p.name for p in build_model(3, 4, 2, seed=0).parameters()] == [
+            "block0.theta", "block0.theta_skip", "block0.p",
+            "block1.theta", "block1.theta_skip", "block1.p",
+            "block2.theta", "block2.theta_skip", "block2.p",
+            "head.w1", "head.b1", "head.w2", "head.b2",
+        ]
 
     def test_rejects_bad_readout_position(self):
         with pytest.raises(ValueError):

@@ -297,3 +297,22 @@ class TestSweep:
     def test_rejects_a_single_size(self):
         with pytest.raises(ValueError, match="a slope fit needs at least two sizes"):
             scaling_sweep([50])
+
+    @pytest.mark.parametrize("sizes,message", [
+        ([16000, 3_000_000_000],
+         "node count 3000000000 exceeds the int32 index limit 2147483647"),
+        # a node count int32 holds, but 4n stored edges it does not
+        ([16000, 600_000_000],
+         "stored edge count 2400000000 exceeds the int32 index limit 2147483647"),
+    ], ids=["nodes", "stored_edges"])
+    def test_a_size_past_int32_is_rejected_before_any_pass(self, monkeypatch, sizes, message):
+        passes = []
+        monkeypatch.setattr(membench, "measure_sparse", lambda n, **_: passes.append(n))
+        with pytest.raises(ValueError) as caught:
+            scaling_sweep(sizes)
+        assert str(caught.value) == message
+        assert passes == []
+        # the message erdos_renyi gives when the pass itself draws the graph
+        with pytest.raises(ValueError) as drawn:
+            erdos_renyi(sizes[-1], 2 * sizes[-1], seed=0)
+        assert str(drawn.value) == message

@@ -155,8 +155,9 @@ class TestEvaluate:
         task = make_cycle_star_task(reps=5)  # 5 cycles, 5 stars
         lopsided = task[:7]  # 4 cycles (class 0), 3 stars
         model = build_model(task[0].features.shape[1], 8, 2, seed=0)
-        model.head.w2.value[...] = 0.0
-        model.head.b2.value[...] = [[1.0, 0.0]]  # always argmax class 0
+        _, _, w2, b2 = model.head
+        w2.value[...] = 0.0
+        b2.value[...] = [[1.0, 0.0]]  # always argmax class 0
         share = np.mean([g.label == 0 for g in lopsided])
         assert evaluate(model, lopsided) == share
 
