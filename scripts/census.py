@@ -4,9 +4,9 @@
 Usage: python scripts/census.py [--src SRC] [--against SRC]
 
 Prints one row per module of the package tree under SRC (default: this
-checkout's ``src``) and a total row, then the public ``Tape`` methods and
-the tape records of one training step. The static columns, all read with
-the stdlib ``ast`` module:
+checkout's ``src``) and a total row, then the public ``Tape`` methods, the
+re-exported names, the CLI flags and the tape records of one training
+step. The static columns, all read with the stdlib ``ast`` module:
 
 - ``lines``: physical lines of the file;
 - ``defs``: ``def`` functions and methods (lambdas are not counted here);
@@ -24,7 +24,10 @@ the stdlib ``ast`` module:
 not start with an underscore. ``public names`` counts the names a package
 ``__init__.py`` re-exports: those its module-level imports bind, leaving
 out names that start with an underscore (the submodules an import binds as
-package attributes are not counted).
+package attributes are not counted). ``flags`` counts the optional
+arguments of every ``sparsepool`` subcommand, summed, leaving out help
+actions and the top-level ``--version``; it is read from SRC's own
+``cli.build_parser()`` in the traffic's child process.
 
 ``unreached`` counts the statements that no traffic runs. One child
 process imports the package from SRC under ``sys.settrace``, installed
@@ -32,19 +35,19 @@ before ``import sparsepool`` so module-level code counts too, and runs the
 traffic in a temporary directory: on TOY24, the seed-1 ``PROTEINS_SYN`` and
 ``COLLAB_SYN`` sets of ``perfbench/gen.py`` and TOY24's graphs with seeded
 5-wide Gaussian node attributes, it calls ``cli.main`` for the
-dataset commands of ``scripts/output_digest.py`` in both readout positions,
-``export-summaries --split train`` and ``--split all --post-head``, and
-``cv --jobs 2 --no-stratify``; then once each ``train --max-degree``, ``cv
+dataset commands of ``scripts/output_digest.py``, ``export-summaries
+--split train`` and ``--split all --post-head``, and ``cv --jobs 2
+--no-stratify``; then once each ``train --max-degree``, ``cv
 --show-defaults`` and the digest's ``bench-mem`` with and without
 ``--budget``. Last, for each workload of ``perfbench/bench.py`` (imported
 unchanged) at seed 1 it calls what one end-to-end benchmark run does:
 ``setup``, one ``rep`` and its ``check``, ``cli_check``,
-``peak_tracked_bytes`` and ``stats``. A statement is reached when a line of its own span (its
-header, for a compound statement) fires a trace event. ``raise``
-statements, everything inside an ``except`` body, docstrings and
-``global``/``nonlocal`` declarations are not counted. ``records per step``
-counts the tape's records when the first ``backward`` of the traffic
-(TOY24's post-pool ``train``) starts.
+``peak_tracked_bytes`` and ``stats``. A statement is reached when a line
+of its own span (its header, for a compound statement) fires a trace
+event. ``raise`` statements, everything inside an ``except`` body,
+docstrings and ``global``/``nonlocal`` declarations are not counted.
+``records per step`` counts the tape's records when the first
+``backward`` of the traffic (TOY24's ``train``) starts.
 
 Every function holding unreached statements needs a ``REASONS`` entry
 with their count and why they stay; the census exits 1, naming each
@@ -174,6 +177,15 @@ def public_names(text: str) -> int:
                for alias in node.names)
 
 
+def cli_flags(parser: argparse.ArgumentParser) -> int:
+    """Optional arguments of every subcommand of ``parser``, summed, leaving
+    out help actions; the top-level parser's own flags are not counted."""
+    return sum(not isinstance(flag, argparse._HelpAction)
+               for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+               for command in action.choices.values()
+               for flag in command._actions if flag.option_strings)
+
+
 def static_census(src: Path) -> tuple[list[tuple[str, dict[str, int]]], dict[str, int]]:
     """Per-module counts of every ``.py`` file under ``src``, and their sum
     with the public ``Tape`` methods and the names the packages re-export."""
@@ -234,7 +246,7 @@ def _module_name(relative: Path) -> str:
 def traffic(src: str, result: str) -> None:
     """The census's child process: trace the traffic of the package under
     ``src`` (first on ``sys.path``) and write the lines each of its files
-    ran, and the records per step, to ``result`` as JSON."""
+    ran, the records per step and the CLI flags, to ``result`` as JSON."""
     prefix = str(Path(src).resolve()) + os.sep
     hits: dict[str, set[int]] = {}
     tracers: dict[str, object] = {}
@@ -291,11 +303,9 @@ def traffic(src: str, result: str) -> None:
 
     for data_dir, name in sets:
         config = ["--dataset", name, "--data-dir", str(data_dir), *digest.DEFAULT_FLAGS]
-        for position in ("post_pool", "pre_pool"):
-            for argv in digest.dataset_argvs([*config, "--readout-position", position],
-                                             work / name / position):
-                run(*argv)
-        model = work / name / "post_pool" / "train" / "model.params"
+        for argv in digest.dataset_argvs(config, work / name):
+            run(*argv)
+        model = work / name / "train" / "model.params"
         out = work / name / "more"
         run("export-summaries", *config, "--model", model, "--split", "train",
             "--out", out / "train-split")
@@ -322,13 +332,15 @@ def traffic(src: str, result: str) -> None:
     sys.settrace(None)
     Path(result).write_text(json.dumps({
         "records_per_step": records[0],
+        "flags": cli_flags(cli.build_parser()),
         "hits": {name: sorted(lines) for name, lines in hits.items()},
     }))
 
 
 def _traced(src: Path) -> dict:
     """Run the traffic on the package under ``src`` in a child process: the
-    lines each of its files ran (``hits``) and ``records_per_step``."""
+    lines each of its files ran (``hits``), ``records_per_step`` and
+    ``flags``."""
     with tempfile.TemporaryDirectory() as tmp:
         result = Path(tmp) / "reach.json"
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -346,6 +358,7 @@ def census(src: Path):
     rows, total = static_census(src)
     traced = _traced(src)
     total["records_per_step"] = traced["records_per_step"]
+    total["flags"] = traced["flags"]
     total["unreached"] = 0
     unreached: dict[str, list[int]] = {}
     for name, counts in rows:
@@ -378,6 +391,7 @@ def _row(name: str, counts: dict) -> str:
 def _tape_lines(total: dict) -> list[str]:
     return [f"Tape methods: {total['tape_methods']}",
             f"public names: {total['public_names']}",
+            f"flags: {total['flags']}",
             f"records per step: {total['records_per_step']}"]
 
 

@@ -22,7 +22,7 @@ from . import __version__
 from .datasets import DatasetFormatError, file_checksum, parse_tu_dataset
 from .engine import load_parameters, save_parameters
 from .fileio import atomic_open
-from .layers import READOUT_POSITIONS, forward_summaries, model_forward
+from .layers import forward_summaries, model_forward
 from .membench import scaling_sweep
 from .training import (
     DATASET_DEFAULTS,
@@ -101,9 +101,10 @@ def _sizes(text: str) -> list[int]:
     return sizes
 
 
-def _add_dataset_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", required=True, help="dataset name (directory prefix)")
+def _add_dataset_args(p: argparse.ArgumentParser) -> argparse.Action:
+    dataset = p.add_argument("--dataset", required=True, help="dataset name (directory prefix)")
     p.add_argument("--data-dir", default="data", help="directory holding the dataset files")
+    return dataset
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -122,8 +123,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     add("--batch-size", "batch_size", metavar="BATCH_SIZE", type=int, help="mini-batch size")
     add("--seed", "seed", metavar="SEED", type=_SEED, help="base RNG seed")
     add("--blocks", "num_blocks", metavar="BLOCKS", type=int, help="number of conv-pool blocks")
-    add("--readout-position", "readout_position", choices=READOUT_POSITIONS,
-        help="take the per-block readout before or after pooling")
     add("--max-degree", "max_degree", metavar="MAX_DEGREE", type=int,
         help="degree-feature cap (default: 95th percentile of training degrees)")
     # absent unless given; the help shows the flag's own default, not the field's
@@ -153,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(fn=cmd_train, sizing="--hidden, --batch-size, --blocks")
 
     p_cv = sub.add_parser("cv", help="10-fold cross-validation")
-    _add_dataset_args(p_cv)
+    _add_dataset_args(p_cv).required = False  # --show-defaults reads none; cmd_cv checks
     _add_config_args(p_cv)
     p_cv.add_argument(
         "--jobs", type=_JOBS, default=1,
@@ -273,6 +272,8 @@ def cmd_cv(args) -> int:
             print(f"{name:<9} {c.hidden_dim:<7} {c.lr:<7} {c.epochs:<7} "
                   f"{c.pool_ratio:<6} {c.num_blocks:<7} {c.batch_size}")
         return EXIT_OK
+    if args.dataset is None:
+        raise ValueError("cv needs --dataset (only --show-defaults runs without one)")
     config = _resolve_config(args)
     dataset = parse_tu_dataset(args.data_dir, args.dataset)
     result = cross_validate(dataset, config, jobs=args.jobs)
@@ -325,23 +326,21 @@ def cmd_export_summaries(args) -> int:
         raise ValueError(f"fold must be in 0..{len(splits) - 1}")
     split = splits[args.fold]
     train, test, bound = prepare_fold(dataset, split, config)
-    if args.split == "test":
-        graphs, ids = test, split.test_indices
-    elif args.split == "train":
-        graphs, ids = train, split.train_indices
-    else:
-        graphs = train + test
-        ids = np.concatenate([split.train_indices, split.test_indices])
+    graphs, ids = {
+        "test": (test, split.test_indices),
+        "train": (train, split.train_indices),
+        "all": (train + test, np.concatenate([split.train_indices, split.test_indices])),
+    }[args.split]
 
     # a fold's train and test slices are never empty (n >= folds, and so is each class)
     model = new_model(config, graphs[0].features.shape[1], dataset.num_classes)
     model.load_state(load_parameters(args.model))
 
-    forward = model_forward if args.post_head else forward_summaries
+    forward, name = ((model_forward, "logits.csv") if args.post_head
+                     else (forward_summaries, "summaries.csv"))
     vectors = forward_batches(forward, model, graphs)
 
-    out = _out_dir(args, f"runs/summaries_{args.dataset}")
-    path = out / ("logits.csv" if args.post_head else "summaries.csv")
+    path = _out_dir(args, f"runs/summaries_{args.dataset}") / name
     with atomic_open(path, "w", encoding="utf-8") as fh:
         for gid, graph, row in zip(ids, graphs, vectors):
             values = ",".join(repr(float(v)) for v in row)
@@ -353,7 +352,7 @@ def cmd_export_summaries(args) -> int:
     entries["post_head"] = args.post_head
     entries["resolved.degree_bound"] = bound
     entries["rows"] = len(graphs)
-    _write_manifest(out, "export-summaries", entries)
+    _write_manifest(path.parent, "export-summaries", entries)
     print(f"wrote {len(graphs)} rows to {path}")
     return EXIT_OK
 

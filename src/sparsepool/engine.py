@@ -229,13 +229,13 @@ class Tape:
     ``segment_readout`` (a block's readout, added into the running sum of
     the earlier ones), ``mlp_head`` (both head layers) and
     ``softmax_xent``. A training pass of the three-block model is 11
-    records, 10 with pre-pool readouts. The primitives see a whole batch at
-    once (``mpconv``, ``topk_gate`` and ``segment_readout`` take per-graph
-    row counts; ``mlp_head`` works row by row), so the number of records
-    per pass does not depend on how many graphs a batch holds. Their
-    per-graph kernels (the segmented products and the readout) make one
-    stacked call per run of equal counts, so a batch in node-count order
-    costs one call per distinct size rather than one per graph.
+    records. The primitives see a whole batch at once (``mpconv``,
+    ``topk_gate`` and ``segment_readout`` take per-graph row counts;
+    ``mlp_head`` works row by row), so the number of records per pass
+    does not depend on how many graphs a batch holds. Their per-graph
+    kernels (the segmented products and the readout) make one stacked call
+    per run of equal counts, so a batch in node-count order costs one call
+    per distinct size rather than one per graph.
 
     ``tracker`` (optional) is the tape's one hook. It must expose
     ``note(array, tag)`` and is informed of every activation, gradient and
@@ -796,9 +796,9 @@ def load_parameters(path) -> list[tuple[str, np.ndarray]]:
 
     A file that ends early, or runs on past its last record, raises
     ``ValueError`` naming the path and the byte offset; so do a bad magic,
-    an unknown version, a name that is not UTF-8, a rank above 64 and a
-    shape numpy cannot hold. Every length is checked against the bytes
-    left before it is read, so a garbage header allocates nothing large.
+    an unknown version, a name not in UTF-8 or given twice, a rank above 64
+    and a shape numpy cannot hold. Every length is checked against the
+    bytes left before it is read, so a garbage header allocates nothing large.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -819,7 +819,7 @@ def load_parameters(path) -> list[tuple[str, np.ndarray]]:
     version, count = struct.unpack("<II", take(8, "header"))
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported parameter file version {version}")
-    out = []
+    out = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         raw_name = take(name_len, "name")
@@ -827,6 +827,8 @@ def load_parameters(path) -> list[tuple[str, np.ndarray]]:
             name = raw_name.decode("utf-8")
         except UnicodeDecodeError:
             raise ValueError(f"{path}: the name ending at byte {pos} is not UTF-8") from None
+        if name in out:
+            raise ValueError(f"{path}: {name!r} is named twice (again at byte {pos})")
         (ndim,) = struct.unpack("<I", take(4, f"{name!r} rank"))
         if ndim > _MAX_RANK:
             raise ValueError(f"{path}: {name!r} has rank {ndim}, more than {_MAX_RANK}")
@@ -838,7 +840,7 @@ def load_parameters(path) -> list[tuple[str, np.ndarray]]:
             raise ValueError(
                 f"{path}: {name!r} has a rank-{ndim} shape numpy cannot hold: {exc}"
             ) from None
-        out.append((name, value.astype(np.float64)))
+        out[name] = value.astype(np.float64)
     if pos != len(blob):
         raise ValueError(f"{path}: {len(blob) - pos} unexpected bytes after byte {pos}")
-    return out
+    return list(out.items())

@@ -17,15 +17,11 @@ __all__ = [
     "topk_pool",
     "forward_summaries",
     "model_forward",
-    "READOUT_POSITIONS",
 ]
-
-READOUT_POSITIONS = ("pre_pool", "post_pool")
 
 # the paper's model shape; TrainConfig's defaults read these too
 POOL_RATIO = 0.8
 NUM_BLOCKS = 3
-READOUT_POSITION = "post_pool"
 
 
 class HierarchicalModel:
@@ -39,11 +35,9 @@ class HierarchicalModel:
     summed into a single fixed-size vector.
     """
 
-    def __init__(self, blocks, head, pool_ratio: float, readout_position: str):
+    def __init__(self, blocks, head, pool_ratio: float):
         if not 0.0 < pool_ratio <= 1.0:
             raise ValueError(f"pool ratio must be in (0, 1], got {pool_ratio}")
-        if readout_position not in READOUT_POSITIONS:
-            raise ValueError(f"readout_position must be one of {READOUT_POSITIONS}")
         blocks = list(blocks)
         if not blocks:
             raise ValueError("model needs at least one conv-pool block")
@@ -58,7 +52,6 @@ class HierarchicalModel:
         self.blocks = blocks
         self.head = tuple(head)
         self.pool_ratio = pool_ratio
-        self.readout_position = readout_position
 
     def parameters(self) -> list[Parameter]:
         """Each block's theta, theta_skip and p, then the head's w1, b1, w2, b2."""
@@ -91,7 +84,6 @@ def build_model(
     num_blocks: int = NUM_BLOCKS,
     *,
     seed: int,
-    readout_position: str = READOUT_POSITION,
 ) -> HierarchicalModel:
     """Glorot-initialized model; biases start at zero. Deterministic per seed."""
     seeds = iter(np.random.SeedSequence(seed).generate_state(3 * num_blocks + 2))
@@ -109,7 +101,7 @@ def build_model(
         Parameter("head.w2", glorot_init(hidden_dim, num_classes, int(next(seeds)))),
         Parameter("head.b2", np.zeros((1, num_classes))),
     )
-    return HierarchicalModel(blocks, head, pool_ratio, readout_position)
+    return HierarchicalModel(blocks, head, pool_ratio)
 
 
 def kept_count(n: int, ratio: float) -> int:
@@ -205,36 +197,29 @@ def topk_pool(tape: Tape, graph: SparseGraph, x: Var, p: Parameter, ratio: float
 def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -> Var:
     """Per-graph summary vectors (num_graphs x 2F'), summed over all blocks.
 
-    A block is one :meth:`Tape.mpconv` record on its theta and theta_skip
-    and one :meth:`Tape.topk_gate` record on its p. Each block's readout
-    adds into the running sum of the earlier blocks' readouts
+    A block is one :meth:`Tape.mpconv` record on its theta and theta_skip,
+    one :meth:`Tape.topk_gate` record on its p and one readout of the pool
+    output, added into the running sum of the earlier blocks' readouts
     (:meth:`Tape.segment_readout`). Features held as
     :class:`graphs.LabelCodes` (node labels, degrees) go to block 0 as they
     are; its outputs are the bytes the dense one-hot matrix would give. The
-    pooled graph is sliced only when another block reads it, and with
-    pre-pool readouts the last block is not pooled at all. A pool output is
-    dropped once the next conv has read it (that conv rebuilds its rows in
-    backward), and a conv output once it has been pooled, so a forward-only
-    pass holds neither past its last reader.
+    pooled graph is sliced only when another block reads it. A pool output
+    is dropped once the next conv has read it (that conv rebuilds its rows
+    in backward), and a conv output once it has been pooled, so a
+    forward-only pass holds neither past its last reader.
     """
     graph = batch.graph
     counts = np.asarray(batch.node_counts, dtype=np.int64)
     x = tape.leaf(batch.features)
     summary = None
-    last = len(model.blocks) - 1
     for i, (theta, theta_skip, p) in enumerate(model.blocks):
         if i:
             graph = _pooled_graph(tape, graph, idx)
         h = tape.mpconv(graph, x, tape.param(theta), tape.param(theta_skip), counts)
         x = None  # read by nothing else
-        if model.readout_position == "pre_pool":
-            summary = tape.segment_readout(h, counts, summary)
-            if i == last:
-                break  # nothing reads the last pool's output
         x, idx, counts = _topk_pool_segments(tape, h, p, model.pool_ratio, counts)
         h = None  # a recording tape keeps what its backward reads
-        if model.readout_position == "post_pool":
-            summary = tape.segment_readout(x, counts, summary)
+        summary = tape.segment_readout(x, counts, summary)
     return summary
 
 

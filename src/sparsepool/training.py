@@ -21,8 +21,6 @@ from .graphs import batch_graphs
 from .layers import (
     NUM_BLOCKS,
     POOL_RATIO,
-    READOUT_POSITION,
-    READOUT_POSITIONS,
     HierarchicalModel,
     build_model,
     model_forward,
@@ -76,7 +74,6 @@ class TrainConfig:
     seed: int = 0
     folds: int = 10
     stratified: bool = True
-    readout_position: str = READOUT_POSITION
     max_degree: int | None = None
 
     def validate(self) -> None:
@@ -90,8 +87,6 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.hidden_dim < 1 or self.num_blocks < 1 or self.batch_size < 1:
             raise ValueError("hidden_dim, num_blocks and batch_size must be >= 1")
-        if self.readout_position not in READOUT_POSITIONS:
-            raise ValueError(f"readout_position must be one of {READOUT_POSITIONS}")
         if self.max_degree is not None and self.max_degree < 1:
             raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
 
@@ -141,7 +136,6 @@ def new_model(config: TrainConfig, in_dim: int, num_classes: int) -> Hierarchica
         pool_ratio=config.pool_ratio,
         num_blocks=config.num_blocks,
         seed=config.seed,
-        readout_position=config.readout_position,
     )
 
 

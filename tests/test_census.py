@@ -2,6 +2,7 @@
 src/, the reach classifier on inline source, and the REASONS table."""
 from __future__ import annotations
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -82,6 +83,21 @@ def test_public_names_counts_the_module_level_imports():
     # SparseGraph, batch, Var, ndarray, os; not the private names or the
     # import inside a function
     assert census.public_names(INIT_SOURCE) == 5
+
+
+def test_cli_flags_sums_each_subcommands_optional_arguments():
+    parser = argparse.ArgumentParser(prog="tool")
+    parser.add_argument("--version", action="version", version="1")  # top level: not counted
+    parser.add_argument("--verbose", action="store_true")
+    sub = parser.add_subparsers(dest="command")
+    run = sub.add_parser("run")  # its -h/--help is not counted
+    run.add_argument("target")  # positional: not counted
+    run.add_argument("--fast", action="store_true")
+    run.add_argument("-n", "--count", type=int)  # one flag, two spellings
+    run.add_argument("--skip", action="store_false", default=argparse.SUPPRESS)
+    sub.add_parser("list").add_argument("--all", action="store_true")
+    sub.add_parser("empty", add_help=False)
+    assert census.cli_flags(parser) == 4  # --fast, --count, --skip; --all
 
 
 def test_src_totals_are_the_sum_of_the_module_rows():

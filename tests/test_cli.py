@@ -48,8 +48,8 @@ class TestTrain:
         manifest = (out / "manifest.txt").read_text()
         # every config default appears explicitly
         for key in ("config.hidden_dim", "config.lr", "config.epochs", "config.pool_ratio",
-                    "config.batch_size", "config.seed", "config.readout_position",
-                    "config.max_degree", "config.folds", "config.stratified"):
+                    "config.batch_size", "config.seed", "config.max_degree",
+                    "config.folds", "config.stratified"):
             assert key in manifest
         assert "checksum.TOY24_A.txt" in manifest
         assert "accuracy" in capsys.readouterr().out
@@ -129,14 +129,13 @@ class TestTrain:
     def test_each_flag_reaches_its_field(self, fixtures_dir, tmp_path):
         out = tmp_path / "run"
         code = main(["train", *toy_args(fixtures_dir), "--ratio", "0.5", "--blocks", "2",
-                     "--batch-size", "5", "--seed", "3", "--readout-position", "pre_pool",
-                     "--no-stratify", "--max-degree", "4", "--out", str(out)])
+                     "--batch-size", "5", "--seed", "3", "--no-stratify",
+                     "--max-degree", "4", "--out", str(out)])
         assert code == 0
         lines = set((out / "manifest.txt").read_text().splitlines())
         expected = {"hidden_dim": 8, "lr": 0.01, "epochs": 2, "pool_ratio": 0.5,
                     "num_blocks": 2, "batch_size": 5, "seed": 3,
-                    "readout_position": "pre_pool", "stratified": False, "max_degree": 4,
-                    "folds": 10}
+                    "stratified": False, "max_degree": 4, "folds": 10}
         for field, value in expected.items():
             assert f"config.{field} = {value}" in lines
 
@@ -176,18 +175,30 @@ class TestCV:
         assert "error: argument --jobs: must be >= 1" in capsys.readouterr().err
 
     def test_show_defaults_lists_benchmark_table(self, capsys):
-        assert main(["cv", "--dataset", "PROTEINS", "--show-defaults"]) == 0
-        out = capsys.readouterr().out
-        assert "PROTEINS" in out and "0.005" in out and "40" in out
-        assert "ENZYMES" in out and "0.0005" in out and "100" in out
-        assert "128" in out and "64" in out
-        rows = out.splitlines()
-        assert rows[0].split() == ["dataset", "hidden", "lr", "epochs", "ratio", "blocks", "batch"]
-        assert len(rows) == 1 + len(DATASET_DEFAULTS)
-        for row, name in zip(rows[1:], DATASET_DEFAULTS):
-            c = default_config(name)
-            assert row.split() == [name, *map(str, (c.hidden_dim, c.lr, c.epochs, c.pool_ratio,
-                                                    c.num_blocks, c.batch_size))]
+        # the table reads no dataset, so --dataset may be left off
+        for argv in (["cv", "--dataset", "PROTEINS", "--show-defaults"],
+                     ["cv", "--show-defaults"]):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "PROTEINS" in out and "0.005" in out and "40" in out
+            assert "ENZYMES" in out and "0.0005" in out and "100" in out
+            assert "128" in out and "64" in out
+            rows = out.splitlines()
+            assert rows[0].split() == ["dataset", "hidden", "lr", "epochs", "ratio", "blocks",
+                                       "batch"]
+            assert len(rows) == 1 + len(DATASET_DEFAULTS)
+            for row, name in zip(rows[1:], DATASET_DEFAULTS):
+                c = default_config(name)
+                assert row.split() == [name, *map(str, (c.hidden_dim, c.lr, c.epochs,
+                                                        c.pool_ratio, c.num_blocks,
+                                                        c.batch_size))]
+
+    def test_no_dataset_and_no_show_defaults_exits_2(self, capsys):
+        assert main(["cv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "--dataset" in lines[0]
 
     def test_no_config_flags_give_the_dataset_defaults(self):
         parser = cli.build_parser()
@@ -511,7 +522,7 @@ class TestParser:
         assert main(["cv", "--help"]) == 0
         text = capsys.readouterr().out
         for flag in ("--dataset", "--data-dir", "--hidden", "--ratio", "--lr", "--epochs",
-                     "--batch-size", "--seed", "--jobs", "--readout-position", "--out"):
+                     "--batch-size", "--seed", "--jobs", "--out"):
             assert flag in text
         assert main(["bench-mem", "--help"]) == 0
         text = capsys.readouterr().out
@@ -519,6 +530,20 @@ class TestParser:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "cv", "export-summaries"])
+    def test_readout_position_is_not_a_flag(self, fixtures_dir, tmp_path, capsys, command):
+        # every block reads out after its pool; there is no position to choose
+        assert main([command, "--help"]) == 0
+        assert "--readout-position" not in capsys.readouterr().out
+        model = ["--model", str(tmp_path / "m.params")] if command == "export-summaries" else []
+        assert main([command, *toy_args(fixtures_dir), *model, "--readout-position", "pre_pool",
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sparsepool ")  # the top-level parser reports it
+        assert "error: unrecognized arguments: --readout-position pre_pool" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
 
 _JUNK = ["", "x", "nan", "inf", "-inf", "1e400", "2.5"]
@@ -532,7 +557,6 @@ _CONFIG_FLAGS = {
     "--batch-size": (st.integers(1, 9), [0]),
     "--seed": (st.integers(0, 3), [-1]),
     "--blocks": (st.integers(1, 3), [0]),
-    "--readout-position": (st.sampled_from(["pre_pool", "post_pool"]), ["mid_pool"]),
     "--max-degree": (st.integers(1, 5), [0]),
 }
 

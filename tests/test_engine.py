@@ -671,7 +671,8 @@ class TestGradientHandOver:
         assert s_const.slot.grad.tobytes() == s_live.slot.grad.tobytes()
 
     def test_mpconv_output_consumed_twice(self):
-        # a pre-pool readout and the pool both read the conv output
+        # a readout and the pool both read the conv output: two readers add
+        # into one gradient
         p = np.array([0.6, -0.8, 0.3])
 
         def build(t, v):
@@ -1041,6 +1042,15 @@ class TestSerialization:
         path.write_bytes(b"not a parameter file")
         with pytest.raises(ValueError, match="magic"):
             load_parameters(path)
+
+    def test_rejects_a_name_given_twice(self, tmp_path):
+        # the later record would silently win in load_state
+        path = tmp_path / "twice.params"
+        save_parameters([Parameter("w", np.ones(2)), Parameter("b", np.zeros(1)),
+                         Parameter("w", np.zeros(2))], path)
+        with pytest.raises(ValueError, match="'w' is named twice") as info:
+            load_parameters(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("record,match", [
         (record(b"\xff\xfe", (1,), b"\0" * 8), "not UTF-8"),

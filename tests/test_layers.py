@@ -554,7 +554,8 @@ class TestModelForward:
         assert peaks[1] < peaks[0]
 
     @pytest.mark.parametrize("record", [True, False])
-    @pytest.mark.parametrize("position", ["post_pool", "pre_pool"])
+    # post-pool is the model's one readout position; the id keeps the case's name
+    @pytest.mark.parametrize("position", ["post_pool"])
     def test_panels_are_dropped_after_their_last_reader(self, monkeypatch, record, position):
         # a pool output is dead once the next conv has read it; on a
         # forward-only tape a conv output is dead once it has been pooled
@@ -562,7 +563,7 @@ class TestModelForward:
         batch = batch_graphs([
             LabeledGraph(random_graph(rng, n), rng.standard_normal((n, 4)), 0) for n in (9, 7)
         ])
-        model = build_model(4, 6, 2, pool_ratio=0.8, seed=1, readout_position=position)
+        model = build_model(4, 6, 2, pool_ratio=0.8, seed=1)
         pooled, convolved, live = [], [], []
         real_mpconv, real_topk_gate = Tape.mpconv, Tape.topk_gate
 
@@ -581,15 +582,13 @@ class TestModelForward:
         monkeypatch.setattr(Tape, "mpconv", mpconv)
         monkeypatch.setattr(Tape, "topk_gate", topk_gate)
         model_forward(Tape(record=record), batch, model)
-        stages = ["conv", "pool"] * 3
-        if position == "pre_pool":
-            stages.pop()  # nothing reads the last pool's output
-        assert [kind for kind, _ in live] == stages
+        assert [kind for kind, _ in live] == ["conv", "pool"] * 3
         assert all(not any(alive) for kind, alive in live if kind == "pool")
         if not record:
             assert all(not any(alive) for kind, alive in live if kind == "conv")
 
-    @pytest.mark.parametrize("position", ["post_pool", "pre_pool"])
+    # post-pool is the model's one readout position; the id keeps the case's name
+    @pytest.mark.parametrize("position", ["post_pool"])
     def test_ratio_one_pools_onto_the_same_graph(self, monkeypatch, position):
         # every node kept: each level's graph is the input graph itself, its
         # CSR is noted once, and the logits equal those of rebuilt copies;
@@ -602,7 +601,7 @@ class TestModelForward:
             LabeledGraph(random_graph(rng, n), rng.standard_normal((n, 3)), n % 2)
             for n in (6, 9, 4)
         ])
-        model = build_model(3, 5, 2, pool_ratio=1.0, seed=2, readout_position=position)
+        model = build_model(3, 5, 2, pool_ratio=1.0, seed=2)
         subgraphs = []
 
         def spy(graph, keep):
@@ -623,14 +622,15 @@ class TestModelForward:
         monkeypatch.setattr(layers, "induced_subgraph", rebuilt)
         assert model_forward(Tape(), batch, model).value.tobytes() == logits.tobytes()
 
-    @pytest.mark.parametrize("position", ["post_pool", "pre_pool"])
+    # post-pool is the model's one readout position; the id keeps the case's name
+    @pytest.mark.parametrize("position", ["post_pool"])
     def test_tape_records_do_not_grow_with_batch_size(self, position):
         rng = np.random.default_rng(6)
         graphs = [
             LabeledGraph(random_graph(rng, n), rng.standard_normal((n, 3)), 0)
             for n in (5, 9, 2, 7, 11, 4, 6, 8)
         ]
-        model = build_model(3, 4, 2, pool_ratio=0.6, seed=0, readout_position=position)
+        model = build_model(3, 4, 2, pool_ratio=0.6, seed=0)
         records = []
         for size in (1, 2, 8):
             tape = Tape()
@@ -638,17 +638,18 @@ class TestModelForward:
             records.append(len(tape._nodes))
         assert records[0] == records[1] == records[2]
 
-    @pytest.mark.parametrize("position,records", [("post_pool", 11), ("pre_pool", 10)])
+    # post-pool is the model's one readout position; the id keeps the case's name
+    @pytest.mark.parametrize("position,records", [("post_pool", 11)])
     def test_a_training_pass_has_one_record_per_stage(self, position, records):
         # per block one conv, one pool and one readout record, then the head
-        # and the loss; with pre-pool readouts the last block is not pooled
+        # and the loss
         rng = np.random.default_rng(3)
         graphs = [
             LabeledGraph(random_graph(rng, n), rng.standard_normal((n, 3)), n % 2)
             for n in (5, 9, 7)
         ]
         batch = batch_graphs(graphs)
-        model = build_model(3, 4, 2, pool_ratio=0.6, seed=0, readout_position=position)
+        model = build_model(3, 4, 2, pool_ratio=0.6, seed=0)
         tape = Tape()
         tape.softmax_xent(model_forward(tape, batch, model), batch.labels)
         assert len(tape._nodes) == records
@@ -676,17 +677,6 @@ class TestModelForward:
             assert idx.max() < sizes[-1]  # indices reference the previous level
             sizes.append(int(counts[0]))
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-
-    def test_readout_positions_differ_but_both_work(self):
-        rng = np.random.default_rng(0)
-        g = random_graph(rng, 8)
-        batch = batch_graphs([LabeledGraph(g, rng.standard_normal((8, 3)), 0)])
-        post = build_model(3, 4, 2, pool_ratio=0.5, seed=1, readout_position="post_pool")
-        pre = build_model(3, 4, 2, pool_ratio=0.5, seed=1, readout_position="pre_pool")
-        out_post = model_forward(Tape(), batch, post).value
-        out_pre = model_forward(Tape(), batch, pre).value
-        assert out_post.shape == out_pre.shape == (1, 2)
-        assert not np.array_equal(out_post, out_pre)
 
     def test_rejects_feature_dim_mismatch(self):
         # block 0's conv checks the width; the layers add no check of their own
@@ -746,25 +736,25 @@ class TestModelValidation:
     def test_rejects_mixed_hidden_widths(self):
         head = build_model(3, 4, 2, seed=0).head
         with pytest.raises(ValueError, match="hidden width"):
-            HierarchicalModel([self.block(3, 4), self.block(4, 5)], head, 0.8, "post_pool")
+            HierarchicalModel([self.block(3, 4), self.block(4, 5)], head, 0.8)
 
     def test_rejects_theta_and_skip_of_different_shapes(self):
         theta, _, p = self.block(3, 4)
         skip = Parameter("s", np.zeros((3, 5)))
         head = build_model(3, 4, 2, seed=0).head
         with pytest.raises(ValueError, match="theta and theta_skip must share one shape"):
-            HierarchicalModel([(theta, skip, p)], head, 0.8, "post_pool")
+            HierarchicalModel([(theta, skip, p)], head, 0.8)
 
     @pytest.mark.parametrize("p_len", [3, 5])
     def test_rejects_a_pool_vector_off_the_hidden_width(self, p_len):
         head = build_model(3, 4, 2, seed=0).head
         with pytest.raises(ValueError, match="pool projection length"):
-            HierarchicalModel([self.block(3, 4, p_len)], head, 0.8, "post_pool")
+            HierarchicalModel([self.block(3, 4, p_len)], head, 0.8)
 
     def test_rejects_no_blocks(self):
         head = build_model(3, 4, 2, seed=0).head
         with pytest.raises(ValueError, match="at least one conv-pool block"):
-            HierarchicalModel([], head, 0.8, "post_pool")
+            HierarchicalModel([], head, 0.8)
 
     def test_rejects_bad_ratio(self):
         for ratio in (0.0, 1.5, -0.5, float("nan")):
@@ -779,7 +769,3 @@ class TestModelValidation:
             "block2.theta", "block2.theta_skip", "block2.p",
             "head.w1", "head.b1", "head.w2", "head.b2",
         ]
-
-    def test_rejects_bad_readout_position(self):
-        with pytest.raises(ValueError):
-            build_model(3, 4, 2, seed=0, readout_position="sideways")

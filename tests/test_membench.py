@@ -18,7 +18,6 @@ from sparsepool.graphs import (
     erdos_renyi,
 )
 from sparsepool.layers import (
-    READOUT_POSITIONS,
     build_model,
     forward_summaries,
     kept_count,
@@ -242,7 +241,8 @@ class TestNotedOnce:
         monkeypatch.setattr(membench, "MemoryTracker", OnceTracker)
         assert measure_sparse(2000).peak_bytes > 0
 
-    @pytest.mark.parametrize("position", READOUT_POSITIONS)
+    # post-pool is the model's one readout position; the id keeps the case's name
+    @pytest.mark.parametrize("position", ["post_pool"])
     @pytest.mark.parametrize("coded", [False, True], ids=["dense", "codes"])
     def test_a_batch_at_ratio_one_half(self, position, coded):
         rng = np.random.default_rng(5)
@@ -251,7 +251,7 @@ class TestNotedOnce:
                     for n in sizes]
         batch = batch_graphs([LabeledGraph(erdos_renyi(n, 2 * n, i), f, i % 2)
                               for i, (n, f) in enumerate(zip(sizes, features))])
-        model = build_model(4, 8, 2, pool_ratio=0.5, seed=0, readout_position=position)
+        model = build_model(4, 8, 2, pool_ratio=0.5, seed=0)
         tracker = OnceTracker()
         tape = Tape(tracker=tracker)
         tape.backward(tape.softmax_xent(model_forward(tape, batch, model), batch.labels))

@@ -70,8 +70,6 @@ class TestDefaults:
             quick_config(pool_ratio=0.0).validate()
         with pytest.raises(ValueError):
             quick_config(epochs=0).validate()
-        with pytest.raises(ValueError):
-            quick_config(readout_position="middle").validate()
         for bad in (0, -3):
             with pytest.raises(ValueError, match=f"max_degree must be >= 1, got {bad}"):
                 quick_config(max_degree=bad).validate()
