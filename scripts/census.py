@@ -37,9 +37,9 @@ traffic in a temporary directory: on TOY24, the seed-1 ``PROTEINS_SYN`` and
 5-wide Gaussian node attributes, it calls ``cli.main`` for the
 dataset commands of ``scripts/output_digest.py``, ``export-summaries
 --split train`` and ``--split all --post-head``, and ``cv --jobs 2
---no-stratify``; then once each ``train --max-degree``, ``cv
---show-defaults`` and the digest's ``bench-mem`` with and without
-``--budget``. Last, for each workload of ``perfbench/bench.py`` (imported
+--no-stratify``; then once each ``train --max-degree``, ``train
+--help``, ``cv --show-defaults`` and the digest's ``bench-mem`` with and
+without ``--budget``. Last, for each workload of ``perfbench/bench.py`` (imported
 unchanged) at seed 1 it calls what one end-to-end benchmark run does:
 ``setup``, one ``rep`` and its ``check``, ``cli_check``,
 ``peak_tracked_bytes`` and ``stats``. A statement is reached when a line
@@ -98,6 +98,9 @@ REASONS: dict[str, tuple[int, str]] = {
            "and later thetas are square; the conv's finite-difference and dense-oracle "
            "tests read it"),
     "sparsepool.engine.Tape.segment_readout": (4, MARGIN),
+    "sparsepool.engine.Tape.topk_gate.<locals>.kept_rows": (
+        3, "gathers a pooled leaf's rows again; the model pools only conv outputs, "
+           "whose kept rows the pool saves, and the pool tests pool leaves"),
     "sparsepool.engine._pin_mmap_threshold": (1, "the return of a C library with no mallopt, "
                                              "or one that refuses it; glibc pins"),
     "sparsepool.engine.finite_diff_check": (16, "the finite-difference oracle of the tests"),
@@ -105,6 +108,10 @@ REASONS: dict[str, tuple[int, str]] = {
     "sparsepool.graphs.SparseGraph.__post_init__": (3, CHECKED),
     "sparsepool.graphs.SparseGraph.to_dense": (4, "the dense oracle of the tests"),
     "sparsepool.graphs._validate_csr": (19, CHECKED),
+    "sparsepool.graphs.induced_subgraph": (6, "the checked public slice; the model's pool "
+                                              "slices through the unchecked "
+                                              "_induced_subgraph_trusted, and tests pin "
+                                              "the checks"),
     "sparsepool.graphs.batch_graphs": (3, "picks the error of a bad batch; commands batch "
                                           "graphs of one parsed dataset"),
     "sparsepool.layers._select_topk": (7, MARGIN),
@@ -314,6 +321,7 @@ def traffic(src: str, result: str) -> None:
         run("cv", *config, "--jobs", "2", "--no-stratify", "--out", out / "cv-jobs")
     run("train", "--dataset", "TOY24", "--data-dir", TOY24, *digest.DEFAULT_FLAGS,
         "--max-degree", "3", "--out", work / "max-degree")
+    run("train", "--help")
     run("cv", "--dataset", "TOY24", "--show-defaults")
     run(*digest.bench_mem_argv(work / "plain"))
     run(*digest.bench_mem_argv(work / "budget"), "--budget", "1MiB")

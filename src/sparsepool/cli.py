@@ -101,6 +101,18 @@ def _sizes(text: str) -> list[int]:
     return sizes
 
 
+class _DefaultsHelpFormatter(argparse.HelpFormatter):
+    """Appends an option's default to its help unless the default is None
+    or the help already states one."""
+
+    def _get_help_string(self, action) -> str:
+        text = action.help or ""
+        if (action.option_strings and action.default not in (None, argparse.SUPPRESS)
+                and "(default:" not in text):
+            text += " (default: %(default)s)"
+        return text
+
+
 def _add_dataset_args(p: argparse.ArgumentParser) -> argparse.Action:
     dataset = p.add_argument("--dataset", required=True, help="dataset name (directory prefix)")
     p.add_argument("--data-dir", default="data", help="directory holding the dataset files")
@@ -141,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command",
         required=True,
         parser_class=lambda **kw: argparse.ArgumentParser(
-            formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kw
+            formatter_class=_DefaultsHelpFormatter, **kw
         ),
     )
 

@@ -106,16 +106,25 @@ class Var:
     saves anyway. A record whose backward reads this input may save
     ``rebuild`` instead of ``value``.
 
+    ``share_rows`` is None unless the record that made the value saves it
+    whole for its own backward and sets it (a recorded ``Tape.mpconv``). A
+    record that saves ``rows = value[idx]`` for strictly increasing ``idx``
+    may set it back to None and call it once, as ``share_rows(idx, rows)``;
+    the maker then reads those rows from ``rows``, keeps of the other rows
+    only what its backward still needs, and drops its reference to
+    ``value``.
+
     The value of an input leaf may be :class:`graphs.LabelCodes` (one-hot
     node features), which only ``Tape.mpconv`` reads; it takes no gradient.
     """
 
-    __slots__ = ("value", "slot", "rebuild")
+    __slots__ = ("value", "slot", "rebuild", "share_rows")
 
     def __init__(self, value: np.ndarray, slot: Slot | None):
         self.value = value
         self.slot = slot
         self.rebuild = None
+        self.share_rows = None
 
 
 class Parameter:
@@ -216,6 +225,13 @@ def _add_rows(out: np.ndarray, rows: np.ndarray, index: np.ndarray) -> None:
         out[start : start + step] += rows[index[start : start + step]]
 
 
+def _other_rows(n: int, idx: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows of ``range(n)`` not in ``idx``."""
+    other = np.ones(n, dtype=bool)
+    other[idx] = False
+    return other
+
+
 def _unnoted(arr: np.ndarray, tag: str) -> None:
     """The ``note`` of a tape without a hook."""
 
@@ -266,8 +282,12 @@ class Tape:
 
     A record saves no array another record already saves. The output of a
     recorded ``topk_gate`` carries a ``rebuild`` (see :class:`Var`) that
-    gathers and gates its rows again from the pool record's saves, and an
-    ``mpconv`` reading it saves that instead of the pooled array.
+    gates its rows again from the pool record's saves, and an ``mpconv``
+    reading it saves that instead of the pooled array. The output of a
+    recorded ``mpconv`` carries a ``share_rows`` (see :class:`Var`): a
+    ``topk_gate`` that drops rows of it saves the kept rows, and the conv
+    record then keeps, instead of its whole output, only the ReLU signs of
+    the dropped rows, packed to bits.
     """
 
     def __init__(self, tracker=None, record: bool = True):
@@ -374,6 +394,15 @@ class Tape:
         for one graph) makes each product run graph by graph
         (:func:`_segmented_matmul`).
 
+        The record saves the ReLU output only for backward's mask, and only
+        until a ``topk_gate`` that drops rows of it calls the output's
+        ``share_rows`` (see :class:`Var`). From then on the mask's kept rows
+        come from the pool record's saved rows and its dropped rows from
+        their signs, packed to one bit an entry, so the record holds no N x
+        F_out array of its own, and the mask stays exact when another record
+        sends gradient into the dropped rows. Backward rebuilds the mask as
+        one N x F_out bool, as ``h > 0`` is one.
+
         When X has a ``rebuild`` (X is a pool output), the record saves the
         rebuild instead of X. Backward then forms ``X.T @ g`` and ``X.T @
         d`` over row blocks of at most ``_ROW_BLOCK`` elements, each block
@@ -393,9 +422,10 @@ class Tape:
         dense product turns inf into NaN and may turn a lone -0.0 into
         +0.0).
 
-        Backward masks its own gradient in place, drops the ReLU output as
-        soon as the mask is applied, and writes the theta-path product into
-        the gradient's buffer when theta is square. It always computes
+        Backward masks its own gradient in place, drops the ReLU output (or
+        the kept rows and sign bits) as soon as the mask is applied, and
+        writes the theta-path product into the gradient's buffer when theta
+        is square. It always computes
         theta's and theta_skip's gradients, and X's only when X has a slot
         (block 0's features have none).
         """
@@ -443,11 +473,28 @@ class Tape:
         codes = xv if coded else None
         inv_deg = (1.0 / (graph.degrees + 1))[:, None]
         square = tv.shape[0] == tv.shape[1]
+        shape = h.shape
+        kept = idx = signs = None  # set when a pool shares its kept rows of h
+
+        def share_rows(kept_idx, kept_rows):  # kept_rows is h[kept_idx]
+            nonlocal h, kept, idx, signs
+            signs = self._noted(np.packbits((h > 0.0)[_other_rows(n, kept_idx)]), "acts")
+            h, kept, idx = None, kept_rows, kept_idx
+
+        def relu_mask():  # h > 0.0
+            if kept is None:
+                return h > 0.0
+            mask = np.empty(shape, dtype=bool)
+            m = n - idx.size
+            bits = np.unpackbits(signs, count=m * shape[1])
+            mask[_other_rows(n, idx)] = bits.reshape(m, shape[1]).view(bool)
+            mask[idx] = kept > 0.0
+            return mask
 
         def bw(g):
-            nonlocal h, agg
-            np.multiply(g, h > 0.0, out=g)
-            h = None  # read by nothing else
+            nonlocal h, agg, kept, signs
+            np.multiply(g, relu_mask(), out=g)
+            h = kept = signs = None  # read by nothing else
             if agg_first:
                 if codes is not None:
                     agg = self._noted(_graphs.spmm_mean(graph, codes), "acts")
@@ -472,6 +519,7 @@ class Tape:
             else:
                 x_slot.grad += self._noted(d @ tv.T, "grads")
 
+        out.share_rows = share_rows
         self._nodes.append((out.slot, bw))
         return out
 
@@ -486,17 +534,21 @@ class Tape:
         output is ``x[idx] * tanh(scores[idx])[:, None]``, so ``p`` gets a
         gradient through the gate. Returns ``(output, idx, kept counts)``.
 
-        The record saves ``x``, ``idx``, the kept gates and, unless the
-        guard is active, the kept raw scores, which the norm's part of
-        ``p``'s gradient reads. On a recorded tape the output's ``rebuild``
-        gathers and gates any of its row blocks again from those, with the
-        bytes of the output, so a record that reads the output in backward
-        need not save it.
+        The record saves ``idx``, the kept gates, unless the guard is
+        active the kept raw scores (which the norm's part of ``p``'s
+        gradient reads), and the rows of ``x``. When rows are dropped and
+        ``x`` has a ``share_rows`` (``x`` is a conv output), it gathers the
+        kept rows of ``x`` once, ungated, saves them and hands them to
+        ``share_rows``, so the conv record no longer holds ``x`` whole;
+        otherwise it saves ``x`` itself. On a recorded tape the output's
+        ``rebuild`` gates (from a saved ``x``, gathers and gates) any of its
+        row blocks again from those, with the bytes of the output, so a
+        record that reads the output in backward need not save it.
 
-        Backward works on the kept rows only: it gathers them once, frees
-        the copy before it builds the input gradient and adds the score term
-        as a rank-1 update in place. When no row was dropped the gradient
-        itself becomes the input's.
+        Backward works on the kept rows only: it reads the saved ones, or
+        gathers them once from ``x`` and frees the copy before it builds the
+        input gradient, and adds the score term as a rank-1 update in place.
+        When no row was dropped the gradient itself becomes the input's.
         """
         xv, pv = x.value, p.value
         if xv.ndim != 2 or pv.shape != (xv.shape[1],):
@@ -515,16 +567,29 @@ class Tape:
         ):
             raise ValueError(f"topk_gate indices must be strictly increasing in [0, {n})")
         every = idx.size == n  # then idx is 0..n-1
+        share = None if every or not self.record else x.share_rows
+        # the ungated kept rows backward reads: x itself when every row is
+        # kept, a saved gather when x's maker takes it, else (None) gathered
+        # from x again
+        rows = None
         if every:
-            t = gate
+            t, rows = gate, xv
             value = xv * t[:, None]
         else:
             t = self._noted(gate[idx], "acts")
-            value = xv[idx]
-            value *= t[:, None]
+            if share is None:
+                value = xv[idx]
+                value *= t[:, None]
+            else:
+                rows = self._noted(xv[idx], "acts")
+                value = rows * t[:, None]
         out = self._out(value)
         if not self.record:
             return out, idx, kept
+        if share is not None:
+            x.share_rows = None
+            share(idx, rows)
+            xv = None  # read through rows
         x_slot, p_slot = x.slot, p.slot
         r = None  # raw scores of the kept rows, for the norm's gradient
         if not guarded:
@@ -532,8 +597,8 @@ class Tape:
         del raw, scores, gate
 
         def kept_rows(start, stop):  # output rows start:stop, the same bytes
-            if every:
-                return self._noted(xv[start:stop] * t[start:stop, None], "acts")
+            if rows is not None:
+                return self._noted(rows[start:stop] * t[start:stop, None], "acts")
             blk = self._noted(xv[idx[start:stop]], "acts")
             blk *= t[start:stop, None]
             return blk
@@ -541,15 +606,15 @@ class Tape:
         out.rebuild = kept_rows
 
         def bw(g):
-            rows = xv if every else self._noted(xv[idx], "acts")
-            d_score = np.einsum("ij,ij->i", rows, g)
+            xr = self._noted(xv[idx], "acts") if rows is None else rows
+            d_score = np.einsum("ij,ij->i", xr, g)
             d_score *= 1.0 - t * t
             d_raw = d_score / norm
-            d_p = d_raw @ rows
+            d_p = d_raw @ xr
             if not guarded:
                 d_p -= (float(d_score @ r) / norm**3) * pv
             self._acc(p_slot, d_p)
-            del rows
+            del xr
             g *= t[:, None]
             _add_outer(g, d_raw, pv)
             if every:

@@ -18,7 +18,9 @@ from valid ones are valid by construction and are built with the private
 ``_trusted`` constructors, which skip the checks: the symmetric closure in
 ``from_edge_list``, pooled subgraphs (``induced_subgraph``) and merged
 batches (``batch_graphs``). The dataset parser checks whole files once and
-then slices each graph out the same way.
+then slices each graph out the same way. The model's pool slices through
+``_induced_subgraph_trusted``, which skips ``induced_subgraph``'s checks of
+the kept indices: ``Tape.topk_gate`` has made them already.
 """
 from __future__ import annotations
 
@@ -503,6 +505,12 @@ def induced_subgraph(graph: SparseGraph, keep) -> SparseGraph:
             raise ValueError("keep index out of range")
         if np.any(np.diff(keep) <= 0):
             raise ValueError("keep must be strictly increasing (sorted, distinct)")
+    return _induced_subgraph_trusted(graph, keep)
+
+
+def _induced_subgraph_trusted(graph: SparseGraph, keep: np.ndarray) -> SparseGraph:
+    """:func:`induced_subgraph` without its checks, for a 1-D integer
+    ``keep`` already known to be strictly increasing within the graph."""
     if keep.size == graph.num_nodes:
         return graph  # every node kept: the input is its own induced subgraph
     mask = np.zeros(graph.num_nodes, dtype=bool)

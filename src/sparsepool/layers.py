@@ -8,7 +8,11 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import Parameter, Tape, Var, glorot_init
-from .graphs import GraphBatch, SparseGraph, induced_subgraph
+from .graphs import GraphBatch, SparseGraph
+# Tape.topk_gate checks the kept indices, so the pool slices without checking
+# them again; under the public name, so a wrapper set on this module's global
+# (as the benchmark's span tracer sets one) sees every slice
+from .graphs import _induced_subgraph_trusted as induced_subgraph
 
 __all__ = [
     "HierarchicalModel",
@@ -184,9 +188,10 @@ def topk_pool(tape: Tape, graph: SparseGraph, x: Var, p: Parameter, ratio: float
     lower index). Kept rows are gated by tanh(score) so the projection
     vector receives gradient. Gradient flows into retained rows of X only.
     One record (:meth:`Tape.topk_gate`) gates only the kept rows, so no
-    full-size gated copy of X is made. It saves X and the gates and raw
-    scores of the kept rows. X' is not saved: the next conv rebuilds its
-    rows from those saves in backward.
+    full-size gated copy of X is made. It saves X (only X's kept rows when
+    X is a conv output and rows are dropped) and the gates and raw scores
+    of the kept rows. X' is not saved: the next conv rebuilds its rows from
+    those saves in backward.
     """
     if graph.num_nodes == 0:
         raise ValueError("cannot pool an empty graph")
@@ -206,7 +211,10 @@ def forward_summaries(tape: Tape, batch: GraphBatch, model: HierarchicalModel) -
     pooled graph is sliced only when another block reads it. A pool output
     is dropped once the next conv has read it (that conv rebuilds its rows
     in backward), and a conv output once it has been pooled, so a
-    forward-only pass holds neither past its last reader.
+    forward-only pass holds neither past its last reader. A recording pass
+    holds a conv output past its pool only when the pool keeps every row;
+    otherwise the tape keeps the kept rows and the dropped rows' ReLU
+    signs as bits.
     """
     graph = batch.graph
     counts = np.asarray(batch.node_counts, dtype=np.int64)

@@ -528,6 +528,15 @@ class TestParser:
         text = capsys.readouterr().out
         assert "--sizes" in text and "--budget" in text
 
+    @pytest.mark.parametrize("command", ["train", "cv", "bench-mem", "export-summaries"])
+    def test_help_states_each_default_once(self, capsys, command):
+        # a None default is not printed, nor one the help text already states
+        assert main([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        options = [" ".join(part.split()) for part in re.split(r"\n  (?=-)", text)]
+        assert not [o for o in options if "(default: None)" in o or o.count("(default:") > 1]
+        assert "--ratio RATIO pool ratio k (default: 0.8)" in options or command == "bench-mem"
+
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
 

@@ -32,7 +32,7 @@ from sparsepool.engine import (
     save_parameters,
 )
 from sparsepool.engine import _MAGIC, _segmented_matmul
-from sparsepool.graphs import LabelCodes, from_edge_list
+from sparsepool.graphs import LabelCodes, from_edge_list, induced_subgraph
 from sparsepool.layers import _select_topk
 
 PRIMITIVE_TOL = 1e-6
@@ -699,6 +699,65 @@ class TestGradientHandOver:
                     return t.softmax_xent(summary, [2])
 
                 check_primitive(build, self.x)
+
+
+class TestSharedConvRows:
+    """A recorded pool that drops rows of a conv output saves the kept rows
+    once, and the conv keeps of its output only the ReLU signs of the
+    dropped rows, as bits."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(12)
+        self.x = rng.standard_normal((7, 3))
+        self.graph = from_edge_list(7, [(0, 1), (1, 2), (4, 5), (5, 6), (4, 6)])
+        self.theta, self.skip, self.next_theta, self.next_skip = (
+            rng.uniform(-1.0, 1.0, size=(4, 3, 3))
+        )
+        self.p = rng.standard_normal(3)
+
+    def forward(self, t, v, ratio, share=True, read_twice=False):
+        """conv, pool at ``ratio``, conv on the pooled graph, readout; the
+        collection state of the first conv's output once the pool has run."""
+        theta, skip, next_theta, next_skip = map(
+            t.leaf, (self.theta, self.skip, self.next_theta, self.next_skip))
+        h = t.mpconv(self.graph, v, theta, skip, POOL_COUNTS)
+        if not share:
+            h.share_rows = None  # the pool then saves h whole, as for a leaf
+        summary = t.segment_readout(h, POOL_COUNTS) if read_twice else None
+        value = weakref.ref(h.value)
+        pooled, idx, kept = t.topk_gate(
+            h, t.leaf(self.p), POOL_COUNTS,
+            lambda scores, margin: _select_topk(scores, POOL_COUNTS, ratio, margin))
+        h = None
+        out = t.mpconv(induced_subgraph(self.graph, idx), pooled, next_theta, next_skip, kept)
+        loss = t.softmax_xent(t.segment_readout(out, kept, summary), [0, 1, 2])
+        return loss, value() is None
+
+    @pytest.mark.parametrize("ratio", [0.6, 1.0])
+    def test_a_conv_output_is_collected_once_pooled_with_rows_dropped(self, ratio):
+        # every row kept: the pool record saves the conv output whole
+        tape = Tape()
+        loss, collected = self.forward(tape, tape.leaf(self.x, needs_grad=True), ratio)
+        assert collected == (ratio < 1.0)
+        tape.backward(loss)
+
+    @pytest.mark.parametrize("read_twice", [False, True])
+    def test_gradients_equal_those_of_the_whole_saved_output(self, read_twice):
+        # the mask from kept rows and sign bits is the ReLU's own, also where
+        # a readout sends gradient into the dropped rows
+        def grads(share):
+            tape = Tape()
+            x = tape.leaf(self.x, needs_grad=True)
+            loss, collected = self.forward(tape, x, 0.6, share, read_twice)
+            assert collected == share
+            tape.backward(loss)
+            return x.slot.grad
+
+        assert grads(True).tobytes() == grads(False).tobytes()
+
+    def test_finite_differences(self):
+        with two_row_blocks(3):
+            check_primitive(lambda t, v: self.forward(t, v, 0.6, read_twice=True)[0], self.x)
 
 
 def loop_segmented_matmul(a, b, counts):

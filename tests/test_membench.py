@@ -111,6 +111,23 @@ class TestDenseAssignment:
             measure_dense_assignment(0)
 
 
+def tracked_step_peak(batch: GraphBatch, ratio: float, hidden: int) -> int:
+    """Exact tracked peak of one recorded training step of a seed-0 model.
+
+    The tracker is told of the batch's CSR and features and of every
+    parameter's value, gradient and Adam moments before the step."""
+    model = build_model(batch.features.shape[1], hidden, 2, pool_ratio=ratio, seed=0)
+    tracker = MemoryTracker()
+    for arr in (batch.graph.row_offsets, batch.graph.col_indices, batch.features):
+        tracker.note(arr, "inputs")
+    for p in model.parameters():
+        for arr in (p.value, p.grad, p.adam_m, p.adam_v):
+            tracker.note(arr, "params")
+    tape = Tape(tracker=tracker)
+    tape.backward(tape.softmax_xent(model_forward(tape, batch, model), batch.labels))
+    return tracker.peak
+
+
 class TestSparse:
     def test_doubling_is_roughly_linear(self):
         a = measure_sparse(5000)
@@ -159,10 +176,11 @@ class TestSparse:
     @pytest.mark.parametrize("ratio", [1.0, 0.5])
     def test_a_recorded_forward_saves_no_pool_output(self, ratio):
         # after the forward, the tape holds each conv output (read by its
-        # pool's backward), block 0's aggregated input (it is narrower than
-        # its output, so it aggregates first), the kept gates and raw scores
-        # of each pool, and the summed readout; a conv rebuilds its pooled
-        # input in backward
+        # pool's backward) or, where the pool drops rows, the conv output's
+        # kept rows and the ReLU signs of its dropped rows as bits; block 0's
+        # aggregated input (it is narrower than its output, so it aggregates
+        # first), the kept gates and raw scores of each pool, and the summed
+        # readout; a conv rebuilds its pooled input in backward
         n, hidden = 1000, 16
         tracker = MemoryTracker()
         batch = GraphBatch(erdos_renyi(n, 2 * n, 0), np.random.default_rng(0).standard_normal((n, 8)),
@@ -173,8 +191,12 @@ class TestSparse:
         rows = [n]
         for _ in range(3):
             rows.append(kept_count(rows[-1], ratio))
-        saved = hidden * sum(rows[:3]) + 8 * n + 2 * sum(rows[1:]) + 2 * hidden
-        assert tracker._by_tag["acts"] == 8 * saved
+        if ratio == 1.0:
+            convs = 8 * hidden * sum(rows[:3])
+        else:
+            convs = sum(8 * hidden * k + -(-(m - k) * hidden // 8) for m, k in zip(rows, rows[1:]))
+        saved = convs + 8 * (8 * n + 2 * sum(rows[1:]) + 2 * hidden)
+        assert tracker._by_tag["acts"] == saved
         tape.backward(tape.softmax_xent(summary, batch.labels))
 
     def test_untracked_temporaries_stay_under_half_a_panel(self):
@@ -188,6 +210,36 @@ class TestSparse:
         finally:
             tracemalloc.stop()
         assert traced_peak - report.peak_bytes < 0.5 * (n * 128 * 8)
+
+    def test_a_pooled_step_holds_under_a_quarter_panel_untracked(self):
+        # at ratio 0.8 each conv's backward rebuilds its ReLU mask, an N x
+        # 128 bool (an eighth of a panel) no tracker is told of, from its
+        # pool's kept rows and the dropped rows' sign bits
+        n = 4000
+        tracemalloc.start()
+        try:
+            graph = LabeledGraph(erdos_renyi(n, 2 * n, 0),
+                                 np.random.default_rng(0).standard_normal((n, 128)), 0)
+            peak = tracked_step_peak(batch_graphs([graph]), 0.8, 128)
+            _, traced_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traced_peak - peak < 0.25 * (n * 128 * 8)
+
+    @pytest.mark.parametrize("coded", [False, True], ids=["dense", "codes"])
+    def test_the_exact_peak_of_a_pooled_training_step(self, coded):
+        # ratio 0.8 on five graphs: each pool saves its conv output's kept
+        # rows and the ReLU signs of the dropped rows as bits, not the whole
+        # output (which gave 512,600 and 489,020 bytes)
+        rng = np.random.default_rng(7)
+        sizes = [40, 64, 40, 90, 25]
+        batch = batch_graphs([
+            LabeledGraph(erdos_renyi(n, 3 * n, i),
+                         LabelCodes(rng.integers(0, 6, n), 6) if coded
+                         else rng.standard_normal((n, 6)), i % 2)
+            for i, n in enumerate(sizes)
+        ])
+        assert tracked_step_peak(batch, 0.8, 32) == (466_088 if coded else 489_668)
 
     def test_no_panel_is_added_to_a_gradient_unnoted(self, monkeypatch):
         # a contribution added into an existing gradient is a temporary the
@@ -255,7 +307,11 @@ class TestNotedOnce:
         tracker = OnceTracker()
         tape = Tape(tracker=tracker)
         tape.backward(tape.softmax_xent(model_forward(tape, batch, model), batch.labels))
-        assert dict(tracker.peak_breakdown())["grads"] > 0
+        # the pools save only their conv outputs' kept rows, so the peak is
+        # the forward's, all activations; backward noted gradients and freed them
+        peak = 10_005 if coded else 11_957
+        assert (tracker.peak, tracker.peak_breakdown()) == (peak, [("acts", peak)])
+        assert "grads" in tracker._by_tag and tracker.current == 0
 
     def test_a_second_note_fails(self):
         tracker = OnceTracker()

@@ -100,9 +100,18 @@ class TestTrustedConstruction:
             sub = induced_subgraph(g, keep)
             assert_valid(sub)
             assert np.array_equal(sub.to_dense(), g.to_dense()[np.ix_(keep, keep)])
+            # the unchecked path the model's pool takes slices the same CSR
+            assert_same_csr(graphs._induced_subgraph_trusted(g, np.array(keep, dtype=np.int64)),
+                            sub)
             if sub.num_nodes == 0:
                 break
             g = sub
+
+    def test_the_pool_slices_without_checking_again(self):
+        # Tape.topk_gate has checked the kept indices; the name is the public one
+        from sparsepool import layers
+
+        assert layers.induced_subgraph is graphs._induced_subgraph_trusted
 
     @given(st.integers(1, 3).flatmap(lambda f: st.lists(labeled_graphs(f), min_size=1, max_size=5)))
     def test_batch_graphs(self, members):
